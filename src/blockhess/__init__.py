@@ -12,7 +12,10 @@ Modules
 -------
 multiindex      strictly increasing index tuples, signs, node index sets
 ring            MultiPoly / UniPoly, prime table, interpolation
-linalg          exact determinants, ranks, reduced echelon form, adjugate
+linalg          one integer echelon kernel on sparse primitive rows (rank,
+                span equality, kernel vector over Q); integer Bareiss
+                determinants over Z and Q; Bareiss on polynomial entries;
+                rank and determinant mod p
 exterior        coefficient arrays, chart points, group actions, gradients
 hessian         block matrix assembly, duality relabeling, embeddings
 degree          admissible factor degrees and product witnesses

@@ -338,7 +338,7 @@ def act_gl(A: ExteriorArray, g: GroupElement) -> ExteriorArray:
         inv = {v: kk for kk, v in phi.items()}
         for I, c in A.items():
             J = tuple(sorted(inv[i] for i in I))
-            _, order_sign = sort_with_sign(tuple(phi[j] for j in J), N)
+            _, order_sign = sort_with_sign([phi[j] for j in J], N)
             unit = 1
             for j in J:
                 unit *= sgn[j]

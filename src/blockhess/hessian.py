@@ -22,7 +22,7 @@ from typing import Sequence
 from . import linalg
 from .exterior import ChartPoint, ExteriorArray, act_gl, act_translation, w_swap_matrix
 from .multiindex import first_index, sort_with_sign
-from .ring import MultiPoly, Scalar, scalar_from_string, scalar_to_string
+from .ring import WORD_PRIMES, MultiPoly, Scalar, scalar_from_string, scalar_to_string
 
 
 class HessianMatrix:
@@ -260,18 +260,16 @@ def det_mod(M, p: int) -> int:
 
 
 def rank_exact(M) -> int:
-    """Exact rank over Q, cross-checked against a mod-p lower bound."""
+    """Exact rank over Q, cross-checked against a mod-p lower bound.
+
+    The mod-p rank is taken of the primitive integer rows the Q kernel
+    eliminates, so no denominator can vanish mod p and skip the check.
+    """
     rows = _rows_of(M)
     if not rows:
         return 0
     r = linalg.rank_fraction(rows)
-    try:
-        from .ring import WORD_PRIMES, scalar_mod
-
-        p = WORD_PRIMES[0]
-        rp = linalg.rank_mod([[scalar_mod(e, p) for e in row] for row in rows], p)
-    except ZeroDivisionError:
-        rp = 0
+    rp = linalg.rank_mod(linalg.primitive_rows(rows), WORD_PRIMES[0])
     if rp > r:
         raise AssertionError(f"mod-p rank {rp} exceeds exact rank {r}")
     return r

@@ -1,42 +1,18 @@
-"""Exact dense linear algebra kernels.
+"""Exact linear algebra kernels.
 
 Matrices are plain lists of lists.  Entries may be ints, Fractions, or
 MultiPoly values; every routine here is fraction-free or otherwise exact.
+Rank, span and kernel over Q share one echelon routine on sparse integer rows.
 The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .ring import MultiPoly, Scalar
-
-Matrix = list[list]
-
-
-def copy_matrix(m: Sequence[Sequence]) -> Matrix:
-    return [list(row) for row in m]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, m, q = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = 0
-            for t in range(q):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
-def _is_poly(m: Sequence[Sequence]) -> bool:
-    return any(isinstance(e, MultiPoly) for row in m for e in row)
 
 
 def _exquo(a, b):
@@ -84,10 +60,10 @@ def det_bareiss(m: Sequence[Sequence]):
     """Fraction-free determinant (Bareiss) with full pivoting.
 
     Works over any integral domain whose elements support *, -, and exact
-    division (ints, Fractions, MultiPoly).  Row/column swaps are tracked in
-    the sign, so zero diagonals (ubiquitous here) are harmless.
+    division; ``det_exact_generic`` uses it for MultiPoly entries.  Row and
+    column swaps are tracked in the sign, so zero diagonals are harmless.
     """
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -127,11 +103,34 @@ def det_bareiss(m: Sequence[Sequence]):
     return last if sign == 1 else -last
 
 
+def _det_integer(m: Sequence[Sequence[Scalar]]):
+    """Bareiss with exact ``//`` on rows cleared of denominators, divided back."""
+    dens = [lcm(*[e.denominator for e in row]) for row in m]
+    a = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
+    sign, prev = 1, 1
+    while len(a) > 1:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
+            return 0
+        if i:
+            a[0], a[i] = a[i], a[0]
+            sign = -sign
+        p, top = a[0][0], a[0][1:]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = p
+    q = Fraction(sign * a[0][0], prod(dens))
+    return q.numerator if q.denominator == 1 else q
+
+
 def det_exact_generic(m: Sequence[Sequence]):
-    """Dispatch: cofactor expansion below size 5, Bareiss elimination above."""
-    if len(m) < 5 and not _is_poly(m):
-        return det_cofactor(m)
-    return det_bareiss(m)
+    """Dispatch: Bareiss on polynomial entries; for ints and Fractions,
+    cofactor expansion below size 5 and integer Bareiss above."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if any(isinstance(e, MultiPoly) for row in m for e in row):
+        return det_bareiss(m)
+    return det_cofactor(m) if n < 5 else _det_integer(m)
 
 
 def rank_mod(m: Sequence[Sequence[int]], p: int) -> int:
@@ -182,89 +181,90 @@ def det_mod(m: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _primitive(row: Sequence[Scalar]) -> dict[int, int]:
+    """The nonzero entries of ``row`` as a sparse row of coprime integers.
+
+    Clearing denominators and dividing out the content scale the row by a
+    nonzero rational, so ranks and row spaces are unchanged.
+    """
+    nonzero = [(j, e) for j, e in enumerate(row) if e]
+    den = lcm(*[e.denominator for _, e in nonzero])
+    return _content_free({j: e.numerator * (den // e.denominator) for j, e in nonzero})
+
+
+def primitive_rows(m: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Each row of ``m`` as coprime integers: the rows the Q kernel eliminates."""
+    return [[r.get(j, 0) for j in range(len(row))] for row, r in zip(m, map(_primitive, m))]
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive integer multiple of ``row`` minus ``piv`` with column c cleared."""
+    g = gcd(row[c], piv[c])
+    a, b = piv[c] // g, row[c] // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in piv.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _content_free(out)
+
+
+def _echelon(m: Sequence[Sequence[Scalar]], reduced: bool = False) -> dict[int, dict[int, int]]:
+    """Echelon basis of the row space of ``m`` over Q, keyed by leading column.
+
+    Rows are inserted one at a time and reduced against the basis by
+    gcd-scaled integer row operations, so no entry is ever a fraction.  With
+    ``reduced`` each pivot column is also cleared from the other rows; row c
+    is then the reduced echelon row of pivot c times its entry at column c.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in m:
+        r = _primitive(row)
+        while r:
+            c = min(r)
+            if c not in basis:
+                basis[c] = r
+                break
+            r = _eliminate(r, basis[c], c)
+    if reduced:
+        for c in sorted(basis, reverse=True):
+            for c2, r in basis.items():
+                if c2 < c and c in r:
+                    basis[c2] = _eliminate(r, basis[c], c)
+    return basis
+
+
 def rank_fraction(m: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over Q by Gaussian elimination on Fractions."""
-    a = [[Fraction(e) for e in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
-
-
-def rref_fraction(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot column list)."""
-    a = [[Fraction(e) for e in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Exact rank over Q: the size of the integer echelon basis."""
+    return len(_echelon(m))
 
 
 def kernel_vector(m: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
-    """One nonzero rational kernel vector of a square matrix, or None if invertible."""
+    """One nonzero rational kernel vector of a square matrix, or None if invertible.
+
+    The first free column gets 1, each pivot column minus its RREF entry there.
+    """
     n = len(m)
-    rref, pivots = rref_fraction(m)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    basis = _echelon(m, reduced=True)
+    c0 = next((c for c in range(n) if c not in basis), None)
+    if c0 is None:
         return None
-    c0 = free[0]
     v = [Fraction(0)] * n
     v[c0] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -rref[r][c0]
+    for c, r in basis.items():
+        v[c] = Fraction(-r.get(c0, 0), r[c])
     return v
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
     return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def adjugate(m: Sequence[Sequence]):
-    """Classical adjugate via cofactors; test-oracle sizes only."""
-    n = len(m)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det_cofactor(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
 
 
 def span_equal(rows_a: Sequence[Sequence[Scalar]], rows_b: Sequence[Sequence[Scalar]]) -> bool:

@@ -416,7 +416,7 @@ def limit_T0(forms: DefiningForms) -> list[RationalForm]:
     index_order = {I: i for i, I in enumerate(enumerate_indices(k, N))}
     matrix = []
     for lim in limits:
-        row = [Fraction(0)] * len(index_order)
+        row = [0] * len(index_order)
         for I, c in lim.items():
             row[index_order[I]] = c
         matrix.append(row)
@@ -472,10 +472,10 @@ def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k
 
     index_order = {I: i for i, I in enumerate(enumerate_indices(k, N))}
 
-    def as_rows(forms: list[RationalForm]) -> list[list[Fraction]]:
+    def as_rows(forms: list[RationalForm]) -> list[list[Scalar]]:
         rows = []
         for f in forms:
-            row = [Fraction(0)] * len(index_order)
+            row = [0] * len(index_order)
             for I, c in f.items():
                 row[index_order[I]] = c
             rows.append(row)

@@ -1,0 +1,114 @@
+"""Reference linear algebra for the tests; nothing in the library calls it.
+
+Gaussian elimination on ``Fraction`` entries is the oracle that the integer
+echelon kernel in ``blockhess.linalg`` is compared against; it is slow and
+simple on purpose.  The dense helpers at the end build test matrices.
+"""
+
+from fractions import Fraction
+
+from blockhess.linalg import det_cofactor
+
+
+def rank_fraction(m):
+    """Exact rank over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(e) for e in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        rank += 1
+        if r == rows:
+            break
+    return rank
+
+
+def rref_fraction(m):
+    """Reduced row echelon form over Q; returns (rref, pivot column list)."""
+    a = [[Fraction(e) for e in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def kernel_vector(m):
+    """One nonzero rational kernel vector of a square matrix, or None if invertible."""
+    n = len(m)
+    rref, pivots = rref_fraction(m)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    c0 = free[0]
+    v = [Fraction(0)] * n
+    v[c0] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -rref[r][c0]
+    return v
+
+
+def span_equal(rows_a, rows_b):
+    """Do two row families span the same subspace of Q^n?"""
+    ra = rank_fraction(rows_a) if rows_a else 0
+    joint = [list(r) for r in rows_a] + [list(r) for r in rows_b]
+    return (rank_fraction(rows_b) if rows_b else 0) == ra == (rank_fraction(joint) if joint else 0)
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n, m, q = len(a), len(b[0]), len(b)
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            s = 0
+            for t in range(q):
+                s = s + a[i][t] * b[t][j]
+            out[i][j] = s
+    return out
+
+
+def adjugate(m):
+    """Classical adjugate via cofactors; small sizes only."""
+    n = len(m)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            cof = det_cofactor(minor)
+            out[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return out

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockhess import linalg
 from blockhess.exterior import (
     ChartPoint,
     ExteriorArray,
@@ -44,7 +45,7 @@ from blockhess.hessian import (
     symbolic_coefficient_array,
 )
 from blockhess.multiindex import enumerate_indices
-from blockhess.ring import MultiPoly, prime_for_trial
+from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial
 
 
 def rand_array(rng, k, N, lo=-4, hi=4):
@@ -266,6 +267,15 @@ def test_rank_helpers_and_adjugate_check():
         block_row_rank(H, 4)
     with pytest.raises(ValueError):
         row_band_rank(H, 5)
+
+
+def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
+    # 1/p has no residue mod p; the check must still run, on cleared rows.
+    M = [[Fraction(1, WORD_PRIMES[0]), 0], [0, 1]]
+    assert rank_exact(M) == 2
+    monkeypatch.setattr(linalg, "rank_fraction", lambda rows: 1)
+    with pytest.raises(AssertionError, match="mod-p rank 2 exceeds exact rank 1"):
+        rank_exact(M)
 
 
 def test_det_mod_agrees_with_exact():

@@ -2,23 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockhess.hessian import det_exact
 from blockhess.linalg import (
-    adjugate,
     det_bareiss,
     det_cofactor,
     det_exact_generic,
     det_mod,
-    identity,
     kernel_vector,
-    mat_mul,
     mat_vec,
     rank_fraction,
     rank_mod,
-    rref_fraction,
     span_equal,
 )
 from blockhess.ring import MultiPoly, prime_for_trial
+
+import linalg_oracle as oracle
+from linalg_oracle import adjugate, identity, mat_mul
 
 
 def rand_matrix(rng, n, lo=-6, hi=6):
@@ -76,7 +78,7 @@ def test_rank_routes_agree():
 
 def test_rref_shape_and_pivots():
     M = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
-    R, pivots = rref_fraction(M)
+    R, pivots = oracle.rref_fraction(M)
     assert pivots == [0, 2]
     for i, j in enumerate(pivots):
         assert R[i][j] == 1
@@ -117,3 +119,52 @@ def test_fraction_entries_supported():
     M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert det_bareiss(M) == Fraction(1, 14) - Fraction(1, 15)
     assert rank_fraction(M) == 2
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (1, 6), (5, 6), (3, 2)])
+def test_det_rejects_non_square(rows, cols):
+    M = [[i + 2 * j + 1 for j in range(cols)] for i in range(rows)]
+    with pytest.raises(ValueError):
+        det_exact_generic(M)
+    with pytest.raises(ValueError):
+        det_exact(M)
+
+
+# One draw in three is an exact zero, so pivots are often missing and rows swap.
+scalars = st.one_of(st.just(0), st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(M, P, width): M square half the time, often rank-deficient (a product
+    through a narrower middle), and P = C * M for a random C, so P spans a
+    subspace of M's row space and often all of it."""
+    rows = draw(st.integers(0, 7))
+    cols = max(rows, 1) if draw(st.booleans()) else draw(st.integers(1, 7))
+
+    def mat(r, c):
+        return [[draw(scalars) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols)))
+        M = mat_mul(mat(rows, inner), mat(inner, cols)) if inner else [[0] * cols for _ in range(rows)]
+    else:
+        M = mat(rows, cols)
+    P = mat_mul(mat(draw(st.integers(1, 7)), rows), M) if rows else []
+    return M, P, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_integer_kernel_matches_fraction_oracle(pair):
+    M, P, width = pair
+    assert rank_fraction(M) == oracle.rank_fraction(M)
+    assert span_equal(M, P) == oracle.span_equal(M, P)
+    extra = P + [[1] * width]
+    assert span_equal(M, extra) == oracle.span_equal(M, extra)
+    if M and len(M) == width:
+        assert kernel_vector(M) == oracle.kernel_vector(M)
+        d, ref = det_exact_generic(M), det_bareiss(M)
+        assert d == ref
+        if len(M) >= 5:  # the integer path; smaller sizes use cofactors
+            assert type(d) is type(ref)
