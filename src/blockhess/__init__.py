@@ -11,11 +11,11 @@ coefficients, or prime fields — never floats.
 Modules
 -------
 multiindex      strictly increasing index tuples, signs, node index sets
-ring            MultiPoly / UniPoly, prime table, interpolation
+ring            MultiPoly, prime table, mod-p interpolation and r-th roots
 linalg          one integer echelon kernel on sparse primitive rows (rank,
                 span equality, kernel vector over Q); integer Bareiss
                 determinants over Z and Q; Bareiss on polynomial entries;
-                rank and determinant mod p
+                one shrinking-block elimination for rank and determinant mod p
 exterior        coefficient arrays, chart points, group actions, gradients
 hessian         block matrix assembly, duality relabeling, embeddings
 degree          admissible factor degrees and product witnesses

@@ -223,7 +223,10 @@ def _cmd_det(args) -> Handled:
     if args.mod is not None:
         if args.mod < 2:
             raise CliInputError("--mod needs a modulus >= 2")
-        rec = {"det": det_mod(H, args.mod), "mod": args.mod}
+        try:
+            rec = {"det": det_mod(H, args.mod), "mod": args.mod}
+        except ZeroDivisionError as exc:
+            raise CliInputError(str(exc)) from exc
     else:
         rec = {"det": _render_entry(det_exact(H))}
     return [rec], True, None

@@ -159,24 +159,32 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     """Second partials of the dehomogenized form at the chart origin.
 
     Entry ((p,t), (p',t')) is the coefficient symbol with t at position p
-    and t' at position p' (resolved through the sign of sorting); same-block
-    entries vanish because the form is affine in each frame row.
+    and t' at position p' (``A.positional_get((t, t'), (p, p'))``); same-block
+    entries vanish because the form is affine in each frame row.  For p < p'
+    and t < t' that symbol is sign * a_{rest + (t, t')}, where rest is If
+    without p and p': sorting moves t past the k - p - 1 entries of rest
+    after it and t' past the k - p', so sign = (-1)^(2k - p - p' - 1), and
+    swapping t and t' flips it.  Each coefficient is read once and written to
+    its four cells; a missing key gives int 0, as ``positional_get`` does.
     """
     k, N = A.k, A.N
-    side = k * (N - k)
+    w = N - k
+    side = k * w
     poly_nvars = _array_poly_nvars(A)
     zero = MultiPoly.zero(poly_nvars) if poly_nvars is not None else 0
-    rows = [[zero] * side for _ in range(side)]
-    H = HessianMatrix(k, N, rows)
+    H = HessianMatrix(k, N, [[zero] * side for _ in range(side)])
+    rows, get = H.rows, A.coeffs.get
     for p in range(1, k + 1):
         for pp in range(p + 1, k + 1):
-            for t in range(k + 1, N + 1):
-                for tt in range(k + 1, N + 1):
-                    if t == tt:
-                        continue
-                    c = A.positional_get((t, tt), (p, pp))
-                    H.rows[H.index_of(p, t)][H.index_of(pp, tt)] = c
-                    H.rows[H.index_of(pp, tt)][H.index_of(p, t)] = c
+            rest = tuple([i for i in range(1, k + 1) if i != p and i != pp])
+            odd = (2 * k - p - pp - 1) % 2
+            r, rr = (p - 1) * w, (pp - 1) * w
+            for u in range(w):
+                for v in range(u + 1, w):
+                    c = get(rest + (k + 1 + u, k + 1 + v), 0)
+                    pos, neg = (-c, c) if odd else (c, -c)
+                    rows[r + u][rr + v] = rows[rr + v][r + u] = pos
+                    rows[r + v][rr + u] = rows[rr + u][r + v] = neg
     return H
 
 
@@ -255,7 +263,12 @@ def det_exact(M):
 
 
 def det_mod(M, p: int) -> int:
-    """Determinant over GF(p) (integer entries reduced mod p)."""
+    """Determinant over GF(p).
+
+    Rational entries are reduced as numerator times the inverse of the
+    denominator mod p, not truncated; a denominator divisible by p raises
+    ZeroDivisionError.
+    """
     return linalg.det_mod(_rows_of(M), p)
 
 

@@ -2,7 +2,8 @@
 
 Matrices are plain lists of lists.  Entries may be ints, Fractions, or
 MultiPoly values; every routine here is fraction-free or otherwise exact.
-Rank, span and kernel over Q share one echelon routine on sparse integer rows.
+Rank, span and kernel over Q share one echelon routine on sparse integer rows;
+rank and determinant over GF(p) share one shrinking-block elimination.
 The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .ring import MultiPoly, Scalar
+from .ring import MultiPoly, Scalar, scalar_mod
 
 
 def _exquo(a, b):
@@ -133,52 +134,49 @@ def det_exact_generic(m: Sequence[Sequence]):
     return det_cofactor(m) if n < 5 else _det_integer(m)
 
 
-def rank_mod(m: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination.  Lower-bounds the Q-rank."""
-    a = [[int(e) % p for e in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
+def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
+    """(rank, signed product of the pivots) of ``m`` over GF(p).
+
+    Entries other than plain ints are reduced by ``scalar_mod``, so a
+    Fraction whose denominator vanishes mod p raises ZeroDivisionError.
+    Each step takes the first row that is nonzero in the leading column as
+    the pivot, clears that column from the rows that have it, and drops the
+    pivot row and the column; a column with no pivot is dropped on its own.
+    The signed product is the determinant when the rank is full.
+    """
+    a = [[e % p if type(e) is int else scalar_mod(e, p) for e in row] for row in m]
+    rank, det = 0, 1
+    while a and a[0]:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
+            a = [row[1:] for row in a]
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
+        top = a.pop(i)
+        piv = top[0]
+        # moving row i to the top is a cyclic shift of i + 1 rows
+        det = (-det if i % 2 else det) * piv % p
         rank += 1
-        if r == rows:
-            break
-    return rank
+        scale = p - pow(piv, -1, p)
+        top = [y * scale % p for y in top[1:]]
+        # row by row in place, so the old and new blocks are never both alive
+        for j, row in enumerate(a):
+            f = row[0]
+            a[j] = [(x + f * y) % p for x, y in zip(row[1:], top)] if f else row[1:]
+    return rank, det
 
 
-def det_mod(m: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant over GF(p) by Gaussian elimination with row swaps."""
-    a = [[int(e) % p for e in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
+def rank_mod(m: Sequence[Sequence[Scalar]], p: int) -> int:
+    """Rank over GF(p).  Lower-bounds the Q-rank."""
+    return _echelon_mod(m, p)[0]
+
+
+def det_mod(m: Sequence[Sequence[Scalar]], p: int) -> int:
+    """Determinant over GF(p), in [0, p)."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det % p
-        det = det * a[c][c] % p
-        inv = pow(a[c][c], -1, p)
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-    return det % p
+    rank, det = _echelon_mod(m, p)
+    return det if rank == n else 0
 
 
 def _content_free(row: dict[int, int]) -> dict[int, int]:

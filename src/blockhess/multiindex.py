@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 MultiIndex = tuple[int, ...]
@@ -82,10 +83,15 @@ def last_index(k: int, N: int) -> MultiIndex:
 
 
 def is_valid_index(I: MultiIndex, k: int, N: int) -> bool:
+    """Is I a strictly increasing tuple of k ints in [1, N]?  (bools count as ints.)
+
+    Once the entries increase, range checks on the ends cover all of them.
+    """
     return (
         len(I) == k
-        and all(isinstance(v, int) and 1 <= v <= N for v in I)
-        and all(I[i] < I[i + 1] for i in range(k - 1))
+        and all(map(isinstance, I, itertools.repeat(int)))
+        and all(map(lt, I, I[1:]))
+        and (not I or 1 <= I[0] and I[-1] <= N)
     )
 
 

@@ -3,17 +3,17 @@
 Scalars are arbitrary-precision ints, exact ``fractions.Fraction`` values,
 or prime-field residues (plain ints in [0, p) with the modulus passed
 explicitly).  On top of that sit a sparse multivariate polynomial type
-(``MultiPoly``, used for symbolic Hessian entries) and a dense univariate
-type (``UniPoly``, used for line restrictions and T-expansions).
+(``MultiPoly``, used for symbolic Hessian entries) and helpers for dense
+univariate polynomials mod p, kept as coefficient lists (used for line
+restrictions).
 
 No floating point anywhere; every result in this module is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -337,105 +337,6 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial over the rationals, coeffs[i] on t^i."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coeffs(cls, cs: Iterable[Scalar]) -> "UniPoly":
-        cs = [Fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs([self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs([self[i] - other[i] for i in range(n)])
-
-    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.from_coeffs([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        result = UniPoly.from_coeffs([1])
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def eval(self, x: Scalar) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return UniPoly.from_coeffs([c / lc for c in self.coeffs])
-
-
-def uni_root_structure(f: UniPoly, r: int) -> UniPoly | None:
-    """Return g with f = c * g**r for some nonzero rational c, else None.
-
-    g is computed by matching coefficients from the leading term down and
-    then verified by an exact multiplication, so a non-None answer is a
-    proof.  The zero polynomial is reported as g = 0.
-    """
-    if r not in (2, 3):
-        raise ValueError(f"root structure only probed for r in {{2, 3}}, got {r}")
-    if f.is_zero():
-        return UniPoly.zero()
-    d = f.degree()
-    if d % r != 0:
-        return None
-    m = d // r
-    lc = f.coeffs[-1]
-    fm = f.monic()
-    g = [Fraction(0)] * (m + 1)
-    g[m] = Fraction(1)
-    for j in range(1, m + 1):
-        # coefficient of t^(r*m - j) in g^r, with g[m-j] still unknown (0):
-        h = UniPoly.from_coeffs(g) ** r
-        need = fm[r * m - j] - h[r * m - j]
-        g[m - j] = need / r  # the unknown enters as r * g[m-j] * (g[m]^(r-1) = 1)
-    cand = UniPoly.from_coeffs(g)
-    if (cand**r) * lc == f:
-        return cand
-    return None
-
-
-# ---------------------------------------------------------------------------
 # prime-field univariate helpers (dense int lists, modulus passed explicitly)
 
 
@@ -474,7 +375,12 @@ def lagrange_interpolate_mod(xs: Sequence[int], ys: Sequence[int], p: int) -> li
 
 
 def uni_root_structure_mod(coeffs: Sequence[int], r: int, p: int) -> list[int] | None:
-    """Mod-p analogue of uni_root_structure; returns g's coefficient list or None."""
+    """Return g's coefficient list if f = c * g**r mod p for a nonzero c, else None.
+
+    g is matched coefficient by coefficient from the leading term down and
+    then verified by an exact multiplication mod p.  The zero polynomial
+    gives g = [].
+    """
     cs = [c % p for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()

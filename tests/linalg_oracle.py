@@ -1,13 +1,15 @@
 """Reference linear algebra for the tests; nothing in the library calls it.
 
 Gaussian elimination on ``Fraction`` entries is the oracle that the integer
-echelon kernel in ``blockhess.linalg`` is compared against; it is slow and
-simple on purpose.  The dense helpers at the end build test matrices.
+echelon kernel in ``blockhess.linalg`` is compared against, and dense
+elimination over full rows the oracle for its GF(p) kernel; they are slow
+and simple on purpose.  The dense helpers at the end build test matrices.
 """
 
 from fractions import Fraction
 
 from blockhess.linalg import det_cofactor
+from blockhess.ring import scalar_mod
 
 
 def rank_fraction(m):
@@ -80,6 +82,52 @@ def span_equal(rows_a, rows_b):
     ra = rank_fraction(rows_a) if rows_a else 0
     joint = [list(r) for r in rows_a] + [list(r) for r in rows_b]
     return (rank_fraction(rows_b) if rows_b else 0) == ra == (rank_fraction(joint) if joint else 0)
+
+
+def rank_mod(m, p):
+    """Rank over GF(p) by Gauss-Jordan elimination on full rows."""
+    a = [[scalar_mod(e, p) for e in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+        rank += 1
+        if r == rows:
+            break
+    return rank
+
+
+def det_mod(m, p):
+    """Determinant over GF(p) by Gaussian elimination with row swaps."""
+    a = [[scalar_mod(e, p) for e in row] for row in m]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det % p
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
 
 
 def identity(n):

@@ -83,6 +83,21 @@ def test_det_rank_hessian_on_file(capsys, tmp_path):
     assert len(rec["rows"]) == 9
 
 
+def test_det_mod_reduces_rational_entries(capsys, tmp_path):
+    # the one (2,4) entry feeding the Hessian: det is (1/2)^4 = 1/16, and 1/16 is 4 mod 7
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"k": 2, "N": 4, "entries": [{"I": [3, 4], "c": "1/2"}]}), encoding="utf-8")
+    code, out, _ = invoke(capsys, "det", "--input", str(path))
+    assert json.loads(out.splitlines()[1]) == {"det": "1/16"}
+    code, out, _ = invoke(capsys, "det", "--input", str(path), "--mod", "7")
+    assert code == 0
+    assert json.loads(out.splitlines()[1]) == {"det": 4, "mod": 7}
+    code, out, err = invoke(capsys, "det", "--input", str(path), "--mod", "2")
+    assert code == 2
+    assert out == ""
+    assert "vanishes mod 2" in json.loads(err.splitlines()[0])["error"]
+
+
 def test_hessian_symbolic_entries_named_by_slot(capsys):
     code, out, _ = invoke(capsys, "hessian", "--k", "3", "--N", "6")
     assert code == 0

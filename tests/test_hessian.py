@@ -278,6 +278,32 @@ def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
         rank_exact(M)
 
 
+@pytest.mark.parametrize("k, N", [(1, 4), (2, 5), (4, 8), (5, 9), (6, 8), (6, 7)])
+@pytest.mark.parametrize("kind", ["int", "fraction", "symbolic"])
+def test_assemble_matches_positional_get(k, N, kind):
+    """Every cell, with its type, against the positional coefficient symbol;
+    the shapes cover both parities of the closed-form sign and w = 1, 2."""
+    rng = random.Random(k * 100 + N)
+    if kind == "symbolic":
+        A = symbolic_coefficient_array(k, N)
+    else:
+        A = ExteriorArray(k, N, {
+            I: rng.randint(-3, 3) if kind == "int" else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for I in enumerate_indices(k, N)
+            if rng.random() < 0.6
+        })
+    H = assemble(A)
+    nvars = len(coefficient_names(k, N))
+    zero = MultiPoly.zero(nvars) if kind == "symbolic" and nvars else 0
+    for p in range(1, k + 1):
+        for pp in range(1, k + 1):
+            for t in range(k + 1, N + 1):
+                for tt in range(k + 1, N + 1):
+                    e = H.entry(p, t, pp, tt)
+                    want = zero if p == pp or t == tt else A.positional_get((t, tt), (p, pp))
+                    assert e == want and type(e) is type(want), (p, t, pp, tt)
+
+
 def test_det_mod_agrees_with_exact():
     rng = random.Random(43)
     p = prime_for_trial(2)

@@ -17,7 +17,7 @@ from blockhess.linalg import (
     rank_mod,
     span_equal,
 )
-from blockhess.ring import MultiPoly, prime_for_trial
+from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial, scalar_mod
 
 import linalg_oracle as oracle
 from linalg_oracle import adjugate, identity, mat_mul
@@ -59,6 +59,16 @@ def test_det_mod_matches_exact():
     for _ in range(10):
         M = rand_matrix(rng, 4)
         assert det_mod(M, p) == det_bareiss(M) % p
+
+
+def test_mod_p_routes_reduce_fractions():
+    # 1/2 is 4 mod 7; truncating it to 0 gave det 0 and rank 2 here
+    assert det_mod([[Fraction(1, 2), 0], [0, 1]], 7) == 4
+    assert rank_mod([[Fraction(1, 2), 1], [1, 2]], 7) == 1
+    with pytest.raises(ZeroDivisionError):
+        det_mod([[Fraction(1, 7), 0], [0, 1]], 7)
+    with pytest.raises(ZeroDivisionError):
+        rank_mod([[1, Fraction(3, 14)]], 7)
 
 
 def test_rank_routes_agree():
@@ -135,7 +145,7 @@ scalars = st.one_of(st.just(0), st.integers(-9, 9), st.builds(Fraction, st.integ
 
 
 @st.composite
-def matrix_pairs(draw):
+def matrix_pairs(draw, entries=scalars):
     """(M, P, width): M square half the time, often rank-deficient (a product
     through a narrower middle), and P = C * M for a random C, so P spans a
     subspace of M's row space and often all of it."""
@@ -143,7 +153,7 @@ def matrix_pairs(draw):
     cols = max(rows, 1) if draw(st.booleans()) else draw(st.integers(1, 7))
 
     def mat(r, c):
-        return [[draw(scalars) for _ in range(c)] for _ in range(r)]
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
 
     if draw(st.booleans()):
         inner = draw(st.integers(0, min(rows, cols)))
@@ -168,3 +178,23 @@ def test_integer_kernel_matches_fraction_oracle(pair):
         assert d == ref
         if len(M) >= 5:  # the integer path; smaller sizes use cofactors
             assert type(d) is type(ref)
+
+
+# Denominators prime to every modulus below, so each entry has a residue.
+mod_scalars = st.one_of(
+    st.just(0), st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 5, 11, 13]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs(mod_scalars), st.sampled_from([2, 3, 7, WORD_PRIMES[0]]))
+def test_mod_p_kernel_matches_dense_oracle(pair, p):
+    M, _, width = pair
+    assert rank_mod(M, p) == oracle.rank_mod(M, p)
+    if len(M) == width or not M:
+        d = det_mod(M, p)
+        assert d == oracle.det_mod(M, p)
+        assert d == scalar_mod(det_exact_generic(M), p)
+    else:
+        with pytest.raises(ValueError):
+            det_mod(M, p)

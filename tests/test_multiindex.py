@@ -99,6 +99,27 @@ def test_is_valid_index():
     assert not is_valid_index((3, 1, 6), 3, 6)
     assert not is_valid_index((1, 3), 3, 6)
     assert not is_valid_index((1, 3, 7), 3, 6)
+    table = [
+        ((1, 2), True),
+        ((5, 6), True),
+        ((True, 2), True),  # bools are ints
+        ((False, 2), False),  # False is 0, out of range
+        ((1, True), False),
+        ((1.0, 2), False),
+        ((1, 2.5), False),
+        (("1", 2), False),
+        ((2, 1), False),
+        ((3, 3), False),
+        ((0, 2), False),
+        ((5, 7), False),
+        ((-1, 2), False),
+        ((1,), False),
+        ((1, 2, 3), False),
+        ((), False),
+    ]
+    for key, ok in table:
+        assert is_valid_index(key, 2, 6) is ok, key
+    assert is_valid_index((), 0, 6)
 
 
 def test_subsets_of_first():

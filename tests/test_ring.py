@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from blockhess.ring import (
     MultiPoly,
-    UniPoly,
     lagrange_interpolate_mod,
     prime_for_trial,
     scalar_from_string,
     scalar_to_string,
-    uni_root_structure,
     uni_root_structure_mod,
 )
 
@@ -71,38 +69,6 @@ def test_multipoly_substitute():
     assert f.substitute(0, 2).eval([999, 5]) == 4 + 5
 
 
-def test_unipoly_eval_and_monic():
-    f = UniPoly([Fraction(2), Fraction(0), Fraction(4)])  # 2 + 4 s^2
-    assert f.eval(Fraction(3)) == 2 + 36
-    m = f.monic()
-    assert m.coeffs[-1] == 1
-    assert m.eval(Fraction(3)) * 4 == f.eval(Fraction(3))
-
-
-def poly_from_roots(roots):
-    f = UniPoly([Fraction(1)])
-    for r in roots:
-        f = f * UniPoly([Fraction(-r), Fraction(1)])
-    return f
-
-
-def test_uni_root_structure_detects_perfect_powers():
-    cube = poly_from_roots([1, 1, 1, -2, -2, -2])
-    g = uni_root_structure(cube, 3)
-    assert g is not None
-    assert g * g * g == cube.monic()
-
-    square = poly_from_roots([2, 2, 5, 5])
-    assert uni_root_structure(square, 2) is not None
-    assert uni_root_structure(square, 3) is None
-
-    not_cube = poly_from_roots([1, 1, 2, 2, 2, 3])
-    assert uni_root_structure(not_cube, 3) is None
-
-    # degree not divisible by r
-    assert uni_root_structure(poly_from_roots([1, 2]), 3) is None
-
-
 @pytest.mark.parametrize("trial", range(8))
 def test_prime_for_trial_is_prime_and_distinct(trial):
     p = prime_for_trial(trial)
@@ -120,17 +86,33 @@ def test_lagrange_interpolation_round_trip():
     assert lagrange_interpolate_mod(xs, ys, p) == coeffs
 
 
+def poly_from_roots_mod(roots, p):
+    """Coefficients, constant term first, of prod (s - r) mod p."""
+    f = [1]
+    for r in roots:
+        f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    return f
+
+
 def test_uni_root_structure_mod():
     p = prime_for_trial(1)
-    # (s^2 + 3 s + 5)^3 mod p, coefficients from exact expansion
-    base = UniPoly([Fraction(5), Fraction(3), Fraction(1)])
-    cube = base * base * base
-    coeffs = [int(c) % p for c in cube.coeffs]
+    # (s^2 + 3 s + 5)^3 = s^6 + 9 s^5 + 42 s^4 + 117 s^3 + 210 s^2 + 225 s + 125
+    coeffs = [125, 225, 210, 117, 42, 9, 1]
     g = uni_root_structure_mod(coeffs, 3, p)
     assert g is not None
     assert g == [5, 3, 1]
     coeffs[0] = (coeffs[0] + 1) % p
     assert uni_root_structure_mod(coeffs, 3, p) is None
+
+    cube = [7 * c % p for c in poly_from_roots_mod([1, 1, 1, -2, -2, -2], p)]
+    assert uni_root_structure_mod(cube, 3, p) == poly_from_roots_mod([1, -2], p)
+    square = poly_from_roots_mod([2, 2, 5, 5], p)
+    assert uni_root_structure_mod(square, 2, p) == poly_from_roots_mod([2, 5], p)
+    assert uni_root_structure_mod(square, 3, p) is None
+    assert uni_root_structure_mod(poly_from_roots_mod([1, 1, 2, 2, 2, 3], p), 3, p) is None
+    # degree not divisible by r
+    assert uni_root_structure_mod(poly_from_roots_mod([1, 2], p), 3, p) is None
+    assert uni_root_structure_mod([0, 0], 2, p) == []
 
 
 @pytest.mark.parametrize("text,value", [("3", Fraction(3)), ("-7/2", Fraction(-7, 2)), ("0", 0)])
