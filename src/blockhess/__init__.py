@@ -16,7 +16,8 @@ linalg          one integer echelon kernel on sparse primitive rows (rank,
                 span equality, kernel vector over Q); integer Bareiss
                 determinants over Z and Q; Bareiss on polynomial entries;
                 one shrinking-block elimination for rank and determinant mod p
-exterior        coefficient arrays, chart points, group actions, gradients
+exterior        coefficient arrays, chart points, group actions, translation
+                by Cauchy-Binet minors of the point, gradients
 hessian         block matrix assembly, duality relabeling, embeddings
 degree          admissible factor degrees and product witnesses
 irreducibility  factor-pattern bookkeeping and verdict derivations

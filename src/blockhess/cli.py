@@ -72,6 +72,7 @@ from .node_cusp import (
 )
 from .ring import (
     MultiPoly,
+    is_prime,
     lagrange_interpolate_mod,
     prime_for_trial,
     scalar_to_string,
@@ -221,8 +222,8 @@ def _cmd_det(args) -> Handled:
     A = _load_array(args.input)
     H = assemble_dual(A) if args.dual else assemble(A)
     if args.mod is not None:
-        if args.mod < 2:
-            raise CliInputError("--mod needs a modulus >= 2")
+        if not (1 < args.mod < 2**64 and is_prime(args.mod)):
+            raise CliInputError(f"--mod needs a prime below 2^64, got {args.mod}")
         try:
             rec = {"det": det_mod(H, args.mod), "mod": args.mod}
         except ZeroDivisionError as exc:

@@ -14,6 +14,8 @@ downstream is expressed.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -211,12 +213,11 @@ def dehomogenized_polynomial(A: ExteriorArray) -> MultiPoly:
     """
     k, N = A.k, A.N
     n = k * (N - k)
-    import itertools
-
-    out = MultiPoly.zero(n)
+    terms: dict[tuple[int, ...], Scalar] = {}
     for I, c in A.items():
         # minor of [Id | X] with columns I: identity columns pin their rows,
         # the remaining rows P are matched to the X-columns T in all ways.
+        # Each (I, matching) gives its own monomial, so no two terms collide.
         fixed = [v for v in I if v <= k]
         T = [v for v in I if v > k]
         P = [p for p in range(1, k + 1) if p not in fixed]
@@ -228,12 +229,11 @@ def dehomogenized_polynomial(A: ExteriorArray) -> MultiPoly:
                 perm_images[v - 1] = col_of[v]
             for j, p in enumerate(assign):
                 perm_images[p - 1] = col_of[T[j]]
-            sign = _perm_sign(perm_images)
             exp = [0] * n
             for j, p in enumerate(assign):
                 exp[var_index(p, T[j], k, N)] += 1
-            out = out + MultiPoly(n, {tuple(exp): sign * c})
-    return out
+            terms[tuple(exp)] = _perm_sign(perm_images) * c
+    return MultiPoly(n, terms)
 
 
 def _perm_sign(images: Sequence[int]) -> int:
@@ -274,33 +274,73 @@ def nabla_membership(A: ExteriorArray, J: MultiIndex) -> bool:
 
 
 def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
-    """Translate the array by X: the result's positional coefficients are the
-    iterated partials of F(A, .) at X.
+    """Translate the array by X: the B with F(B, y) = F(A, X + y).
 
-    Implemented by shifting the dehomogenized polynomial (F(A, X + y)) and
-    reading monomial coefficients back off; the iterated-derivative index
-    formula is kept as a test oracle, not repeated here.
+    [Id_k | y] g = [Id_k | X + y] for g = [[Id_k, X], [0, Id_{N-k}]], so by
+    Cauchy-Binet b_J = sum_I a_I minor(g; rows J, cols I); B is
+    act_gl(A, g^T).  With J_lo = J n [1, k] and J_hi = J n [k+1, N], that
+    minor vanishes unless I = (J_lo \\ S) u T u J_hi for some S in J_lo and
+    some |S| columns T above k outside J_hi, and then it is +-det X[S, T].
+    Each nonzero a_I is therefore pushed to the J = (I_lo u S) u (I_hi \\ T),
+    S outside I_lo, T inside I_hi; each minor of X is computed once per call.
+
+    A coefficient is a Fraction when one of its terms with no zero factor
+    has a Fraction factor, and an int otherwise.  The polynomial shift of
+    F(A, .) that this replaces is the test oracle, in
+    ``tests/exterior_oracle.py``.
     """
-    k, N = A.k, A.N
-    poly = dehomogenized_polynomial(A)
-    point = [X.entry(p, t) for p in range(1, k + 1) for t in range(k + 1, N + 1)]
-    shifted = poly.translate(point)
-    n = k * (N - k)
-    coeffs: dict[MultiIndex, Scalar] = {}
-    for I in enumerate_indices(k, N):
-        P = [p for p in range(1, k + 1) if p not in I]
-        T = [v for v in I if v > k]
-        exp = [0] * n
-        for p, t in zip(P, T):
-            exp[var_index(p, t, k, N)] = 1
-        c = shifted.coefficient(tuple(exp))
-        if c != 0:
-            raw = list(first_index(k, N))
-            for p, t in zip(P, T):
-                raw[p - 1] = t
-            _, sign = sort_with_sign(raw, N)
-            coeffs[I] = sign * c
-    return ExteriorArray(k, N, coeffs)
+    k = A.k
+    minor = _chart_minors(X)
+    acc: dict[MultiIndex, Scalar] = {}
+    for I, c in A.coeffs.items():
+        n_lo = bisect_right(I, k)
+        lo, hi = I[:n_lo], I[n_lo:]
+        h = len(hi)
+        free = [p for p in range(1, k + 1) if p not in lo]
+        # The sign of minor(g; J, I) is that of sorting J with each row S[a]
+        # replaced by its column T[a], which passes the entries of lo above
+        # S[a] and the Tpos[a] - a entries of I_hi \ T below T[a].
+        above = [sum(v > p for v in lo) for p in free]
+        for s in range(h + 1):
+            for Spos in itertools.combinations(range(h), s):
+                S = tuple([free[i] for i in Spos])
+                J_lo = tuple(sorted(lo + S))
+                parity = sum([above[i] for i in Spos]) - s * (s - 1) // 2
+                for Tpos in itertools.combinations(range(h), s):
+                    m = minor(S, tuple([hi[i] for i in Tpos]))
+                    if m is None:
+                        continue
+                    J = J_lo + tuple([hi[i] for i in range(h) if i not in Tpos])
+                    acc[J] = acc.get(J, 0) + (c if (parity + sum(Tpos)) % 2 == 0 else -c) * m
+    return ExteriorArray(k, A.N, {J: acc[J] for J in sorted(acc) if acc[J] != 0})
+
+
+def _chart_minors(X: ChartPoint):
+    """Memoized minor(S, T) = det X[rows S, cols T] for sorted S, T, by
+    Laplace expansion along the first row; None when every term of the
+    expansion has a zero factor."""
+    k = X.k
+    memo: dict[tuple[MultiIndex, MultiIndex], Scalar | None] = {((), ()): 1}
+
+    def minor(S: MultiIndex, T: MultiIndex):
+        key = (S, T)
+        if key in memo:
+            return memo[key]
+        row, rest = X.X[S[0] - 1], S[1:]
+        total = None
+        for j, t in enumerate(T):
+            x = row[t - k - 1]
+            if x == 0:
+                continue
+            sub = minor(rest, T[:j] + T[j + 1 :])
+            if sub is None:
+                continue
+            term = (x if j % 2 == 0 else -x) * sub
+            total = term if total is None else total + term
+        memo[key] = total
+        return total
+
+    return minor
 
 
 def minor_of(g: GroupElement, rows: MultiIndex, cols: MultiIndex):

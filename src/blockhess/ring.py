@@ -32,6 +32,38 @@ def prime_for_trial(trial: int) -> int:
     return WORD_PRIMES[trial % len(WORD_PRIMES)]
 
 
+#: The first 12 primes.  As Miller-Rabin bases they decide primality exactly
+#: for every n below 318665857834031151167461 (about 3.2 * 10**23 > 2**64).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 3.2 * 10**23."""
+    if not 0 <= n < _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only on [0, {_MR_LIMIT}), got {n}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def scalar_from_string(s: str) -> Scalar:
     """Parse a decimal string, optionally 'a/b' for rationals."""
     s = s.strip()
@@ -296,7 +328,12 @@ class MultiPoly:
         return MultiPoly(self.nvars, terms)
 
     def translate(self, point: Sequence[Scalar]) -> "MultiPoly":
-        """Compose with the shift x_i -> x_i + point[i] (exact)."""
+        """Compose with the shift x_i -> x_i + point[i] (exact).
+
+        The library no longer calls it: ``exterior.act_translation`` works
+        on minors instead.  It backs the reference translation in
+        ``tests/exterior_oracle.py``, and ``perfbench/tracer.py`` wraps it.
+        """
         out = self
         for i, v in enumerate(point):
             if v != 0:

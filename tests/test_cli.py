@@ -98,6 +98,18 @@ def test_det_mod_reduces_rational_entries(capsys, tmp_path):
     assert "vanishes mod 2" in json.loads(err.splitlines()[0])["error"]
 
 
+@pytest.mark.parametrize("mod", ["4", "9", "1", str(2**64 + 13)])
+def test_det_mod_rejects_non_prime_or_wide_modulus(capsys, tmp_path, mod):
+    # 4 and 9 used to reach a non-invertible pivot (a traceback) or print a
+    # "determinant"; 2^64 + 13 is prime but wider than the accepted range
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"k": 2, "N": 4, "entries": [{"I": [3, 4], "c": "2"}]}), encoding="utf-8")
+    code, out, err = invoke(capsys, "det", "--input", str(path), "--mod", mod)
+    assert code == 2
+    assert out == ""
+    assert "prime below 2^64" in json.loads(err.splitlines()[0])["error"]
+
+
 def test_hessian_symbolic_entries_named_by_slot(capsys):
     code, out, _ = invoke(capsys, "hessian", "--k", "3", "--N", "6")
     assert code == 0

@@ -9,7 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exterior_oracle
 from blockhess.exterior import (
     ChartPoint,
     ExteriorArray,
@@ -152,6 +155,77 @@ def test_act_translation_composes_additively():
         3, 6, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(Z.X, X.X)]
     )
     assert evaluate_form(act_translation(A, X), Z) == evaluate_form(A, ZX)
+
+
+ENTRY_KINDS = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(-3, 3, max_denominator=4),
+    "mixed": st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+}
+
+
+def entries(kind):
+    """Values of one kind, zero about a third of the time."""
+    zero = st.just(0) if kind == "int" else st.sampled_from([0, Fraction(0)])
+    return st.one_of(zero, ENTRY_KINDS[kind])
+
+
+@st.composite
+def translation_cases(draw):
+    k = draw(st.integers(1, 5))
+    N = draw(st.integers(k + 1, 9))
+    a_kind, x_kind = draw(st.sampled_from(sorted(ENTRY_KINDS))), draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    values = entries(a_kind)
+    A = ExteriorArray(k, N, {I: draw(values) for I in enumerate_indices(k, N)})
+    xs = entries(x_kind)
+    X = ChartPoint.from_rows(k, N, [[draw(xs) for _ in range(N - k)] for _ in range(k)])
+    return A, X, a_kind, x_kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(translation_cases())
+def test_act_translation_matches_polynomial_shift_oracle(case):
+    A, X, a_kind, x_kind = case
+    B, ref = act_translation(A, X), exterior_oracle.act_translation(A, X)
+    assert B.coeffs == ref.coeffs
+    types = [(type(B.coeffs[J]), type(ref.coeffs[J])) for J in B.coeffs]
+    if a_kind == "fraction" or a_kind == x_kind == "int":
+        assert all(t == u for t, u in types)
+    else:
+        # Where a partial sum of the oracle's shift cancels exactly, its
+        # dict drops the Fraction term and a later int term restarts the
+        # coefficient as an int; the kernel keeps Fraction(n, 1) there.
+        assert all(t == u or (t, u) == (Fraction, int) for t, u in types)
+
+
+def test_act_translation_value_types():
+    # A coefficient is a Fraction exactly when a term with no zero factor
+    # brings in a Fraction: a zero point entry adds nothing, not even its type
+    one_row = ChartPoint.from_rows(1, 3, [[Fraction(0), Fraction(1, 2)]])
+    B = act_translation(ExteriorArray(1, 3, {(1,): 2, (2,): 3}), one_row)
+    assert [(J, type(c)) for J, c in B.items()] == [((1,), int), ((2,), int)]
+    # b_12 = 1 + (1 + 1 - 2): the Fraction terms cancel and the value
+    # stays a Fraction; the oracle's shift drops the cancelled sum and
+    # returns an int
+    A = ExteriorArray(2, 4, {(1, 2): 1, (1, 3): 1, (1, 4): 1, (3, 4): 1})
+    X = ChartPoint.from_rows(2, 4, [[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    b, ref = act_translation(A, X).coeffs[(1, 2)], exterior_oracle.act_translation(A, X).coeffs[(1, 2)]
+    assert b == ref == 1 and type(b) is Fraction and type(ref) is int
+
+
+@pytest.mark.parametrize("k,N", [(1, 4), (2, 5), (3, 6), (3, 7), (4, 6)])
+def test_act_translation_is_lower_unipotent_gl_action(k, N):
+    # [Id | y] [[Id, X], [0, Id]] = [Id | X + y], and act_gl acts through
+    # rows I, cols J, so the group element is the transpose
+    rng = random.Random(f"unipotent:{k}:{N}")
+    for _ in range(3):
+        A = ExteriorArray(k, N, {I: rng.choice((0, 1, -2, Fraction(3, 2))) for I in enumerate_indices(k, N)})
+        X = ChartPoint.from_rows(k, N, [[rng.choice((0, -1, 2, Fraction(-1, 3))) for _ in range(N - k)] for _ in range(k)])
+        g = [[int(i == j) for j in range(N)] for i in range(N)]
+        for p in range(k):
+            for t in range(k, N):
+                g[t][p] = X.X[p][t - k]
+        assert act_translation(A, X).coeffs == act_gl(A, g).coeffs
 
 
 def test_act_gl_is_functorial_and_matches_frame_action():

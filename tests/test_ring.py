@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blockhess.ring import (
     MultiPoly,
+    is_prime,
     lagrange_interpolate_mod,
     prime_for_trial,
     scalar_from_string,
@@ -76,6 +77,21 @@ def test_prime_for_trial_is_prime_and_distinct(trial):
     assert all(p % q for q in range(2, 2000))
     if trial:
         assert p != prime_for_trial(trial - 1)
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial_division(n)]
+    # composites that pass Miller-Rabin to the bases 2..7, 2..17 and 2..23
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        assert n % 3 and n % 5 and not is_prime(n)
+    assert all(is_prime(q) for q in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**64 + 13))
+    assert not is_prime((2**31 - 1) * (2**31 - 19))
+    for n in (-1, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_lagrange_interpolation_round_trip():
