@@ -100,8 +100,7 @@ def test_det_mod_reduces_rational_entries(capsys, tmp_path):
 
 @pytest.mark.parametrize("mod", ["4", "9", "1", str(2**64 + 13)])
 def test_det_mod_rejects_non_prime_or_wide_modulus(capsys, tmp_path, mod):
-    # 4 and 9 used to reach a non-invertible pivot (a traceback) or print a
-    # "determinant"; 2^64 + 13 is prime but wider than the accepted range
+    # the pivot 2 has no inverse mod 4; 2^64 + 13 is prime but out of range
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"k": 2, "N": 4, "entries": [{"I": [3, 4], "c": "2"}]}), encoding="utf-8")
     code, out, err = invoke(capsys, "det", "--input", str(path), "--mod", mod)
