@@ -17,10 +17,9 @@ det H along the line from side+1 samples, and checks the r-th-power shape.
 import argparse
 import random
 
-from blockhess.exterior import ExteriorArray
-from blockhess.hessian import assemble, det_mod
+from blockhess.hessian import det_on_line_mod
 from blockhess.multiindex import enumerate_indices
-from blockhess.ring import lagrange_interpolate_mod, prime_for_trial, uni_root_structure_mod
+from blockhess.ring import prime_for_trial, uni_root_structure_mod
 
 
 def random_coeffs(rng, k, N, p, zero_pair=False):
@@ -32,17 +31,6 @@ def random_coeffs(rng, k, N, p, zero_pair=False):
     return coeffs
 
 
-def line_coeffs(k, N, base, direction, p):
-    """Coefficients of s -> det H(base + s*direction) over F_p."""
-    side = k * (N - k)
-    xs = list(range(side + 1))
-    ys = []
-    for s in xs:
-        coeffs = {I: (base.get(I, 0) + s * direction.get(I, 0)) % p for I in enumerate_indices(k, N)}
-        ys.append(det_mod(assemble(ExteriorArray(k, N, coeffs)), p))
-    return lagrange_interpolate_mod(xs, ys, p)
-
-
 def run_shape(k, N, r, trials, seed, zero_pair=False):
     label = f"({k},{N})" + (" pair block zeroed" if zero_pair else "")
     rng = random.Random(f"{seed}/{label}")
@@ -51,7 +39,7 @@ def run_shape(k, N, r, trials, seed, zero_pair=False):
         p = prime_for_trial(trial)
         base = random_coeffs(rng, k, N, p, zero_pair)
         direction = random_coeffs(rng, k, N, p, zero_pair)
-        coeffs = line_coeffs(k, N, base, direction, p)
+        coeffs = det_on_line_mod(k, N, base, direction, p)
         if all(c == 0 for c in coeffs):
             verdict = "zero restriction"
             ok += 1

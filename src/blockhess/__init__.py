@@ -18,8 +18,9 @@ linalg          one integer echelon kernel on sparse primitive rows (rank,
                 one shrinking-block elimination for rank and determinant mod p
 exterior        coefficient arrays, chart points, group actions, translation
                 by Cauchy-Binet minors of the point, gradients
-hessian         block matrix assembly, duality relabeling, embeddings
-degree          admissible factor degrees and product witnesses
+hessian         block matrix assembly, duality relabeling, embeddings,
+                det restricted to a line mod p, the (3,6) cube identity
+degree          admissible factor degrees
 irreducibility  factor-pattern bookkeeping and verdict derivations
 node_cusp       degenerating frames, defining forms and their limits,
                 second-tangency verification

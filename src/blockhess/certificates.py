@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import hashlib
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -41,17 +40,24 @@ KINDS = ("corank1", "invertible", "nodepair")
 Blocks = dict[str, tuple[tuple[int, ...], ...]]
 
 
-@dataclass(frozen=True)
 class Certificate:
     """One embedded (or imported, or built) witness record."""
 
-    id: str
-    kind: str
-    k: int
-    N: int
-    blocks: Blocks
-    claim: str
-    catalog: int
+    __slots__ = ("id", "kind", "k", "N", "blocks", "claim", "catalog")
+
+    def __init__(self, id: str, kind: str, k: int, N: int, blocks: Blocks, claim: str, catalog: int):
+        self.id = id
+        self.kind = kind
+        self.k = k
+        self.N = N
+        self.blocks = blocks
+        self.claim = claim
+        self.catalog = catalog
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def block(self, name: str) -> tuple[tuple[int, ...], ...]:
         return self.blocks[name]

@@ -24,60 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
 from . import __version__
-from .certificates import (
-    CERTIFICATE_IDS,
-    CHECKSUMS,
-    import_certificate,
-    load,
-    payload_checksum,
-    verify as verify_certificate,
-)
-from .degree import feasible_degrees
-from .exterior import ChartPoint, ExteriorArray, gradient, is_critical
-from .hessian import (
-    HessianMatrix,
-    assemble,
-    assemble_dual,
-    assemble_symbolic,
-    block_row_rank,
-    coefficient_names,
-    corank,
-    det_exact,
-    det_mod,
-    dualize_layout,
-    rank_exact,
-    specialize_embed,
-    symbolic_coefficient_array,
-)
-from .irreducibility import KnownFactorTable, ensure, run_schedule
-from .linalg import det_exact_generic
-from .multiindex import NodeIndexSet, enumerate_indices
-from .node_cusp import (
-    NodePointSpec,
-    build_x_J_T,
-    chart_point_at,
-    cusp_membership,
-    defining_forms_at,
-    extra_equations,
-    limit_T0,
-    render_laurent,
-)
-from .ring import (
-    MultiPoly,
-    is_prime,
-    lagrange_interpolate_mod,
-    prime_for_trial,
-    scalar_to_string,
-    uni_root_structure_mod,
-)
+
+# Each command imports the library modules it runs inside its handler, so
+# a command loads only what it needs and ``import blockhess.cli`` loads none.
 
 
 class CliInputError(Exception):
@@ -88,29 +40,42 @@ class CliInputError(Exception):
 # run configuration and deterministic seeding
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Everything an invocation depends on; serialized into the meta line."""
 
-    command: str
-    inputs: tuple[str, ...] = ()
-    k: int | None = None
-    N: int | None = None
-    J: tuple[int, ...] | None = None
-    T: str | None = None
-    seed: int = 0
-    trials: int = 1
-    prime_policy: str = "fixed-table"
-    output: str | None = None
-    fmt: str = "json"
+    __slots__ = ("command", "inputs", "k", "N", "J", "T", "seed", "trials", "prime_policy", "output", "fmt")
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise CliInputError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
+    def __init__(
+        self,
+        command: str,
+        inputs: tuple[str, ...] = (),
+        k: int | None = None,
+        N: int | None = None,
+        J: tuple[int, ...] | None = None,
+        T: str | None = None,
+        seed: int = 0,
+        trials: int = 1,
+        prime_policy: str = "fixed-table",
+        output: str | None = None,
+        fmt: str = "json",
+    ):
+        if trials < 1:
+            raise CliInputError(f"trials must be >= 1, got {trials}")
+        if not 0 <= seed < 2**64:
             raise CliInputError("seed must fit in 64 unsigned bits")
-        if self.fmt not in ("json", "text"):
-            raise CliInputError(f"unknown format {self.fmt!r}")
+        if fmt not in ("json", "text"):
+            raise CliInputError(f"unknown format {fmt!r}")
+        self.command = command
+        self.inputs = inputs
+        self.k = k
+        self.N = N
+        self.J = J
+        self.T = T
+        self.seed = seed
+        self.trials = trials
+        self.prime_policy = prime_policy
+        self.output = output
+        self.fmt = fmt
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,8 +93,10 @@ class RunConfig:
         }
 
 
-def split_rng(seed: int, label: str) -> random.Random:
-    """An independent generator derived from the single CLI seed."""
+def split_rng(seed: int, label: str):
+    """An independent ``random.Random`` derived from the single CLI seed."""
+    import random
+
     return random.Random(f"{seed}/{label}")
 
 
@@ -139,14 +106,17 @@ def split_rng(seed: int, label: str) -> random.Random:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_array(path: str) -> ExteriorArray:
+def _load_array(path: str):
+    from .exterior import ExteriorArray
+
     doc = _load_json(path)
     try:
         return ExteriorArray.from_json_dict(doc)
@@ -155,6 +125,10 @@ def _load_array(path: str) -> ExteriorArray:
 
 
 def _render_entry(e, names: list[str] | None = None):
+    from fractions import Fraction
+
+    from .ring import MultiPoly, scalar_to_string
+
     if isinstance(e, MultiPoly):
         return e.to_str(names)
     if isinstance(e, Fraction):
@@ -173,14 +147,19 @@ def _parse_J(text: str) -> tuple[int, ...]:
         raise CliInputError(f"cannot parse index set {text!r}: {exc}") from exc
 
 
-def _parse_T(text: str) -> Fraction:
+def _parse_T(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"cannot parse T value {text!r}: {exc}") from exc
 
 
-def _random_array(k: int, N: int, rng: random.Random, lo: int = -4, hi: int = 4) -> ExteriorArray:
+def _random_array(k: int, N: int, rng, lo: int = -4, hi: int = 4):
+    from .exterior import ExteriorArray
+    from .multiindex import enumerate_indices
+
     return ExteriorArray(k, N, {I: rng.randint(lo, hi) for I in enumerate_indices(k, N)})
 
 
@@ -196,7 +175,15 @@ def _need_kN(args) -> tuple[int, int]:
     return args.k, args.N
 
 
+def _assemble(A, dual: bool):
+    from .hessian import assemble, assemble_dual
+
+    return assemble_dual(A) if dual else assemble(A)
+
+
 def _cmd_hessian(args) -> Handled:
+    from .hessian import coefficient_names, symbolic_coefficient_array
+
     if args.input:
         A = _load_array(args.input)
         names = None
@@ -206,7 +193,7 @@ def _cmd_hessian(args) -> Handled:
         names = coefficient_names(k, N)
     else:
         raise CliInputError("provide --input FILE or --k/--N for the symbolic matrix")
-    H = assemble_dual(A) if args.dual else assemble(A)
+    H = _assemble(A, args.dual)
     rec = {
         "k": H.k,
         "N": H.N,
@@ -219,8 +206,11 @@ def _cmd_hessian(args) -> Handled:
 
 
 def _cmd_det(args) -> Handled:
+    from .hessian import det_exact, det_mod
+    from .ring import is_prime
+
     A = _load_array(args.input)
-    H = assemble_dual(A) if args.dual else assemble(A)
+    H = _assemble(A, args.dual)
     if args.mod is not None:
         if not (1 < args.mod < 2**64 and is_prime(args.mod)):
             raise CliInputError(f"--mod needs a prime below 2^64, got {args.mod}")
@@ -234,8 +224,10 @@ def _cmd_det(args) -> Handled:
 
 
 def _cmd_rank(args) -> Handled:
+    from .hessian import block_row_rank, corank, rank_exact
+
     A = _load_array(args.input)
-    H = assemble_dual(A) if args.dual else assemble(A)
+    H = _assemble(A, args.dual)
     rec = {
         "side": H.k * (H.N - H.k),
         "rank": rank_exact(H),
@@ -246,6 +238,8 @@ def _cmd_rank(args) -> Handled:
 
 
 def _cmd_degrees(args) -> Handled:
+    from .degree import feasible_degrees
+
     k, N = _need_kN(args)
     try:
         feas = feasible_degrees(k, N)
@@ -255,6 +249,8 @@ def _cmd_degrees(args) -> Handled:
 
 
 def _cmd_irreducible(args) -> Handled:
+    from .irreducibility import KnownFactorTable, ensure, run_schedule
+
     if args.k is None:
         raise CliInputError("--k is required here")
     try:
@@ -270,6 +266,8 @@ def _cmd_irreducible(args) -> Handled:
 
 
 def _cmd_specialize(args) -> Handled:
+    from .hessian import assemble, det_exact, specialize_embed
+
     A1, A2 = _load_array(args.inputs[0]), _load_array(args.inputs[1])
     H1, H2 = assemble(A1), assemble(A2)
     try:
@@ -293,6 +291,8 @@ def _cmd_specialize(args) -> Handled:
 
 
 def _cmd_duality(args) -> Handled:
+    from .hessian import assemble, assemble_symbolic, det_exact, dualize_layout
+
     k, N = _need_kN(args)
     records: list[dict] = []
     passed = True
@@ -322,14 +322,29 @@ def _cmd_duality(args) -> Handled:
 
 
 def _render_linear_form(form) -> dict[str, str]:
+    from .node_cusp import render_laurent
+
     return {",".join(map(str, I)): render_laurent(lau) for I, lau in sorted(form.items())}
 
 
 def _render_rational_form(form) -> dict[str, str]:
+    from .ring import scalar_to_string
+
     return {",".join(map(str, I)): scalar_to_string(c) for I, c in sorted(form.items())}
 
 
 def _cmd_node(args) -> Handled:
+    from .multiindex import NodeIndexSet
+    from .node_cusp import (
+        NodePointSpec,
+        build_x_J_T,
+        chart_point_at,
+        defining_forms_at,
+        extra_equations,
+        limit_T0,
+        render_laurent,
+    )
+
     k, N = _need_kN(args)
     if args.J is None:
         raise CliInputError("--J is required (comma-separated index set)")
@@ -392,6 +407,9 @@ def _cmd_node(args) -> Handled:
 
 
 def _cmd_verify_certificates(args) -> Handled:
+    from .certificates import CERTIFICATE_IDS, import_certificate, load, payload_checksum
+    from .certificates import verify as verify_certificate
+
     if args.input:
         try:
             certs = [import_certificate(args.input)]
@@ -410,6 +428,9 @@ def _cmd_verify_certificates(args) -> Handled:
 
 
 def _cmd_verify_node(args) -> Handled:
+    from .certificates import CHECKSUMS, load
+    from .certificates import verify as verify_certificate
+
     if not args.id:
         raise CliInputError("--id is required (a nodepair certificate id)")
     try:
@@ -422,70 +443,22 @@ def _cmd_verify_node(args) -> Handled:
     return [rec], bool(rec["pass"]), {cert.id: CHECKSUMS[cert.id]}
 
 
-# the nine plain-named coefficients of the cube identity, row by row
-_M_ROWS = (
-    ((3, 4, 5), (3, 4, 6), (3, 5, 6)),
-    ((2, 4, 5), (2, 4, 6), (2, 5, 6)),
-    ((1, 4, 5), (1, 4, 6), (1, 5, 6)),
-)
-
-
-def identity_h36(trials: int = 20, seed: int = 0, include_symbolic: bool = True) -> dict:
-    """Check det(H(3,6)) = 2 * det(M)^3 symbolically and over prime fields.
-
-    The symbolic route expands the 9x9 determinant as a polynomial in the
-    nine independent entry variables and subtracts twice the cube of the
-    3x3 determinant of the plain-named coefficients.  Each trial is an
-    independent corroboration at a random prime-field point (both sides
-    computed from scratch), plus a line-restriction check that the degree-9
-    polynomial on a random line is a cube up to a constant.
-    """
-    if trials < 1:
-        raise CliInputError(f"trials must be >= 1, got {trials}")
-    A = symbolic_coefficient_array(3, 6)
-    M = [[A.get(I) for I in row] for row in _M_ROWS]
-    report: dict = {"identity": "det H(3,6) = 2 det(M)^3"}
-    if include_symbolic:
-        D = det_exact(assemble(A))
-        dM = det_exact_generic(M)
-        diff = D - dM * dM * dM * 2
-        report["symbolic_zero"] = not diff.terms
-    else:
-        report["symbolic_zero"] = "skipped"
-    support = [I for I in enumerate_indices(3, 6) if A.get(I) != 0]
-    trial_records = []
-    for i in range(trials):
-        rng = split_rng(seed, f"identity-h36:{i}")
-        p = prime_for_trial(i)
-        point = {I: rng.randrange(p) for I in support}
-        H = assemble(ExteriorArray(3, 6, point))
-        Mi = [[point.get(I, 0) for I in row] for row in _M_ROWS]
-        lhs = det_mod(H, p)
-        rhs = 2 * pow(det_exact_generic(Mi), 3, p) % p
-        # line restriction: interpolate det on a(s) = base + s*direction mod p
-        direction = {I: rng.randrange(p) for I in support}
-        xs = list(range(10))
-        ys = []
-        for s in xs:
-            As = ExteriorArray(3, 6, {I: (point[I] + s * direction[I]) % p for I in support})
-            ys.append(det_mod(assemble(As), p))
-        coeffs = lagrange_interpolate_mod(xs, ys, p)
-        cube_ok = all(c == 0 for c in coeffs) or uni_root_structure_mod(coeffs, 3, p) is not None
-        trial_records.append({"trial": i, "prime": p, "point_match": lhs == rhs, "cube_ok": cube_ok})
-    report["trials"] = trial_records
-    report["pass"] = (
-        (report["symbolic_zero"] is True or report["symbolic_zero"] == "skipped")
-        and all(t["point_match"] and t["cube_ok"] for t in trial_records)
-    )
-    return report
-
-
 def _cmd_identity_h36(args) -> Handled:
-    rec = identity_h36(args.trials, args.seed, include_symbolic=not args.skip_symbolic)
+    from .hessian import identity_h36
+
+    try:
+        rec = identity_h36(args.trials, args.seed, include_symbolic=not args.skip_symbolic)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
     return [rec], bool(rec["pass"]), None
 
 
 def _cmd_critical(args) -> Handled:
+    from fractions import Fraction
+
+    from .exterior import ChartPoint, gradient, is_critical
+    from .node_cusp import cusp_membership
+
     A = _load_array(args.input)
     if args.point:
         doc = _load_json(args.point)
@@ -579,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--limits", action="store_true", help="include the T=0 limit system")
 
     sp = sub.add_parser("verify-certificates", parents=[common], help="verify embedded records")
-    sp.add_argument("--id", default=None, choices=CERTIFICATE_IDS, metavar="ID")
+    sp.add_argument("--id", default=None, metavar="ID")
     sp.add_argument("--input", default=None, help="verify an imported certificate JSON instead")
 
     sp = sub.add_parser("verify-node", parents=[common], help="node-pair record, condition by condition")
@@ -636,7 +609,7 @@ def _text_block(rec: dict, indent: str = "") -> list[str]:
     return lines
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -659,7 +632,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     text = "\n".join(lines) + "\n"
     if config.output:
         try:
-            Path(config.output).write_text(text, encoding="utf-8")
+            with open(config.output, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             print(json.dumps({"error": f"cannot write {config.output}: {exc}"}), file=sys.stderr)
             return 2

@@ -9,17 +9,17 @@ never sufficient; the irreducibility engine uses them purely as a filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class FeasibleDegrees:
     """Admissible factor degrees for the (k, N) determinant."""
 
-    k: int
-    N: int
-    total: int
-    degrees: tuple[int, ...]
+    __slots__ = ("k", "N", "total", "degrees")
+
+    def __init__(self, k: int, N: int, total: int, degrees: tuple[int, ...]):
+        self.k = k
+        self.N = N
+        self.total = total
+        self.degrees = degrees
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "N": self.N, "total": self.total, "degrees": list(self.degrees)}
@@ -38,40 +38,3 @@ def feasible_degrees(k: int, N: int) -> FeasibleDegrees:
     )
     return FeasibleDegrees(k, N, total, degs)
 
-
-@dataclass(frozen=True)
-class DegreeWitness:
-    """Why degree d is admissible: the two rectangles and divisibilities."""
-
-    k: int
-    N: int
-    d: int
-    #: rectangle over the position factor: sides sorted ascending
-    position_rectangle: tuple[int, int]
-    #: rectangle over the column factor: sides sorted ascending
-    column_rectangle: tuple[int, int]
-    witnesses: tuple[str, str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "N": self.N,
-            "d": self.d,
-            "position_rectangle": list(self.position_rectangle),
-            "column_rectangle": list(self.column_rectangle),
-            "witnesses": list(self.witnesses),
-        }
-
-
-def cauchy_degree_witness(k: int, N: int, d: int) -> DegreeWitness:
-    """Explanation record for a feasible degree; raises if d is not feasible."""
-    feas = feasible_degrees(k, N)
-    if d not in feas.degrees:
-        raise ValueError(f"degree {d} is not feasible for ({k},{N})")
-    r1 = tuple(sorted((k, (k - 2) * d // k)))
-    r2 = tuple(sorted((N - k, 2 * d // (N - k))))
-    w = (
-        f"{k} | {(k - 2) * d}",
-        f"{N - k} | {2 * d}",
-    )
-    return DegreeWitness(k, N, d, r1, r2, w)

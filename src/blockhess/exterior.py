@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -126,13 +125,15 @@ class ExteriorArray:
         return cls(k, N, coeffs)
 
 
-@dataclass(frozen=True)
 class ChartPoint:
     """The k x (N-k) coordinate matrix X on the chart E; rows = positions."""
 
-    k: int
-    N: int
-    X: tuple[tuple, ...]
+    __slots__ = ("k", "N", "X")
+
+    def __init__(self, k: int, N: int, X: tuple[tuple, ...]):
+        self.k = k
+        self.N = N
+        self.X = X
 
     @classmethod
     def from_rows(cls, k: int, N: int, rows: Sequence[Sequence]) -> "ChartPoint":

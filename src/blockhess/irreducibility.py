@@ -22,7 +22,6 @@ symbolic factorizations; everything else is derived inductively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .degree import feasible_degrees
@@ -33,17 +32,17 @@ class InconsistentPatterns(ValueError):
     itself (some factorization always exists), so fail loudly."""
 
 
-@dataclass(frozen=True)
 class FactorPattern:
     """Irreducible factor degrees of one specialized determinant."""
 
-    degrees: tuple[int, ...]
-    provenance: str
+    __slots__ = ("degrees", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
-        if any(d <= 0 for d in self.degrees):
-            raise ValueError(f"factor degrees must be positive: {self.degrees}")
+    def __init__(self, degrees: tuple[int, ...], provenance: str):
+        degrees = tuple(sorted(degrees))
+        if any(d <= 0 for d in degrees):
+            raise ValueError(f"factor degrees must be positive: {degrees}")
+        self.degrees = degrees
+        self.provenance = provenance
 
     def total(self) -> int:
         return sum(self.degrees)
@@ -81,11 +80,13 @@ def skew_pair_factors(m: int) -> tuple[int, ...] | None:
     return ((m - 2) // 2,) * 4
 
 
-@dataclass
 class KnownFactorTable:
     """Map (k, N) -> factor degree multiset, with provenance per entry."""
 
-    entries: dict[tuple[int, int], tuple[tuple[int, ...], str]] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[int, int], tuple[tuple[int, ...], str]] = {}
 
     @classmethod
     def seeded(cls) -> "KnownFactorTable":
@@ -167,14 +168,24 @@ def _partitions_into(total: int, parts: tuple[int, ...]) -> set[tuple[int, ...]]
     return set(rec(total, 0))
 
 
-@dataclass(frozen=True)
 class Verdict:
-    k: int
-    N: int
-    irreducible: bool
-    candidates: tuple[tuple[int, ...], ...]
-    patterns: tuple[FactorPattern, ...]
-    feasible: tuple[int, ...]
+    __slots__ = ("k", "N", "irreducible", "candidates", "patterns", "feasible")
+
+    def __init__(
+        self,
+        k: int,
+        N: int,
+        irreducible: bool,
+        candidates: tuple[tuple[int, ...], ...],
+        patterns: tuple[FactorPattern, ...],
+        feasible: tuple[int, ...],
+    ):
+        self.k = k
+        self.N = N
+        self.irreducible = irreducible
+        self.candidates = candidates
+        self.patterns = patterns
+        self.feasible = feasible
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,14 +254,24 @@ def pattern_sources(table: KnownFactorTable, k: int, N: int) -> list[FactorPatte
     return [p for p in out if len(p.degrees) <= 12]
 
 
-@dataclass(frozen=True)
 class StepRecord:
-    k: int
-    N: int
-    status: str  # base | formula | zero | irreducible | undecided
-    factors: tuple[int, ...] | None
-    verdict: Verdict | None
-    note: str
+    __slots__ = ("k", "N", "status", "factors", "verdict", "note")
+
+    def __init__(
+        self,
+        k: int,
+        N: int,
+        status: str,  # base | formula | zero | irreducible | undecided
+        factors: tuple[int, ...] | None,
+        verdict: Verdict | None,
+        note: str,
+    ):
+        self.k = k
+        self.N = N
+        self.status = status
+        self.factors = factors
+        self.verdict = verdict
+        self.note = note
 
     def to_json_dict(self) -> dict:
         d = {

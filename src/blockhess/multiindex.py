@@ -14,7 +14,6 @@ and the sign bookkeeping of sorting tuples that may arrive out of order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -115,7 +114,6 @@ def star(J: MultiIndex, N: int) -> set[MultiIndex]:
     return out
 
 
-@dataclass(frozen=True)
 class NodeIndexSet:
     """A k-subset J of If ∪ Il, with its complement Jbar inside If ∪ Il.
 
@@ -124,21 +122,21 @@ class NodeIndexSet:
     so that If and Il are disjoint.
     """
 
-    k: int
-    N: int
-    J: MultiIndex
-    Jbar: MultiIndex = field(init=False)
+    __slots__ = ("k", "N", "J", "Jbar")
 
-    def __post_init__(self) -> None:
-        If = set(first_index(self.k, self.N))
-        Il = set(last_index(self.k, self.N))
+    def __init__(self, k: int, N: int, J: MultiIndex):
+        If = set(first_index(k, N))
+        Il = set(last_index(k, N))
         if If & Il:
-            raise ValueError(f"need N >= 2k for disjoint end blocks, got k={self.k}, N={self.N}")
-        if not is_valid_index(self.J, self.k, self.N):
-            raise ValueError(f"invalid multiindex {self.J}")
-        if not set(self.J) <= (If | Il):
-            raise ValueError(f"J={self.J} not contained in {sorted(If | Il)}")
-        object.__setattr__(self, "Jbar", tuple(sorted((If | Il) - set(self.J))))
+            raise ValueError(f"need N >= 2k for disjoint end blocks, got k={k}, N={N}")
+        if not is_valid_index(J, k, N):
+            raise ValueError(f"invalid multiindex {J}")
+        if not set(J) <= (If | Il):
+            raise ValueError(f"J={J} not contained in {sorted(If | Il)}")
+        self.k = k
+        self.N = N
+        self.J = J
+        self.Jbar = tuple(sorted((If | Il) - set(J)))
 
     @property
     def in_first(self) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exterior import ChartPoint, ExteriorArray, is_critical
@@ -148,7 +147,6 @@ def generic_node_membership(A: ExteriorArray) -> bool:
 # The x(J, T) family
 
 
-@dataclass(frozen=True)
 class NodePointSpec:
     """A choice of second-tangency pattern J together with a parameter T.
 
@@ -156,12 +154,13 @@ class NodePointSpec:
     Laurent variable.  Numeric T must be nonzero.
     """
 
-    J: NodeIndexSet
-    T: Scalar | None = None
+    __slots__ = ("J", "T")
 
-    def __post_init__(self) -> None:
-        if self.T is not None and Fraction(self.T) == 0:
+    def __init__(self, J: NodeIndexSet, T: Scalar | None = None):
+        if T is not None and Fraction(T) == 0:
             raise ValueError("T = 0 is not a point of the family; use the T -> 0 limit forms")
+        self.J = J
+        self.T = T
 
 
 def _pair_rows(spec: NodePointSpec) -> list[list[tuple[int, Laurent]]]:
@@ -279,7 +278,6 @@ def _form_sub(a: LinearForm, b: LinearForm) -> LinearForm:
     return out
 
 
-@dataclass(frozen=True)
 class DefiningForms:
     """The full linear system cutting out double tangency along x(J, T).
 
@@ -291,21 +289,29 @@ class DefiningForms:
     subtract-and-divide step of the |If∩J| = k-2 case.
     """
 
-    spec: NodePointSpec
-    base: tuple[LinearForm, ...]
-    moving: tuple[LinearForm, ...]
-    moving_labels: tuple[str, ...]
-    replaced: tuple[bool, ...] = field(default=())
+    __slots__ = ("spec", "base", "moving", "moving_labels", "replaced")
+
+    def __init__(
+        self,
+        spec: NodePointSpec,
+        base: tuple[LinearForm, ...],
+        moving: tuple[LinearForm, ...],
+        moving_labels: tuple[str, ...],
+        replaced: tuple[bool, ...] = (),
+    ):
+        for f in moving:
+            low = min(min(lau) for lau in f.values())
+            if low < 0:
+                raise AssertionError("negative T power survived normalization")
+        self.spec = spec
+        self.base = base
+        self.moving = moving
+        self.moving_labels = moving_labels
+        self.replaced = replaced
 
     @property
     def forms(self) -> tuple[LinearForm, ...]:
         return self.base + self.moving
-
-    def __post_init__(self) -> None:
-        for f in self.moving:
-            low = min(min(lau) for lau in f.values())
-            if low < 0:
-                raise AssertionError("negative T power survived normalization")
 
 
 def _base_forms(k: int, N: int) -> tuple[tuple[LinearForm, ...], tuple[str, ...]]:

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from blockhess import __version__
-from blockhess.cli import RunConfig, identity_h36, main, split_rng
+from blockhess.cli import RunConfig, main, split_rng
 from blockhess.exterior import ExteriorArray
+from blockhess.hessian import identity_h36
 from blockhess.multiindex import enumerate_indices
 
 
@@ -63,6 +64,17 @@ def test_bad_invocations_exit_2(capsys, argv):
     code, _out, err = invoke(capsys, *argv)
     assert code == 2
     assert "error" in json.loads(err.splitlines()[0])
+
+
+@pytest.mark.parametrize("command", ["verify-certificates", "verify-node"])
+def test_unknown_certificate_id_exits_2(capsys, command):
+    from blockhess.certificates import CERTIFICATE_IDS
+
+    code, out, err = invoke(capsys, command, "--id", "nope")
+    assert code == 2
+    assert out == ""
+    known = ", ".join(CERTIFICATE_IDS)
+    assert json.loads(err.splitlines()[0]) == {"error": f"unknown certificate id 'nope'; known: {known}"}
 
 
 def test_det_rank_hessian_on_file(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from blockhess.degree import cauchy_degree_witness, feasible_degrees
+from blockhess.degree import feasible_degrees
 
 
 # frozen expectations, derived independently from the two divisibility
@@ -55,9 +55,3 @@ def test_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
         feasible_degrees(3, 3)
 
-
-def test_cauchy_degree_witness():
-    w = cauchy_degree_witness(3, 6, 6)
-    assert w.d == 6
-    with pytest.raises(ValueError):
-        cauchy_degree_witness(3, 6, 5)

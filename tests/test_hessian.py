@@ -31,7 +31,6 @@ from blockhess.hessian import (
     block_row_rank,
     coefficient_names,
     corank,
-    decompose_blocks,
     det_exact,
     det_mod,
     dualize_layout,
@@ -143,19 +142,6 @@ def test_block_grid_inverts_assembly():
             for u in range(m):
                 for v in range(m):
                     assert H.rows[(p - 1) * m + u][(q - 1) * m + v] == B[u][v]
-
-
-def test_decompose_blocks_splits_along_chart_columns():
-    rng = random.Random(9)
-    H = assemble(rand_array(rng, 3, 8))  # m = 5, split 3 | 2
-    dec = decompose_blocks(H, 3, 2)
-    for (i, j), (s1, s2, u) in dec.sub.items():
-        blk = H.block(i, j)
-        assert s1 == [row[:3] for row in blk[:3]]
-        assert s2 == [row[3:] for row in blk[3:]]
-        assert u == [row[3:] for row in blk[:3]]
-    with pytest.raises(ValueError):
-        decompose_blocks(H, 2, 3)
 
 
 def test_json_round_trip():
