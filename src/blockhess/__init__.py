@@ -15,7 +15,7 @@ ring            MultiPoly, prime table, mod-p interpolation and r-th roots
 linalg          one integer echelon kernel on sparse primitive rows (rank,
                 span equality, kernel vector over Q); integer Bareiss
                 determinants over Z and Q; Bareiss on polynomial entries;
-                one shrinking-block elimination for rank and determinant mod p
+                one bit-packed elimination for rank and determinant mod p
 exterior        coefficient arrays, chart points, group actions, translation
                 by Cauchy-Binet minors of the point, gradients
 hessian         block matrix assembly, duality relabeling, embeddings,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter, lt
 from typing import Mapping, Sequence
 
 from .linalg import det_cofactor
@@ -30,6 +31,18 @@ from .multiindex import (
     star,
 )
 from .ring import MultiPoly, Scalar, scalar_from_string, scalar_to_string
+
+
+def _all_valid_tuples(keys, k: int, N: int) -> bool:
+    """Are all keys plain tuples passing ``is_valid_index``?  C-level passes, no key copies."""
+    return (
+        {tuple} == set(map(type, keys))
+        and {k} == set(map(len, keys))
+        and {int, bool}.issuperset(map(type, itertools.chain.from_iterable(keys)))
+        and all(all(map(lt, map(itemgetter(j), keys), map(itemgetter(j + 1), keys))) for j in range(k - 1))
+        and 1 <= min(map(itemgetter(0), keys))
+        and max(map(itemgetter(k - 1), keys)) <= N
+    )
 
 
 class ExteriorArray:
@@ -48,7 +61,9 @@ class ExteriorArray:
         self.k = k
         self.N = N
         self.coeffs: dict[MultiIndex, Scalar] = {}
-        if coeffs:
+        if coeffs and _all_valid_tuples(coeffs.keys(), k, N):
+            self.coeffs = {I: c for I, c in coeffs.items() if c != 0}
+        elif coeffs:
             for I, c in coeffs.items():
                 I = tuple(I)
                 if not is_valid_index(I, k, N):
@@ -238,25 +253,17 @@ def dehomogenized_polynomial(A: ExteriorArray) -> MultiPoly:
 
 
 def _perm_sign(images: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i] > images[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
 
 
 def gradient(A: ExteriorArray, X: ChartPoint) -> list[list]:
     """All first partials of the dehomogenized form at X, as a k x (N-k) grid."""
     poly = dehomogenized_polynomial(A)
     point = [X.entry(p, t) for p in range(1, A.k + 1) for t in range(A.k + 1, A.N + 1)]
-    grid = []
-    for p in range(1, A.k + 1):
-        row = []
-        for t in range(A.k + 1, A.N + 1):
-            row.append(poly.derivative(var_index(p, t, A.k, A.N)).eval(point))
-        grid.append(row)
-    return grid
+    return [
+        [poly.derivative(var_index(p, t, A.k, A.N)).eval(point) for t in range(A.k + 1, A.N + 1)]
+        for p in range(1, A.k + 1)
+    ]
 
 
 def is_critical(A: ExteriorArray, X: ChartPoint) -> bool:
@@ -383,10 +390,7 @@ def act_gl(A: ExteriorArray, g: GroupElement) -> ExteriorArray:
             unit = 1
             for j in J:
                 unit *= sgn[j]
-            val = c * order_sign * unit
-            if val != 0:
-                coeffs[J] = coeffs.get(J, 0) + val
-        coeffs = {J: c for J, c in coeffs.items() if c != 0}
+            coeffs[J] = c * order_sign * unit  # J runs over distinct index sets
         return ExteriorArray(k, N, coeffs)
     for J in enumerate_indices(k, N):
         total = 0

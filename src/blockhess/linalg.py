@@ -3,7 +3,9 @@
 Matrices are plain lists of lists.  Entries may be ints, Fractions, or
 MultiPoly values; every routine here is fraction-free or otherwise exact.
 Rank, span and kernel over Q share one echelon routine on sparse integer rows;
-rank and determinant over GF(p) share one shrinking-block elimination.
+rank and determinant over GF(p) share one elimination on rows packed into
+single integers, each column a slot wide enough for (p-1) + ncols*(p-1)**2,
+so that row operations run in C and no slot carries into the next.
 The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 """
 
@@ -139,29 +141,38 @@ def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
 
     Entries other than plain ints are reduced by ``scalar_mod``, so a
     Fraction whose denominator vanishes mod p raises ZeroDivisionError.
-    Each step takes the first row that is nonzero in the leading column as
-    the pivot, clears that column from the rows that have it, and drops the
-    pivot row and the column; a column with no pivot is dropped on its own.
-    The signed product is the determinant when the rank is full.
+    Each row is one integer, column j in its ``bits``-wide slot j.  Each step
+    pivots on the first row nonzero mod p in the leading slot and adds a
+    multiple of it to every other row in one big-integer operation; a column
+    with no pivot is dropped on its own.  Slots are reduced only when read,
+    so each holds at most (p-1) + ncols*(p-1)**2 < 2**bits and no carry
+    crosses into the next.  The signed product is the determinant when the
+    rank is full.
     """
-    a = [[e % p if type(e) is int else scalar_mod(e, p) for e in row] for row in m]
+    ncols = len(m[0]) if m else 0
+    nbytes = ((p - 1) + ncols * (p - 1) ** 2).bit_length() // 8 + 1
+    bits, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+
+    def pack(row: list[int]) -> int:
+        return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in row]), "little")
+
+    a = [pack([e % p if type(e) is int else scalar_mod(e, p) for e in row]) for row in m]
     rank, det = 0, 1
-    while a and a[0]:
-        i = next((i for i, row in enumerate(a) if row[0]), None)
+    for width in range(ncols - 1, -1, -1):
+        i = next((i for i, r in enumerate(a) if (r & mask) % p), None)
         if i is None:
-            a = [row[1:] for row in a]
+            a = [r >> bits for r in a]
             continue
         top = a.pop(i)
-        piv = top[0]
+        piv = (top & mask) % p
         # moving row i to the top is a cyclic shift of i + 1 rows
         det = (-det if i % 2 else det) * piv % p
         rank += 1
         scale = p - pow(piv, -1, p)
-        top = [y * scale % p for y in top[1:]]
-        # row by row in place, so the old and new blocks are never both alive
-        for j, row in enumerate(a):
-            f = row[0]
-            a[j] = [(x + f * y) % p for x, y in zip(row[1:], top)] if f else row[1:]
+        raw = (top >> bits).to_bytes(width * nbytes, "little")
+        T = pack([int.from_bytes(raw[j : j + nbytes], "little") * scale % p for j in range(0, len(raw), nbytes)])
+        # each slot gains f * y < p**2; the shift drops the leading column
+        a = [(r >> bits) + (r & mask) % p * T for r in a]
     return rank, det
 
 

@@ -158,9 +158,6 @@ class MultiPoly:
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def coefficient(self, exp: tuple[int, ...]) -> Scalar:
         return self.terms.get(exp, 0)
 
@@ -377,35 +374,26 @@ class MultiPoly:
 # prime-field univariate helpers (dense int lists, modulus passed explicitly)
 
 
-def uni_eval_mod(coeffs: Sequence[int], x: int, p: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = (total * x + c) % p
-    return total
-
-
 def lagrange_interpolate_mod(xs: Sequence[int], ys: Sequence[int], p: int) -> list[int]:
-    """Interpolate the unique polynomial of degree < len(xs) through the points, mod p."""
+    """Interpolate the unique polynomial of degree < len(xs) through the points, mod p.
+
+    O(n^2): each basis numerator prod_{j != i} (t - xs[j]) is the master
+    polynomial prod_j (t - xs[j]) divided by t - xs[i] synthetically.
+    """
     n = len(xs)
     if len(ys) != n:
         raise ValueError("point count mismatch")
+    master = [1]
+    for x in xs:
+        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
     out = [0] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (t - xs[j]) / (xs[i] - xs[j])
-        num = [1]
-        denom = 1
-        for j in range(n):
-            if j == i:
-                continue
-            new = [0] * (len(num) + 1)
-            for d, c in enumerate(num):
-                new[d] -= c * xs[j]
-                new[d + 1] += c
-            num = [c % p for c in new]
-            denom = denom * (xs[i] - xs[j]) % p
-        scale = ys[i] * pow(denom, -1, p) % p
-        for d, c in enumerate(num):
-            out[d] = (out[d] + c * scale) % p
+    for x, y in zip(xs, ys):
+        num, c, denom = [0] * n, 0, 0
+        for d in range(n - 1, -1, -1):
+            c = num[d] = (master[d + 1] + x * c) % p
+            denom = (denom * x + c) % p  # ends as prod_{j != i} (x - xs[j])
+        scale = y * pow(denom, -1, p) % p
+        out = [(o + c * scale) % p for o, c in zip(out, num)]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -436,11 +424,7 @@ def uni_root_structure_mod(coeffs: Sequence[int], r: int, p: int) -> list[int] |
         h = _uni_pow_mod(g, r, p)
         need = (fm[r * m - j] - (h[r * m - j] if r * m - j < len(h) else 0)) % p
         g[m - j] = need * inv_r % p
-    check = _uni_pow_mod(g, r, p)
-    check = [c * cs[-1] % p for c in check]
-    if len(check) == len(cs) and all((a - b) % p == 0 for a, b in zip(check, cs)):
-        return g
-    return None
+    return g if [c * cs[-1] % p for c in _uni_pow_mod(g, r, p)] == cs else None
 
 
 def _uni_mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

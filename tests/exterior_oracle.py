@@ -1,5 +1,8 @@
-"""Reference translation of coefficient arrays for the tests; nothing in the
-library calls it.
+"""Reference routes for coefficient arrays in the tests; nothing in the
+library calls them.
+
+``checked_coeffs`` is the key-by-key check that ``ExteriorArray`` falls
+back to when its all-keys-at-once check fails.
 
 ``act_translation`` expands the chart form F(A, x) as a polynomial, shifts
 it to F(A, X + y) with ``MultiPoly.translate`` and reads each coefficient
@@ -8,7 +11,20 @@ Cauchy-Binet kernel in ``blockhess.exterior`` that it checks.
 """
 
 from blockhess.exterior import ExteriorArray, dehomogenized_polynomial, var_index
-from blockhess.multiindex import enumerate_indices, first_index, sort_with_sign
+from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, sort_with_sign
+
+
+def checked_coeffs(k, N, coeffs):
+    """The nonzero entries of ``coeffs`` on plain-tuple keys, checked one key
+    at a time; the first key that is not a sorted multiindex raises."""
+    out = {}
+    for I, c in coeffs.items():
+        I = tuple(I)
+        if not is_valid_index(I, k, N):
+            raise ValueError(f"key {I} is not a sorted multiindex for (k,N)=({k},{N})")
+        if c != 0:
+            out[I] = c
+    return out
 
 
 def act_translation(A, X):

@@ -32,7 +32,8 @@ from blockhess.exterior import (
     var_index,
     w_swap_matrix,
 )
-from blockhess.multiindex import enumerate_indices, first_index, last_index
+from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index
+from blockhess.ring import MultiPoly
 
 
 def rand_array(rng, k, N, lo=-4, hi=4):
@@ -68,6 +69,58 @@ def test_array_json_round_trip_and_validation():
     bad["entries"][0]["I"] = [2, 1, 3]
     with pytest.raises(ValueError):
         ExteriorArray.from_json_dict(bad)
+
+
+class KeyTuple(tuple):
+    """A tuple subclass: accepted as a key, stored as the plain tuple."""
+
+
+def array_keys(k, N):
+    """Valid keys and near misses: float entries that hash equal to a valid
+    key, True for 1, tuple subclasses, wrong lengths, unsorted or repeated
+    entries, entries out of range, and keys that are not tuples at all."""
+    valid = st.lists(st.integers(1, N), min_size=k, max_size=k, unique=True).map(sorted).map(tuple)
+    entry = st.one_of(st.integers(-1, N + 1), st.booleans())
+    return st.one_of(
+        valid,
+        valid.map(lambda I: tuple(map(float, I))),
+        valid.map(lambda I: tuple(True if v == 1 else v for v in I)),
+        valid.map(KeyTuple),
+        valid.map(lambda I: (0,) + I[1:]),
+        valid.map(lambda I: I[:-1] + (N + 1,)),
+        st.lists(st.integers(1, N), max_size=k + 1).map(tuple),
+        st.lists(entry, min_size=k, max_size=k).map(tuple),
+        st.integers(1, N),
+    )
+
+
+array_coeffs = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    st.builds(MultiPoly.const, st.just(2), st.integers(-2, 2)),
+    st.builds(MultiPoly.variable, st.integers(0, 1), st.just(2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_construction_matches_key_by_key_check(data):
+    k = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(k, 7))
+    coeffs = dict(data.draw(st.lists(st.tuples(array_keys(k, N), array_coeffs), max_size=8)))
+    try:
+        expected = exterior_oracle.checked_coeffs(k, N, coeffs)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ExteriorArray(k, N, coeffs)
+        assert str(got.value) == str(exc)
+        assert not all(isinstance(I, tuple) and is_valid_index(tuple(I), k, N) for I in coeffs)
+        return
+    assert all(is_valid_index(tuple(I), k, N) for I in coeffs)
+    A = ExteriorArray(k, N, coeffs)
+    assert list(A.coeffs.items()) == list(expected.items())
+    assert all(type(I) is tuple for I in A.coeffs)
 
 
 @pytest.mark.parametrize("k,N", [(2, 5), (3, 6), (3, 7), (4, 7)])

@@ -186,8 +186,12 @@ mod_scalars = st.one_of(
 )
 
 
+# 2**64 - 59, the largest prime that ``det --mod`` accepts
+P64 = 18446744073709551557
+
+
 @settings(max_examples=200, deadline=None)
-@given(matrix_pairs(mod_scalars), st.sampled_from([2, 3, 7, WORD_PRIMES[0]]))
+@given(matrix_pairs(mod_scalars), st.sampled_from([2, 3, 7, WORD_PRIMES[0], P64]))
 def test_mod_p_kernel_matches_dense_oracle(pair, p):
     M, _, width = pair
     assert rank_mod(M, p) == oracle.rank_mod(M, p)
@@ -198,3 +202,17 @@ def test_mod_p_kernel_matches_dense_oracle(pair, p):
     else:
         with pytest.raises(ValueError):
             det_mod(M, p)
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1, P64])
+@pytest.mark.parametrize("rows,cols", [(49, 49), (64, 64), (49, 60), (60, 49)])
+def test_mod_p_kernel_carry_bound_on_wide_matrices(rows, cols, p):
+    """M[i][j] = -1 - min(i, j) mod p.  Step t pivots on row t without a swap;
+    there every remaining row has leading entry p - 1 and the pivot row is
+    all p - 1, so every multiplier and every entry of the scaled pivot row
+    is p - 1, and each step adds the largest product (p-1)**2 to every slot
+    that the packed kernel leaves unreduced."""
+    M = [[(-1 - min(i, j)) % p for j in range(cols)] for i in range(rows)]
+    assert rank_mod(M, p) == oracle.rank_mod(M, p) == min(rows, cols)
+    if rows == cols:
+        assert det_mod(M, p) == oracle.det_mod(M, p) == (-1) ** rows % p

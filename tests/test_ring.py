@@ -4,8 +4,10 @@ the repeated-root detectors that the cube/square checks rely on."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import ring_oracle
 
 from blockhess.ring import (
     MultiPoly,
@@ -99,6 +101,38 @@ def test_lagrange_interpolation_round_trip():
     xs = list(range(len(coeffs)))
     ys = [sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p for x in xs]
     assert lagrange_interpolate_mod(xs, ys, p) == coeffs
+
+
+@st.composite
+def interpolation_points(draw):
+    """Points with distinct arbitrary xs mod p; ys all zero half the time."""
+    p = draw(st.sampled_from([2, 3, 7, 2**31 - 1]))
+    xs = draw(st.lists(st.integers(-(10**12), 10**12), max_size=min(p, 14), unique_by=lambda x: x % p))
+    values = st.integers(-(10**12), 10**12)
+    ys = draw(st.one_of(st.just([0] * len(xs)), st.lists(values, min_size=len(xs), max_size=len(xs))))
+    return xs, ys, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(interpolation_points())
+@example(([5], [3], 7))
+@example(([1], [0], 2))
+@example(([-4, 10**12], [9, 9], 3))
+def test_lagrange_interpolation_matches_cubic_oracle(points):
+    xs, ys, p = points
+    coeffs = lagrange_interpolate_mod(xs, ys, p)
+    assert coeffs == ring_oracle.lagrange_interpolate_mod(xs, ys, p)
+    assert len(coeffs) <= len(xs) and (not coeffs or coeffs[-1])
+    for x, y in zip(xs, ys):
+        assert sum(c * pow(x, d, p) for d, c in enumerate(coeffs)) % p == y % p
+
+
+@pytest.mark.parametrize("xs,p", [([1, 1], 7), ([1, 8], 7), ([0, 3, 2], 2)])
+def test_lagrange_interpolation_rejects_repeated_points_mod_p(xs, p):
+    ys = list(range(len(xs)))
+    for interpolate in (lagrange_interpolate_mod, ring_oracle.lagrange_interpolate_mod):
+        with pytest.raises(ValueError):
+            interpolate(xs, ys, p)
 
 
 def poly_from_roots_mod(roots, p):
