@@ -12,8 +12,8 @@ Modules
 -------
 multiindex      strictly increasing index tuples, signs, node index sets
 ring            MultiPoly, prime table, mod-p interpolation and r-th roots
-linalg          one integer echelon kernel on sparse primitive rows (rank,
-                span equality, kernel vector over Q); integer Bareiss
+linalg          one integer echelon kernel on sparse primitive rows (rank
+                and span equality over Q); integer Bareiss
                 determinants over Z and Q; Bareiss on polynomial entries;
                 one bit-packed elimination for rank and determinant mod p
 exterior        coefficient arrays, chart points, group actions, translation

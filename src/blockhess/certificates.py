@@ -59,9 +59,6 @@ class Certificate:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
-    def block(self, name: str) -> tuple[tuple[int, ...], ...]:
-        return self.blocks[name]
-
 
 # ---------------------------------------------------------------------------
 # payload data
@@ -472,18 +469,7 @@ _REGISTRY: dict[str, Certificate] = {
     for cid, rec in _RAW.items()
 }
 
-CERTIFICATE_IDS: tuple[str, ...] = (
-    "corank-3-9",
-    "corank-3-10",
-    "corank-3-11",
-    "corank-4-8",
-    "corank-4-9",
-    "corank-5-10",
-    "invertible-4-8",
-    "node-3-9",
-    "node-3-10",
-    "node-3-11",
-)
+CERTIFICATE_IDS: tuple[str, ...] = tuple(_RAW)
 
 
 def load(cert_id: str) -> Certificate:
@@ -708,10 +694,6 @@ def verify(cert: Certificate | str, completion_seed: int = 0) -> dict:
         report["error"] = f"unknown kind {cert.kind!r}"
         report["pass"] = False
     return report
-
-
-def verify_all(completion_seed: int = 0) -> list[dict]:
-    return [verify(cid, completion_seed) for cid in CERTIFICATE_IDS]
 
 
 # ---------------------------------------------------------------------------

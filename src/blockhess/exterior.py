@@ -6,17 +6,15 @@ point of If = (1..k) is
 
     F(A, x) = sum_I a_I eta_I([Id_k | X])
 
-where eta_I is the k x k minor with columns I.  Positional accessors expose
-the shifted coefficient symbols (value t placed at position p of If, sign of
-sorting applied), which is how every Hessian entry and defining form
-downstream is expressed.
+where eta_I is the k x k minor with columns I.  Every Hessian entry and
+defining form downstream is a shifted coefficient symbol: If with value t
+placed at position p, read through ``get`` with the sign of sorting.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from fractions import Fraction
 from operator import itemgetter, lt
 from typing import Mapping, Sequence
 
@@ -24,11 +22,8 @@ from .linalg import det_cofactor
 from .multiindex import (
     MultiIndex,
     enumerate_indices,
-    first_index,
     is_valid_index,
-    last_index,
     sort_with_sign,
-    star,
 )
 from .ring import MultiPoly, Scalar, scalar_from_string, scalar_to_string
 
@@ -79,31 +74,9 @@ class ExteriorArray:
         c = self.coeffs.get(idx, 0)
         return c if sign == 1 else -c
 
-    def positional_get(self, values: Sequence[int], positions: Sequence[int]):
-        """The coefficient symbol with values t_1..t_r at positions p_1..p_r.
-
-        Builds the tuple obtained from If by writing t_i into position p_i,
-        then resolves through the sign of sorting.  r = 0 returns a_{1..k}.
-        """
-        if len(values) != len(positions):
-            raise ValueError("values/positions length mismatch")
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"repeated positions {positions}")
-        raw = list(first_index(self.k, self.N))
-        for t, p in zip(values, positions):
-            if not 1 <= p <= self.k:
-                raise ValueError(f"position {p} outside [1, {self.k}]")
-            if not self.k < t <= self.N:
-                raise ValueError(f"value {t} outside ({self.k}, {self.N}]")
-            raw[p - 1] = t
-        return self.get(raw)
-
     def items(self):
         """Nonzero entries in lexicographic key order."""
         return sorted(self.coeffs.items())
-
-    def support(self) -> set[MultiIndex]:
-        return set(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -185,13 +158,6 @@ def frame_minor(frame: Sequence[Sequence], I: MultiIndex):
     return det_cofactor(sub)
 
 
-def plucker_minor(X: ChartPoint, I: MultiIndex):
-    """eta_I at the chart point: minor of [Id_k | X] with columns I."""
-    if not is_valid_index(tuple(I), X.k, X.N):
-        raise ValueError(f"invalid multiindex {I}")
-    return frame_minor(X.frame(), tuple(I))
-
-
 def evaluate_form(A: ExteriorArray, X: "ChartPoint | Sequence[Sequence]"):
     """F(A, x) = sum_I a_I eta_I at a chart point or explicit k x N frame."""
     frame = X.frame() if isinstance(X, ChartPoint) else [list(r) for r in X]
@@ -204,20 +170,6 @@ def evaluate_form(A: ExteriorArray, X: "ChartPoint | Sequence[Sequence]"):
 def var_index(p: int, t: int, k: int, N: int) -> int:
     """Flat variable index of x^p_t: row-major, matching Hessian row labels."""
     return (p - 1) * (N - k) + (t - k - 1)
-
-
-def chart_variable_names(k: int, N: int) -> list[str]:
-    return [f"x_{p}_{t}" for p in range(1, k + 1) for t in range(k + 1, N + 1)]
-
-
-def symbolic_chart(k: int, N: int) -> ChartPoint:
-    """Chart point whose entries are the k(N-k) coordinate variables."""
-    n = k * (N - k)
-    rows = [
-        [MultiPoly.variable(var_index(p, t, k, N), n) for t in range(k + 1, N + 1)]
-        for p in range(1, k + 1)
-    ]
-    return ChartPoint.from_rows(k, N, rows)
 
 
 def dehomogenized_polynomial(A: ExteriorArray) -> MultiPoly:
@@ -271,14 +223,6 @@ def is_critical(A: ExteriorArray, X: ChartPoint) -> bool:
     if evaluate_form(A, X) != 0:
         return False
     return all(e == 0 for row in gradient(A, X) for e in row)
-
-
-def nabla_membership(A: ExteriorArray, J: MultiIndex) -> bool:
-    """True iff a_I = 0 for every I in the star of J.
-
-    This is the chart-free criticality test at the coordinate point of J.
-    """
-    return all(A.coeffs.get(I, 0) == 0 for I in star(tuple(J), A.N))
 
 
 def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
@@ -401,19 +345,6 @@ def act_gl(A: ExteriorArray, g: GroupElement) -> ExteriorArray:
     return ExteriorArray(k, N, coeffs)
 
 
-def dual_chart_point(X: ChartPoint) -> list[list]:
-    """The k x N frame [X | Id_k] of the swapped chart wE.
-
-    At X = 0 this frames span(e_{N-k+1}, ..., e_N), the coordinate point
-    opposite to If.
-    """
-    k, N = X.k, X.N
-    return [
-        list(X.X[p - 1]) + [1 if c == p else 0 for c in range(1, k + 1)]
-        for p in range(1, k + 1)
-    ]
-
-
 def w_swap_matrix(k: int, N: int) -> list[list[int]]:
     """The block swap w = [[0, Id_{N-k}], [Id_k, 0]]: w e_j = e_{N-k+j} for
     j <= k and e_{j-k} for j > k.  Conjugating the chart by w turns E into wE."""
@@ -422,18 +353,4 @@ def w_swap_matrix(k: int, N: int) -> list[list[int]]:
         g[N - k + j - 1][j - 1] = 1
     for j in range(k + 1, N + 1):
         g[j - k - 1][j - 1] = 1
-    return g
-
-
-def coordinate_point_gl(J: MultiIndex, k: int, N: int) -> list[list[int]]:
-    """A permutation matrix g with g . (chart at 0) framing the coordinate
-    point of J: column p holds e_{J_p} for p <= k, remaining basis vectors
-    fill the other columns in ascending order."""
-    J = tuple(J)
-    rest = [v for v in range(1, N + 1) if v not in J]
-    g = [[0] * N for _ in range(N)]
-    for p, v in enumerate(J):
-        g[v - 1][p] = 1
-    for c, v in enumerate(rest, start=k):
-        g[v - 1][c] = 1
     return g

@@ -16,17 +16,15 @@ and the direct-sum embedding of two Hessians into a larger one.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from . import linalg
-from .exterior import ChartPoint, ExteriorArray, act_gl, act_translation, w_swap_matrix
+from .exterior import ExteriorArray, act_gl, w_swap_matrix
 from .multiindex import MultiIndex, enumerate_indices, first_index, sort_with_sign
 from .ring import (
     WORD_PRIMES,
     MultiPoly,
-    Scalar,
     lagrange_interpolate_mod,
     prime_for_trial,
     scalar_from_string,
@@ -53,11 +51,6 @@ class HessianMatrix:
     def side(self) -> int:
         return self.k * (self.N - self.k)
 
-    def label(self, i: int) -> tuple[int, int]:
-        """Row index (0-based) -> label (p, t)."""
-        w = self.N - self.k
-        return i // w + 1, self.k + 1 + i % w
-
     def index_of(self, p: int, t: int) -> int:
         """Label (p, t) -> 0-based row index."""
         return (p - 1) * (self.N - self.k) + (t - self.k - 1)
@@ -70,9 +63,6 @@ class HessianMatrix:
         w = self.N - self.k
         r0, c0 = (i - 1) * w, (j - 1) * w
         return [row[c0 : c0 + w] for row in self.rows[r0 : r0 + w]]
-
-    def block_grid(self) -> list[list[list[list]]]:
-        return [[self.block(i, j) for j in range(1, self.k + 1)] for i in range(1, self.k + 1)]
 
     def structure_errors(self) -> list[str]:
         """Violations of the expected shape: symmetry, zero diagonal blocks,
@@ -134,13 +124,13 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     """Second partials of the dehomogenized form at the chart origin.
 
     Entry ((p,t), (p',t')) is the coefficient symbol with t at position p
-    and t' at position p' (``A.positional_get((t, t'), (p, p'))``); same-block
-    entries vanish because the form is affine in each frame row.  For p < p'
+    and t' at position p': ``A.get`` of If with those two entries rewritten.
+    Same-block entries vanish because the form is affine in each frame row.  For p < p'
     and t < t' that symbol is sign * a_{rest + (t, t')}, where rest is If
     without p and p': sorting moves t past the k - p - 1 entries of rest
     after it and t' past the k - p', so sign = (-1)^(2k - p - p' - 1), and
     swapping t and t' flips it.  Each coefficient is read once and written to
-    its four cells; a missing key gives int 0, as ``positional_get`` does.
+    its four cells; a missing key gives int 0, as ``ExteriorArray.get`` does.
     """
     k, N = A.k, A.N
     w = N - k
@@ -219,11 +209,6 @@ def assemble_dual(A: ExteriorArray) -> HessianMatrix:
     return assemble(act_gl(A, w_swap_matrix(A.k, A.N)))
 
 
-def hessian_at(A: ExteriorArray, X: ChartPoint) -> HessianMatrix:
-    """Hessian of the chart form at the point X (translate, then assemble)."""
-    return assemble(act_translation(A, X))
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra front ends
 
@@ -271,26 +256,12 @@ def corank(M) -> int:
 def block_row_rank(H: HessianMatrix, i: int) -> int:
     """Rank of the i-th natural row block (height N-k, full width).
 
-    Full rank here means N-k.  (A k-row reading of the blocks also exists;
-    that one is ``row_band_rank``.)
+    Full rank here means N-k.
     """
     if not 1 <= i <= H.k:
         raise ValueError(f"block index {i} outside [1, {H.k}]")
     w = H.N - H.k
     rows = H.rows[(i - 1) * w : i * w]
-    return linalg.rank_fraction(rows)
-
-
-def row_band_rank(H: HessianMatrix, t_index: int) -> int:
-    """Rank of the k rows {(p, k + t_index) : p = 1..k} (full width).
-
-    These are the height-k row blocks of the column-swapped layout; full
-    rank means k.  Kept separate from ``block_row_rank`` because the two
-    groupings disagree about what a "row block" is.
-    """
-    if not 1 <= t_index <= H.N - H.k:
-        raise ValueError(f"band index {t_index} outside [1, {H.N - H.k}]")
-    rows = [H.rows[H.index_of(p, H.k + t_index)] for p in range(1, H.k + 1)]
     return linalg.rank_fraction(rows)
 
 
@@ -304,15 +275,15 @@ def det_on_line_mod(
     """Coefficients, constant term first, of s -> det H(base + s*direction) over GF(p).
 
     ``base`` and ``direction`` map multiindices to integers (missing ones are
-    0).  The determinant has degree at most the side k(N-k), so it is
-    interpolated from its values at s = 0, 1, ..., k(N-k).
+    0).  H is linear in the coefficients, so H(base + s*direction) is
+    B + s*D with B = H(base) and D = H(direction), each assembled once.  The
+    determinant has degree at most the side k(N-k), so it is interpolated
+    from its values at s = 0, 1, ..., k(N-k).
     """
-    support = base.keys() | direction.keys()
+    B = assemble(ExteriorArray(k, N, base)).rows
+    D = assemble(ExteriorArray(k, N, direction)).rows
     xs = list(range(k * (N - k) + 1))
-    ys = []
-    for s in xs:
-        A = ExteriorArray(k, N, {I: (base.get(I, 0) + s * direction.get(I, 0)) % p for I in support})
-        ys.append(det_mod(assemble(A), p))
+    ys = [linalg.det_mod([[b + s * d for b, d in zip(rb, rd)] for rb, rd in zip(B, D)], p) for s in xs]
     return lagrange_interpolate_mod(xs, ys, p)
 
 
@@ -447,16 +418,6 @@ def _matrix_poly_nvars(H: HessianMatrix) -> int | None:
     return None
 
 
-def grouping_permutation(k: int, a: int, b: int) -> list[int]:
-    """1-based permutation that turns specialize_embed(H1, H2) into
-    blockdiag(H1, H2) when applied to rows and columns."""
-    k1, k2 = a - k, b - k
-    w = k1 + k2
-    first = [(p - 1) * w + u for p in range(1, k + 1) for u in range(1, k1 + 1)]
-    second = [(p - 1) * w + k1 + u for p in range(1, k + 1) for u in range(1, k2 + 1)]
-    return first + second
-
-
 def position_split_embed(H1: HessianMatrix, H2: HessianMatrix) -> HessianMatrix:
     """Stack two Hessians on disjoint row-position groups.
 
@@ -484,35 +445,3 @@ def position_split_embed(H1: HessianMatrix, H2: HessianMatrix) -> HessianMatrix:
     for r in range(H2.k * m):
         rows[off + r][off:] = list(H2.rows[r])
     return HessianMatrix(k, k + m, rows)
-
-
-# ---------------------------------------------------------------------------
-# adjugate rank
-
-
-def adjugate_rank_check(M) -> bool:
-    """True iff the matrix has corank exactly 1 and its adjugate has rank 1.
-
-    Route one: exact elimination must find corank 1 and a kernel vector.
-    Route two: the cofactor complementary to nonzero kernel coordinates
-    must be a nonzero determinant (the adjugate is a rank-one outer product
-    of kernel vectors, so that single entry certifies rank >= 1).
-    """
-    rows = _rows_of(M)
-    n = len(rows)
-    if n == 0 or linalg.rank_fraction(rows) != n - 1:
-        return False
-    v = linalg.kernel_vector(rows)
-    u = linalg.kernel_vector([list(col) for col in zip(*rows)])
-    if v is None or u is None:
-        raise AssertionError("corank 1 but no kernel vector found")
-    if any(x != 0 for x in linalg.mat_vec(rows, v)):
-        raise AssertionError("kernel vector fails to annihilate the matrix")
-    j = next(i for i, x in enumerate(v) if x != 0)
-    i = next(r for r, x in enumerate(u) if x != 0)
-    minor = [
-        [rows[r][c] for c in range(n) if c != j]
-        for r in range(n)
-        if r != i
-    ]
-    return linalg.det_exact_generic(minor) != 0

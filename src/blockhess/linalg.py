@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists.  Entries may be ints, Fractions, or
 MultiPoly values; every routine here is fraction-free or otherwise exact.
-Rank, span and kernel over Q share one echelon routine on sparse integer rows;
+Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a slot wide enough for (p-1) + ncols*(p-1)**2,
 so that row operations run in C and no slot carries into the next.
@@ -225,13 +225,11 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return _content_free(out)
 
 
-def _echelon(m: Sequence[Sequence[Scalar]], reduced: bool = False) -> dict[int, dict[int, int]]:
+def _echelon(m: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
     """Echelon basis of the row space of ``m`` over Q, keyed by leading column.
 
     Rows are inserted one at a time and reduced against the basis by
-    gcd-scaled integer row operations, so no entry is ever a fraction.  With
-    ``reduced`` each pivot column is also cleared from the other rows; row c
-    is then the reduced echelon row of pivot c times its entry at column c.
+    gcd-scaled integer row operations, so no entry is ever a fraction.
     """
     basis: dict[int, dict[int, int]] = {}
     for row in m:
@@ -242,38 +240,12 @@ def _echelon(m: Sequence[Sequence[Scalar]], reduced: bool = False) -> dict[int, 
                 basis[c] = r
                 break
             r = _eliminate(r, basis[c], c)
-    if reduced:
-        for c in sorted(basis, reverse=True):
-            for c2, r in basis.items():
-                if c2 < c and c in r:
-                    basis[c2] = _eliminate(r, basis[c], c)
     return basis
 
 
 def rank_fraction(m: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over Q: the size of the integer echelon basis."""
     return len(_echelon(m))
-
-
-def kernel_vector(m: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
-    """One nonzero rational kernel vector of a square matrix, or None if invertible.
-
-    The first free column gets 1, each pivot column minus its RREF entry there.
-    """
-    n = len(m)
-    basis = _echelon(m, reduced=True)
-    c0 = next((c for c in range(n) if c not in basis), None)
-    if c0 is None:
-        return None
-    v = [Fraction(0)] * n
-    v[c0] = Fraction(1)
-    for c, r in basis.items():
-        v[c] = Fraction(-r.get(c0, 0), r[c])
-    return v
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def span_equal(rows_a: Sequence[Sequence[Scalar]], rows_b: Sequence[Sequence[Scalar]]) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 MultiIndex = tuple[int, ...]
 
@@ -143,11 +143,6 @@ class NodeIndexSet:
         """J ∩ If, sorted."""
         return tuple(v for v in self.J if v <= self.k)
 
-    @property
-    def in_last(self) -> tuple[int, ...]:
-        """J ∩ Il, sorted."""
-        return tuple(v for v in self.J if v > self.N - self.k)
-
 
 def replacement_pairing(node: NodeIndexSet) -> dict[int, int]:
     """The pairing r -> s between If and the last block, determined by J.
@@ -186,9 +181,3 @@ def replace(P: Iterable[int], node: NodeIndexSet) -> SignedIndex:
     pairing = replacement_pairing(node)
     raw = tuple(pairing[p] if p in Pset else p for p in first_index(node.k, node.N))
     return sort_with_sign(raw, node.N)
-
-
-def subsets_of_first(k: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of If = {1..k}, smallest first."""
-    for r in range(k + 1):
-        yield from itertools.combinations(range(1, k + 1), r)

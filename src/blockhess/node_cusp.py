@@ -15,6 +15,17 @@ Conventions:
   multiindex I to the (Laurent or rational) coefficient of a_I.
 * A Laurent scalar is a dict mapping an integer T-exponent to a nonzero
   Fraction.  The empty dict is zero.
+
+Every Laurent coefficient a defining form holds is one signed monomial
++-T^e, so no Laurent sum or product is ever formed.  Row p of the x(J, T)
+frame is nonzero only at columns p and pairing(p); the pairing maps If
+one-to-one into Il, and If and Il are disjoint because N >= 2k.  So each
+column lies in at most one frame row, except that a partial derivative
+replaces one row by a single unit column, which may be shared with one
+other row.  The replaced row has one column and cannot lie on a cycle, so
+the row-column incidence graph is a forest, every submatrix keeps that
+property, and a forest has at most one perfect matching: each minor, and
+each minor met on the way, has at most one nonzero term.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from .multiindex import (
     last_index,
     replacement_pairing,
     sort_with_sign,
+    star,
 )
 from .ring import Scalar
 
@@ -43,43 +55,6 @@ RationalForm = dict[MultiIndex, Fraction]
 
 # ---------------------------------------------------------------------------
 # Laurent scalar helpers
-
-
-def _lau(c: Scalar, exp: int = 0) -> Laurent:
-    c = Fraction(c)
-    return {exp: c} if c else {}
-
-
-def _lau_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _lau_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, Fraction(0)) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _lau_shift(a: Laurent, by: int) -> Laurent:
-    return {e + by: c for e, c in a.items()}
-
-
-def _lau_at_zero(a: Laurent) -> Fraction:
-    return a.get(0, Fraction(0))
 
 
 def laurent_eval(a: Laurent, t: Scalar) -> Fraction:
@@ -128,19 +103,11 @@ def generic_node_membership(A: ExteriorArray) -> bool:
     least k-1 elements.
 
     This is the coefficient form of double tangency at the two opposite
-    coordinate points, and coincides with
-    ``nabla_membership(A, If) and nabla_membership(A, Il)``.
+    coordinate points: every coefficient in the star of If and of Il
+    vanishes.
     """
     k, N = A.k, A.N
-    If = set(first_index(k, N))
-    Il = set(last_index(k, N))
-    for I, c in A.items():
-        if c == 0:
-            continue
-        s = set(I)
-        if len(s & If) >= k - 1 or len(s & Il) >= k - 1:
-            return False
-    return True
+    return all(A.coeffs.get(I, 0) == 0 for J in (first_index(k, N), last_index(k, N)) for I in star(J, N))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +130,14 @@ class NodePointSpec:
         self.T = T
 
 
-def _pair_rows(spec: NodePointSpec) -> list[list[tuple[int, Laurent]]]:
+def _pair_rows(spec: NodePointSpec) -> list[list[tuple[int, int]]]:
     """Row-sparse frame of x(J, T): row p holds 1 in column p and T^{+-1}
-    in column pairing(p).  Columns are 1-based."""
+    in column pairing(p), each entry a (column, T-exponent) pair of a unit
+    monomial.  Columns are 1-based."""
     node = spec.J
-    k = node.k
     pairing = replacement_pairing(node)
     in_first = set(node.in_first)
-    rows = []
-    for p in range(1, k + 1):
-        exp = 1 if p in in_first else -1
-        rows.append([(p, _lau(1)), (pairing[p], _lau(1, exp))])
-    return rows
+    return [[(p, 0), (pairing[p], 1 if p in in_first else -1)] for p in range(1, node.k + 1)]
 
 
 def build_x_J_T(spec: NodePointSpec) -> tuple[tuple[object, ...], ...]:
@@ -186,18 +149,11 @@ def build_x_J_T(spec: NodePointSpec) -> tuple[tuple[object, ...], ...]:
     """
     node = spec.J
     k, N = node.k, node.N
-    dense: list[list[object]] = [[Fraction(0)] * N for _ in range(k)]
+    dense: list[list[object]] = [[{} if spec.T is None else Fraction(0) for _ in range(N)] for _ in range(k)]
     for p0, entries in enumerate(_pair_rows(spec)):
-        for col, lau in entries:
-            if spec.T is None:
-                dense[p0][col - 1] = dict(lau)
-            else:
-                dense[p0][col - 1] = laurent_eval(lau, spec.T)
-    if spec.T is None:
-        for p0 in range(k):
-            for c0 in range(N):
-                if dense[p0][c0] == Fraction(0):
-                    dense[p0][c0] = {}
+        for col, exp in entries:
+            lau = {exp: Fraction(1)}
+            dense[p0][col - 1] = lau if spec.T is None else laurent_eval(lau, spec.T)
     return tuple(tuple(row) for row in dense)
 
 
@@ -214,35 +170,35 @@ def chart_point_at(spec: NodePointSpec) -> ChartPoint:
 # Defining forms at x(J, T) and their T -> 0 limits
 
 
-def _sparse_minor(rows: list[list[tuple[int, Laurent]]], cols: tuple[int, ...]) -> Laurent:
-    """Determinant of the submatrix on ``cols``, for rows given sparsely as
-    (column, Laurent) pairs.  Expansion along the first row; the recursion
-    depth is the number of rows and each row holds at most two entries."""
+def _sparse_minor(rows: list[list[tuple[int, int]]], cols: tuple[int, ...]) -> tuple[int, int] | None:
+    """The minor on ``cols`` of rows given as (column, T-exponent) unit
+    entries, as (sign, T-exponent) of its one term, or None if it vanishes.
+
+    Expansion along the first row.  The module docstring shows that at most
+    one term survives; a second one raises AssertionError.
+    """
     if not rows:
-        return _lau(1)
-    total: Laurent = {}
-    colpos = {c: i for i, c in enumerate(cols)}
-    for c, val in rows[0]:
-        i = colpos.get(c)
-        if i is None:
+        return 1, 0
+    term = None
+    for c, exp in rows[0]:
+        if c not in cols:
             continue
-        rest = cols[:i] + cols[i + 1 :]
-        sub = _sparse_minor(rows[1:], rest)
-        if not sub:
+        i = cols.index(c)
+        sub = _sparse_minor(rows[1:], cols[:i] + cols[i + 1 :])
+        if sub is None:
             continue
-        term = _lau_mul(val, sub)
-        if i % 2:
-            term = {e: -v for e, v in term.items()}
-        total = _lau_add(total, term)
-    return total
+        if term is not None:
+            raise AssertionError(f"minor on columns {cols} has a second term")
+        term = (-sub[0] if i % 2 else sub[0]), exp + sub[1]
+    return term
 
 
-def _form_for_rows(rows: list[list[tuple[int, Laurent]]], k: int, N: int) -> LinearForm:
+def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearForm:
     form: LinearForm = {}
     for I in enumerate_indices(k, N):
         m = _sparse_minor(rows, I)
-        if m:
-            form[I] = m
+        if m is not None:
+            form[I] = {m[1]: Fraction(m[0])}
     return form
 
 
@@ -254,28 +210,7 @@ def _normalized(form: LinearForm) -> tuple[LinearForm, int]:
     low = min(min(lau) for lau in form.values())
     if low == 0:
         return form, 0
-    return {I: _lau_shift(lau, -low) for I, lau in form.items()}, -low
-
-
-def _constant_part(form: LinearForm) -> LinearForm:
-    out: LinearForm = {}
-    for I, lau in form.items():
-        c = _lau_at_zero(lau)
-        if c:
-            out[I] = {0: c}
-    return out
-
-
-def _form_sub(a: LinearForm, b: LinearForm) -> LinearForm:
-    out = {I: dict(lau) for I, lau in a.items()}
-    for I, lau in b.items():
-        neg = {e: -c for e, c in lau.items()}
-        merged = _lau_add(out.get(I, {}), neg)
-        if merged:
-            out[I] = merged
-        else:
-            out.pop(I, None)
-    return out
+    return {I: {e - low: c for e, c in lau.items()} for I, lau in form.items()}, -low
 
 
 class DefiningForms:
@@ -316,14 +251,14 @@ class DefiningForms:
 
 def _base_forms(k: int, N: int) -> tuple[tuple[LinearForm, ...], tuple[str, ...]]:
     If = first_index(k, N)
-    forms: list[LinearForm] = [{If: _lau(1)}]
+    forms: list[LinearForm] = [{If: {0: Fraction(1)}}]
     labels = ["a[If]"]
     for p in range(1, k + 1):
         for t in range(k + 1, N + 1):
             values = list(If)
             values[p - 1] = t
             I, s = sort_with_sign(values, N)
-            forms.append({I: _lau(s)})
+            forms.append({I: {0: Fraction(s)}})
             labels.append(f"a[If; {p}->{t}]")
     return tuple(forms), tuple(labels)
 
@@ -372,7 +307,7 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
     labels.append("F")
     for p, t, label in _moving_selection(node):
         replaced_rows = list(rows)
-        replaced_rows[p - 1] = [(t, _lau(1))]
+        replaced_rows[p - 1] = [(t, 0)]
         form, _ = _normalized(_form_for_rows(replaced_rows, k, N))
         moving.append(form)
         labels.append(label)
@@ -391,11 +326,11 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
         for idx, label in enumerate(labels):
             if label not in special:
                 continue
-            form = moving[idx]
-            stripped = _form_sub(form, _constant_part(form))
+            # (form - constant part) / T, on monomial coefficients
+            stripped = {I: {e - 1: c for e, c in lau.items()} for I, lau in moving[idx].items() if 0 not in lau}
             if not stripped:
                 raise AssertionError(f"special form {label} vanished after stripping")
-            moving[idx] = {I: _lau_shift(lau, -1) for I, lau in stripped.items()}
+            moving[idx] = stripped
             replaced[idx] = True
 
     return DefiningForms(
@@ -415,10 +350,7 @@ def limit_T0(forms: DefiningForms) -> list[RationalForm]:
     """
     node = forms.spec.J
     k, N = node.k, node.N
-    limits: list[RationalForm] = []
-    for f in forms.forms:
-        lim = {I: _lau_at_zero(lau) for I, lau in f.items() if _lau_at_zero(lau)}
-        limits.append(lim)
+    limits: list[RationalForm] = [{I: lau[0] for I, lau in f.items() if 0 in lau} for f in forms.forms]
     index_order = {I: i for i, I in enumerate(enumerate_indices(k, N))}
     matrix = []
     for lim in limits:
@@ -464,14 +396,6 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
     return tuple(out)  # type: ignore[return-value]
 
 
-def star_coordinate_forms(J: MultiIndex, N: int) -> list[RationalForm]:
-    """Coordinate forms a_I for I in star(J), in enumeration order."""
-    from .multiindex import star
-
-    members = sorted(star(J, N))
-    return [{I: Fraction(1)} for I in members]
-
-
 def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k: int, N: int) -> bool:
     """Exact row-reduction comparison of two spans of coefficient forms."""
     from .linalg import span_equal
@@ -488,21 +412,6 @@ def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k
         return rows
 
     return span_equal(as_rows(forms_a), as_rows(forms_b))
-
-
-def form_eval_at_T(form: LinearForm, t: Scalar) -> RationalForm:
-    """Substitute a nonzero numeric T into a Laurent-coefficient form."""
-    out: RationalForm = {}
-    for I, lau in form.items():
-        v = laurent_eval(lau, t)
-        if v:
-            out[I] = v
-    return out
-
-
-def form_apply(form: RationalForm, A: ExteriorArray) -> Fraction:
-    """Evaluate a rational linear form on a coefficient array."""
-    return sum((c * Fraction(A.get(I)) for I, c in form.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -689,80 +598,3 @@ def verify_node_pair_k3(A: ExteriorArray, completion_seed: int = 0) -> dict:
 
     report["pass"] = det_H0 != 0 and det_H1 != 0
     return report
-
-
-# ---------------------------------------------------------------------------
-# Node tuple relation, k = 4
-
-
-def _parity_union(parent: dict, parity: dict, a: object, b: object, rel: int) -> bool:
-    """Union-find with +-1 edge weights; returns False on contradiction."""
-
-    def find(x: object) -> tuple[object, int]:
-        acc = 1
-        while parent[x] != x:
-            acc *= parity[x]
-            x = parent[x]
-        return x, acc
-
-    for x in (a, b):
-        if x not in parent:
-            parent[x] = x
-            parity[x] = 1
-    ra, pa = find(a)
-    rb, pb = find(b)
-    if ra == rb:
-        return pa * pb == rel
-    parent[ra] = rb
-    parity[ra] = rel * pa * pb
-    return True
-
-
-def verify_k4_tuple(H0: HessianMatrix, H1: HessianMatrix) -> bool:
-    """Check the k = 4 common-entry relation between the two node Hessians.
-
-    Entry (gamma, theta) of H0's block (alpha, beta) must match entry
-    (alpha-complement, beta-complement) of H1's block at the complementary
-    window positions, up to sign changes realizable by a symmetric
-    row/column rescaling of H1.  Only the window of inner indices landing
-    in the last block carries constraints (36 shared entries; all of both
-    matrices when N = 8).
-    """
-    if H0.k != 4 or H1.k != 4 or H0.N != H1.N:
-        raise ValueError("need two Hessians with k = 4 and equal N")
-    N = H0.N
-    m = N - 4
-    window = [g for g in range(1, m + 1) if 4 + g > N - 4]
-    if len(window) != 4:
-        raise ValueError(f"window {window} does not have 4 elements; N = {N} too small")
-    windex = {g: w for w, g in enumerate(window, start=1)}
-
-    def comp(pair: tuple[int, int]) -> tuple[int, int]:
-        return tuple(sorted({1, 2, 3, 4} - set(pair)))  # type: ignore[return-value]
-
-    parent: dict = {}
-    parity: dict = {}
-    for alpha, beta in itertools.combinations(range(1, 5), 2):
-        Hblock = H0.block(alpha, beta)
-        for gamma, theta in itertools.combinations(window, 2):
-            lhs = Hblock[gamma - 1][theta - 1]
-            wg, wt = comp((windex[gamma], windex[theta]))
-            ca, cb = comp((alpha, beta))
-            Bblock = H1.block(wg, wt)
-            rhs = Bblock[ca - 1][cb - 1]
-            if (lhs == 0) != (rhs == 0):
-                return False
-            if lhs == 0:
-                continue
-            if abs(lhs) != abs(rhs):
-                return False
-            rel = 1 if lhs == rhs else -1
-            r = H1.index_of(wg, 4 + ca)
-            c = H1.index_of(wt, 4 + cb)
-            if r == c:
-                if rel != 1:
-                    return False
-                continue
-            if not _parity_union(parent, parity, r, c, rel):
-                return False
-    return True

@@ -143,12 +143,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
@@ -288,17 +282,6 @@ class MultiPoly:
                 if e:
                     v *= x**e
             total += v
-        return total
-
-    def eval_mod(self, point: Sequence[int], p: int) -> int:
-        """Evaluate at an integer point, reducing mod p."""
-        total = 0
-        for exp, c in self.terms.items():
-            v = scalar_mod(c, p)
-            for x, e in zip(point, exp):
-                if e:
-                    v = v * pow(x % p, e, p) % p
-            total = (total + v) % p
         return total
 
     def substitute(self, i: int, value: "MultiPoly | Scalar") -> "MultiPoly":

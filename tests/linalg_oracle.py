@@ -62,21 +62,6 @@ def rref_fraction(m):
     return a, pivots
 
 
-def kernel_vector(m):
-    """One nonzero rational kernel vector of a square matrix, or None if invertible."""
-    n = len(m)
-    rref, pivots = rref_fraction(m)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    c0 = free[0]
-    v = [Fraction(0)] * n
-    v[c0] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -rref[r][c0]
-    return v
-
-
 def span_equal(rows_a, rows_b):
     """Do two row families span the same subspace of Q^n?"""
     ra = rank_fraction(rows_a) if rows_a else 0

@@ -1,5 +1,6 @@
 """Command-line contract: output protocol, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -169,6 +170,11 @@ def test_node_symbolic_forms_and_limits(capsys):
     assert len(recs[0]["moving_forms"]) == 4 * 4 + 1
     assert recs[1]["limits_independent"] is True
     assert recs[1]["count"] == 2 * (4 * 4 + 1)
+    # The whole stdout, pinned: |If ∩ J| = k-2 here, so it includes the four
+    # replaced forms, which no perfbench digest covers.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d4abcaa4ee330bdd3ef028d199d7d7fbad4f40bf12a56e580c298194f475f10e"
+    )
 
 
 def test_node_numeric_point(capsys):

@@ -18,21 +18,15 @@ from blockhess.exterior import (
     ExteriorArray,
     act_gl,
     act_translation,
-    chart_variable_names,
-    coordinate_point_gl,
     dehomogenized_polynomial,
-    dual_chart_point,
     evaluate_form,
     frame_minor,
     gradient,
     is_critical,
-    nabla_membership,
-    plucker_minor,
-    symbolic_chart,
     var_index,
     w_swap_matrix,
 )
-from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index
+from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index, star
 from blockhess.ring import MultiPoly
 
 
@@ -44,6 +38,12 @@ def rand_point(rng, k, N, lo=-3, hi=3):
     return ChartPoint.from_rows(
         k, N, [[Fraction(rng.randint(lo, hi)) for _ in range(N - k)] for _ in range(k)]
     )
+
+
+def _nabla_membership(A, J):
+    """True iff a_I = 0 for every I in the star of J: the chart-free
+    criticality test at the coordinate point of J."""
+    return all(A.coeffs.get(I, 0) == 0 for I in star(tuple(J), A.N))
 
 
 def flatten(X):
@@ -126,8 +126,6 @@ def test_array_construction_matches_key_by_key_check(data):
 @pytest.mark.parametrize("k,N", [(2, 5), (3, 6), (3, 7), (4, 7)])
 def test_evaluate_form_matches_expanded_polynomial(k, N):
     rng = random.Random(f"{k}:{N}")
-    poly_names = chart_variable_names(k, N)
-    assert len(poly_names) == k * (N - k)
     for _ in range(6):
         A = rand_array(rng, k, N)
         X = rand_point(rng, k, N)
@@ -139,18 +137,17 @@ def test_dehomogenized_polynomial_on_symbolic_chart_is_identity_route():
     # substituting the symbolic chart into evaluate_form reproduces the
     # polynomial that dehomogenized_polynomial builds directly
     A = ExteriorArray(2, 4, {(1, 2): 3, (1, 3): 2, (3, 4): 1, (2, 4): -1})
-    S = symbolic_chart(2, 4)
+    S = ChartPoint.from_rows(2, 4, [[MultiPoly.variable(var_index(p, t, 2, 4), 4) for t in (3, 4)] for p in (1, 2)])
     assert evaluate_form(A, S) == dehomogenized_polynomial(A)
 
 
 def test_plucker_minor_and_frame_minor():
     X = ChartPoint.from_rows(2, 4, [[1, 2], [3, 4]])
-    assert plucker_minor(X, (1, 2)) == 1
-    assert plucker_minor(X, (3, 4)) == 1 * 4 - 2 * 3
-    assert plucker_minor(X, (1, 3)) == 3  # row2 entry at col 3
     F = X.frame()
     assert frame_minor(F, (1, 2)) == 1
-    assert frame_minor(F, (2, 3)) == plucker_minor(X, (2, 3))
+    assert frame_minor(F, (3, 4)) == 1 * 4 - 2 * 3
+    assert frame_minor(F, (1, 3)) == 3  # row2 entry at col 3
+    assert frame_minor(F, (2, 3)) == -1
 
 
 def test_gradient_matches_polynomial_partials():
@@ -187,8 +184,8 @@ def test_is_critical_at_zero_iff_no_near_first_terms():
     zero = ChartPoint.zero(3, 6)
     assert is_critical(A_good, zero)
     assert not is_critical(A_bad, zero)
-    assert nabla_membership(A_good, first_index(3, 6))
-    assert not nabla_membership(A_bad, first_index(3, 6))
+    assert _nabla_membership(A_good, first_index(3, 6))
+    assert not _nabla_membership(A_bad, first_index(3, 6))
 
 
 def test_act_translation_composes_additively():
@@ -308,27 +305,3 @@ def test_w_swap_pulls_opposite_coefficient_to_first():
     # a permutation action is a signed bijection on indices
     assert len(dict(B.items())) == len(dict(A.items()))
     assert sorted(abs(c) for _, c in B.items()) == sorted(abs(c) for _, c in A.items())
-
-
-def test_dual_chart_point_frames_opposite_point():
-    k, N = 3, 7
-    D = dual_chart_point(ChartPoint.zero(k, N))
-    assert len(D) == k and len(D[0]) == N
-    assert frame_minor(D, last_index(k, N)) in (1, -1)
-    for I in enumerate_indices(k, N):
-        if I != last_index(k, N):
-            assert frame_minor(D, I) == 0
-    # generic X: the minor at If of the dual frame equals +-(minor at Il of X)
-    rng = random.Random(4)
-    X = rand_point(rng, k, N)
-    D = dual_chart_point(X)
-    assert abs(frame_minor(D, first_index(k, N))) == abs(plucker_minor(X, (4, 5, 6)))
-
-
-def test_coordinate_point_gl_moves_J_to_first():
-    k, N = 3, 7
-    J = (2, 5, 7)
-    g = coordinate_point_gl(J, k, N)
-    A = ExteriorArray(k, N, {J: 4})
-    B = act_gl(A, g)
-    assert abs(B.get(first_index(k, N))) == 4

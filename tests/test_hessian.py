@@ -17,13 +17,13 @@ from blockhess.exterior import (
     ChartPoint,
     ExteriorArray,
     act_gl,
+    act_translation,
     dehomogenized_polynomial,
     var_index,
     w_swap_matrix,
 )
 from blockhess.hessian import (
     HessianMatrix,
-    adjugate_rank_check,
     apply_permutation,
     assemble,
     assemble_dual,
@@ -35,15 +35,12 @@ from blockhess.hessian import (
     det_mod,
     dualize_layout,
     duality_permutation,
-    grouping_permutation,
-    hessian_at,
     position_split_embed,
     rank_exact,
-    row_band_rank,
     specialize_embed,
     symbolic_coefficient_array,
 )
-from blockhess.multiindex import enumerate_indices
+from blockhess.multiindex import enumerate_indices, first_index
 from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial
 
 
@@ -65,6 +62,25 @@ def poly_partial(f: MultiPoly, i: int) -> MultiPoly:
             e2[i] -= 1
             terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * exp[i]
     return MultiPoly(f.nvars, terms)
+
+
+def _positional_get(A: ExteriorArray, values, positions):
+    """The coefficient symbol with values t_i written at positions p_i of If,
+    read through the sign of sorting: the reference for assemble's closed form."""
+    raw = list(first_index(A.k, A.N))
+    for t, p in zip(values, positions):
+        raw[p - 1] = t
+    return A.get(raw)
+
+
+def _grouping_permutation(k: int, a: int, b: int) -> list[int]:
+    """1-based permutation that turns specialize_embed(H1, H2) into
+    blockdiag(H1, H2) when applied to rows and columns."""
+    k1, k2 = a - k, b - k
+    w = k1 + k2
+    first = [(p - 1) * w + u for p in range(1, k + 1) for u in range(1, k1 + 1)]
+    second = [(p - 1) * w + k1 + u for p in range(1, k + 1) for u in range(1, k2 + 1)]
+    return first + second
 
 
 def second_partials_at(A: ExteriorArray, X: ChartPoint):
@@ -90,7 +106,7 @@ def test_hessian_at_matches_second_partials_at_general_point():
     for _ in range(4):
         A = rand_array(rng, 3, 6)
         X = rand_point(rng, 3, 6)
-        assert hessian_at(A, X).rows == second_partials_at(A, X)
+        assert assemble(act_translation(A, X)).rows == second_partials_at(A, X)
 
 
 def test_structure_zero_diagonal_skew_off_diagonal():
@@ -119,26 +135,21 @@ def test_structure_zero_diagonal_skew_off_diagonal():
 
 def test_index_label_entry_block_consistency():
     H = assemble_symbolic(3, 6)
-    for p in range(1, 4):
-        for t in range(4, 7):
-            i = H.index_of(p, t)
-            assert H.label(i) == (p, t)
+    assert [H.index_of(p, t) for p in range(1, 4) for t in range(4, 7)] == list(range(9))
     assert H.entry(1, 4, 2, 5) == H.rows[H.index_of(1, 4)][H.index_of(2, 5)]
-    grid = H.block_grid()
     for p in range(1, 4):
         for q in range(1, 4):
-            assert grid[p - 1][q - 1] == H.block(p, q)
+            assert H.block(p, q) == [[H.entry(p, t, q, tt) for tt in range(4, 7)] for t in range(4, 7)]
 
 
 def test_block_grid_inverts_assembly():
     rng = random.Random(6)
     A = rand_array(rng, 4, 8)
     H = assemble(A)
-    grid = H.block_grid()
     m = 4
     for p in range(1, 5):
         for q in range(1, 5):
-            B = grid[p - 1][q - 1]
+            B = H.block(p, q)
             for u in range(m):
                 for v in range(m):
                     assert H.rows[(p - 1) * m + u][(q - 1) * m + v] == B[u][v]
@@ -213,7 +224,7 @@ def test_specialize_embed_layout_and_multiplicativity():
         assert E.is_structurally_valid()
         assert det_exact(E) == det_exact(H1) * det_exact(H2)
         # conjugating by the grouping permutation shows blockdiag(H1, H2)
-        G = apply_permutation(E, grouping_permutation(k, a, b))
+        G = apply_permutation(E, _grouping_permutation(k, a, b))
         n1 = k * (a - k)
         assert [row[:n1] for row in G[:n1]] == H1.rows
         assert [row[n1:] for row in G[n1:]] == H2.rows
@@ -246,13 +257,8 @@ def test_rank_helpers_and_adjugate_check():
     assert rank_exact(H) == 12 and corank(H) == 0
     for i in (1, 2, 3):
         assert block_row_rank(H, i) == 4
-    for t in (1, 2, 3, 4):
-        assert row_band_rank(H, t) == 3
-    assert not adjugate_rank_check(H)  # corank 0, not 1
     with pytest.raises(ValueError):
         block_row_rank(H, 4)
-    with pytest.raises(ValueError):
-        row_band_rank(H, 5)
 
 
 def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
@@ -286,7 +292,7 @@ def test_assemble_matches_positional_get(k, N, kind):
             for t in range(k + 1, N + 1):
                 for tt in range(k + 1, N + 1):
                     e = H.entry(p, t, pp, tt)
-                    want = zero if p == pp or t == tt else A.positional_get((t, tt), (p, pp))
+                    want = zero if p == pp or t == tt else _positional_get(A, (t, tt), (p, pp))
                     assert e == want and type(e) is type(want), (p, t, pp, tt)
 
 

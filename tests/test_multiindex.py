@@ -14,7 +14,6 @@ from blockhess.multiindex import (
     replacement_pairing,
     sort_with_sign,
     star,
-    subsets_of_first,
 )
 
 
@@ -122,18 +121,9 @@ def test_is_valid_index():
     assert is_valid_index((), 0, 6)
 
 
-def test_subsets_of_first():
-    subs = list(subsets_of_first(3))
-    assert subs[0] == ()
-    assert subs[-1] == (1, 2, 3)
-    assert len(subs) == 8
-    assert (1, 3) in subs
-
-
 def test_node_index_set_accepts_only_two_block_patterns():
     node = NodeIndexSet(3, 7, (2, 3, 6))
     assert node.in_first == (2, 3)
-    assert node.in_last == (6,)
     # J must sit inside first-block union last-block
     with pytest.raises(ValueError):
         NodeIndexSet(3, 7, (2, 4, 6))
@@ -160,7 +150,7 @@ def test_replacement_pairing_is_an_exchange(k, N, J):
     Il = set(last_index(k, N))
     assert set(pairing) == If
     kept = set(node.in_first)
-    incoming = set(node.in_last)
+    incoming = set(node.J) & Il
     # rows of If ∩ J pair into Il \ J; rows of If \ J pair into Il ∩ J
     assert {pairing[p] for p in kept} == Il - incoming
     assert {pairing[p] for p in If - kept} == incoming

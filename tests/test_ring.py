@@ -36,13 +36,6 @@ def test_multipoly_ring_laws_at_points(f, g, pt):
     assert (f * g).eval(pt) == f.eval(pt) * g.eval(pt)
 
 
-@given(small_poly(), st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
-@settings(max_examples=40)
-def test_multipoly_eval_mod_matches_eval(f, pt):
-    p = 2147483647
-    assert f.eval_mod(pt, p) == f.eval(pt) % p
-
-
 def test_multipoly_constructors_and_guards():
     x = MultiPoly.variable(0, 2)
     y = MultiPoly.variable(1, 2)
