@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 import hashlib
 import random
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping
 
 from .exterior import ExteriorArray
 from .hessian import (

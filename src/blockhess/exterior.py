@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from operator import itemgetter, lt
-from typing import Mapping, Sequence
 
 from .linalg import det_cofactor
 from .multiindex import (

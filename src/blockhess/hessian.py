@@ -16,8 +16,8 @@ and the direct-sum embedding of two Hessians into a larger one.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from . import linalg
 from .exterior import ExteriorArray, act_gl, w_swap_matrix

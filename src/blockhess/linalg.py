@@ -11,9 +11,9 @@ The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Sequence
 
 from .ring import MultiPoly, Scalar, scalar_mod
 
@@ -190,18 +190,24 @@ def det_mod(m: Sequence[Sequence[Scalar]], p: int) -> int:
     return det if rank == n else 0
 
 
-def _content_free(row: dict[int, int]) -> dict[int, int]:
+# A row over Q: dense, or sparse as a mapping from column keys of one
+# ordered type (ints, or multiindex tuples) to their entries.
+Row = Sequence[Scalar] | Mapping[object, Scalar]
+
+
+def _content_free(row: dict) -> dict:
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _primitive(row: Sequence[Scalar]) -> dict[int, int]:
-    """The nonzero entries of ``row`` as a sparse row of coprime integers.
+def _primitive(row: Row) -> dict:
+    """The nonzero entries of ``row`` as a sparse row of coprime integers,
+    keyed by column index or by the mapping's own keys.
 
     Clearing denominators and dividing out the content scale the row by a
     nonzero rational, so ranks and row spaces are unchanged.
     """
-    nonzero = [(j, e) for j, e in enumerate(row) if e]
+    nonzero = [(j, e) for j, e in (row.items() if isinstance(row, Mapping) else enumerate(row)) if e]
     den = lcm(*[e.denominator for _, e in nonzero])
     return _content_free({j: e.numerator * (den // e.denominator) for j, e in nonzero})
 
@@ -211,7 +217,7 @@ def primitive_rows(m: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     return [[r.get(j, 0) for j in range(len(row))] for row, r in zip(m, map(_primitive, m))]
 
 
-def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+def _eliminate(row: dict, piv: dict, c) -> dict:
     """Primitive integer multiple of ``row`` minus ``piv`` with column c cleared."""
     g = gcd(row[c], piv[c])
     a, b = piv[c] // g, row[c] // g
@@ -225,13 +231,13 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return _content_free(out)
 
 
-def _echelon(m: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+def _echelon(m: Sequence[Row]) -> dict:
     """Echelon basis of the row space of ``m`` over Q, keyed by leading column.
 
     Rows are inserted one at a time and reduced against the basis by
     gcd-scaled integer row operations, so no entry is ever a fraction.
     """
-    basis: dict[int, dict[int, int]] = {}
+    basis: dict = {}
     for row in m:
         r = _primitive(row)
         while r:
@@ -243,16 +249,12 @@ def _echelon(m: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
     return basis
 
 
-def rank_fraction(m: Sequence[Sequence[Scalar]]) -> int:
+def rank_fraction(m: Sequence[Row]) -> int:
     """Exact rank over Q: the size of the integer echelon basis."""
     return len(_echelon(m))
 
 
-def span_equal(rows_a: Sequence[Sequence[Scalar]], rows_b: Sequence[Sequence[Scalar]]) -> bool:
+def span_equal(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> bool:
     """Do two row families span the same subspace of Q^n?"""
-    ra = rank_fraction(rows_a) if rows_a else 0
-    rb = rank_fraction(rows_b) if rows_b else 0
-    if ra != rb:
-        return False
-    joint = [list(r) for r in rows_a] + [list(r) for r in rows_b]
-    return (rank_fraction(joint) if joint else 0) == ra
+    ra = rank_fraction(rows_a)
+    return rank_fraction(rows_b) == ra and rank_fraction([*rows_a, *rows_b]) == ra

@@ -14,13 +14,14 @@ and the sign bookkeeping of sorting tuples that may arrive out of order.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable
 from operator import lt
-from typing import Iterable, NamedTuple
 
 MultiIndex = tuple[int, ...]
 
 
-class SignedIndex(NamedTuple):
+class SignedIndex(namedtuple("SignedIndex", ["index", "sign"])):
     """A sorted multiindex together with the sign of the sort.
 
     ``sign`` is (-1)**tau where tau is the number of transpositions used
@@ -28,8 +29,7 @@ class SignedIndex(NamedTuple):
     (the corresponding alternating coordinate vanishes).
     """
 
-    index: MultiIndex
-    sign: int
+    __slots__ = ()
 
 
 def sort_with_sign(values: Iterable[int], N: int | None = None) -> SignedIndex:

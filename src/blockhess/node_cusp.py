@@ -24,8 +24,10 @@ column lies in at most one frame row, except that a partial derivative
 replaces one row by a single unit column, which may be shared with one
 other row.  The replaced row has one column and cannot lie on a cycle, so
 the row-column incidence graph is a forest, every submatrix keeps that
-property, and a forest has at most one perfect matching: each minor, and
-each minor met on the way, has at most one nonzero term.
+property, and a forest has at most one perfect matching: each minor has at
+most one nonzero term.  So a form is built from the at most 2**k ways to
+pick one column per frame row, each choice at distinct columns giving the
+whole minor on those columns, and never from the C(N, k) minors one by one.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exterior import ChartPoint, ExteriorArray, is_critical
+from .exterior import ChartPoint, ExteriorArray, _perm_sign, is_critical
 from .hessian import HessianMatrix, assemble, det_exact
-from .linalg import rank_fraction
+from .linalg import rank_fraction, span_equal
 from .multiindex import (
     MultiIndex,
     NodeIndexSet,
-    enumerate_indices,
     first_index,
     last_index,
     replacement_pairing,
@@ -170,35 +171,24 @@ def chart_point_at(spec: NodePointSpec) -> ChartPoint:
 # Defining forms at x(J, T) and their T -> 0 limits
 
 
-def _sparse_minor(rows: list[list[tuple[int, int]]], cols: tuple[int, ...]) -> tuple[int, int] | None:
-    """The minor on ``cols`` of rows given as (column, T-exponent) unit
-    entries, as (sign, T-exponent) of its one term, or None if it vanishes.
-
-    Expansion along the first row.  The module docstring shows that at most
-    one term survives; a second one raises AssertionError.
-    """
-    if not rows:
-        return 1, 0
-    term = None
-    for c, exp in rows[0]:
-        if c not in cols:
-            continue
-        i = cols.index(c)
-        sub = _sparse_minor(rows[1:], cols[:i] + cols[i + 1 :])
-        if sub is None:
-            continue
-        if term is not None:
-            raise AssertionError(f"minor on columns {cols} has a second term")
-        term = (-sub[0] if i % 2 else sub[0]), exp + sub[1]
-    return term
-
-
 def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearForm:
+    """The k x k minors of a frame whose rows hold (column, T-exponent) unit
+    entries, as a form on the C(N, k) multiindices.
+
+    A term of a minor picks one entry per row at distinct columns, so only
+    the at most 2**k row choices can reach a multiindex.  The module
+    docstring shows that no two of them reach the same one; a second term
+    raises AssertionError.
+    """
     form: LinearForm = {}
-    for I in enumerate_indices(k, N):
-        m = _sparse_minor(rows, I)
-        if m is not None:
-            form[I] = {m[1]: Fraction(m[0])}
+    for choice in itertools.product(*rows):
+        cols = [c for c, _ in choice]
+        I = tuple(sorted(cols))
+        if len(set(I)) < k:
+            continue
+        if I in form:
+            raise AssertionError(f"minor on columns {I} has a second term")
+        form[I] = {sum(e for _, e in choice): Fraction(_perm_sign(cols))}
     return form
 
 
@@ -348,17 +338,8 @@ def limit_T0(forms: DefiningForms) -> list[RationalForm]:
     Dependence signals a wrong normalization (or an inadmissible J) and is
     raised, never swallowed.
     """
-    node = forms.spec.J
-    k, N = node.k, node.N
     limits: list[RationalForm] = [{I: lau[0] for I, lau in f.items() if 0 in lau} for f in forms.forms]
-    index_order = {I: i for i, I in enumerate(enumerate_indices(k, N))}
-    matrix = []
-    for lim in limits:
-        row = [0] * len(index_order)
-        for I, c in lim.items():
-            row[index_order[I]] = c
-        matrix.append(row)
-    r = rank_fraction(matrix)
+    r = rank_fraction(limits)
     if r != len(limits):
         raise ValueError(
             f"defining forms are dependent at T = 0 (rank {r} of {len(limits)})"
@@ -397,21 +378,9 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
 
 
 def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k: int, N: int) -> bool:
-    """Exact row-reduction comparison of two spans of coefficient forms."""
-    from .linalg import span_equal
-
-    index_order = {I: i for i, I in enumerate(enumerate_indices(k, N))}
-
-    def as_rows(forms: list[RationalForm]) -> list[list[Scalar]]:
-        rows = []
-        for f in forms:
-            row = [0] * len(index_order)
-            for I, c in f.items():
-                row[index_order[I]] = c
-            rows.append(row)
-        return rows
-
-    return span_equal(as_rows(forms_a), as_rows(forms_b))
+    """Exact row-reduction comparison of two spans of coefficient forms on
+    the C(N, k) multiindices, each form a sparse row."""
+    return span_equal(forms_a, forms_b)
 
 
 # ---------------------------------------------------------------------------

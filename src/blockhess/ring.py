@@ -12,10 +12,10 @@ No floating point anywhere; every result in this module is exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 #: Word-sized primes just below 2^31, used for identity testing.  A trial
 #: with total degree d has failure probability <= d/p per prime.

@@ -18,8 +18,9 @@ LIBRARY_MODULES = (
 )
 
 
-def added_modules(setup: str, statement: str) -> set[str]:
-    """Modules that ``statement`` adds to sys.modules after ``setup`` ran."""
+def added_modules(setup: str, statement: str, *flags: str) -> set[str]:
+    """Modules that ``statement`` adds to sys.modules after ``setup`` ran, in
+    an interpreter started with ``flags``."""
     code = "\n".join([
         "import json, sys",
         setup,
@@ -28,7 +29,7 @@ def added_modules(setup: str, statement: str) -> set[str]:
         "print(json.dumps(sorted(set(sys.modules) - before)))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -44,6 +45,13 @@ def test_library_import_loads_neither_dataclasses_nor_inspect():
     added = added_modules("", "\n".join(f"import blockhess.{m}" for m in LIBRARY_MODULES))
     assert {f"blockhess.{m}" for m in LIBRARY_MODULES} <= added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_library_import_without_site_loads_no_typing():
+    # -S: no site hook preloads typing, which costs more to import than the library
+    added = added_modules("", "\n".join(f"import blockhess.{m}" for m in LIBRARY_MODULES), "-S")
+    assert {f"blockhess.{m}" for m in LIBRARY_MODULES} <= added
+    assert "typing" not in added
 
 
 def test_degrees_command_loads_only_degree():

@@ -15,6 +15,7 @@ from blockhess.linalg import (
     rank_mod,
     span_equal,
 )
+from blockhess.multiindex import enumerate_indices
 from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial, scalar_mod
 
 import linalg_oracle as oracle
@@ -166,6 +167,38 @@ def test_integer_kernel_matches_fraction_oracle(pair):
         assert d == ref
         if len(M) >= 5:  # the integer path; smaller sizes use cofactors
             assert type(d) is type(ref)
+
+
+@st.composite
+def sparse_row_pairs(draw):
+    """(keys, a, b): two families of rows keyed by 2-element multiindices,
+    with explicit zero values and empty rows; b repeats some rows of a,
+    rescaled, so the spans are often equal."""
+    keys = enumerate_indices(2, draw(st.integers(2, 5)))
+    row = st.dictionaries(st.sampled_from(keys), scalars, max_size=len(keys))
+    a = draw(st.lists(row, max_size=6))
+    if a:
+        a += draw(st.lists(st.sampled_from(a), max_size=2))
+        picked = draw(st.lists(st.sampled_from(a), max_size=len(a)))
+        scale = draw(st.sampled_from([1, -2, Fraction(3, 4)]))
+        b = [{I: scale * c for I, c in r.items()} for r in picked]
+    else:
+        b = []
+    b += draw(st.lists(row, max_size=2 if draw(st.booleans()) else 0))
+    return keys, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_row_pairs())
+def test_sparse_rows_match_dense_fraction_oracle(triple):
+    keys, a, b = triple
+
+    def dense(rows):
+        return [[r.get(I, 0) for I in keys] for r in rows]
+
+    assert rank_fraction(a) == oracle.rank_fraction(dense(a))
+    assert rank_fraction(b) == oracle.rank_fraction(dense(b))
+    assert span_equal(a, b) == oracle.span_equal(dense(a), dense(b))
 
 
 # Denominators prime to every modulus below, so each entry has a residue.

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import node_cusp_oracle
 from blockhess.certificates import load, to_array
 from blockhess.exterior import ChartPoint, ExteriorArray, evaluate_form, gradient
 from blockhess.multiindex import (
@@ -165,13 +166,27 @@ def test_moving_forms_match_gradient_numerically():
                     assert got == grad[p - 1][tt - k - 1], (node.J, p, tt)
 
 
+def test_form_for_rows_matches_first_row_expansion():
+    # F and each replaced-row partial of defining_forms_at, for every
+    # admissible J: the row choices give the same minors, exponents and signs
+    # as expanding each of the C(N, k) minors along its first row
+    from blockhess.node_cusp import _form_for_rows, _moving_selection, _pair_rows
+
+    for k, N in ((3, 6), (3, 7), (4, 8), (4, 9), (5, 10)):
+        for node in admissible_node_sets(k, N):
+            rows = _pair_rows(NodePointSpec(node, None))
+            frames = [rows] + [rows[: p - 1] + [[(t, 0)]] + rows[p:] for p, t, _ in _moving_selection(node)]
+            for frame in frames:
+                assert _form_for_rows(frame, k, N) == node_cusp_oracle.form_for_rows(frame, k, N), (node.J, frame)
+
+
 def test_sparse_minor_raises_on_a_second_term():
     # Rows (1, T) and (1, 1) share both columns, so the minor 1 - T has two
     # terms; no x(J, T) frame, with or without a replaced row, has this shape.
-    from blockhess.node_cusp import _sparse_minor
+    from blockhess.node_cusp import _form_for_rows
 
     with pytest.raises(AssertionError, match="second term"):
-        _sparse_minor([[(1, 0), (2, 1)], [(1, 0), (2, 0)]], (1, 2))
+        _form_for_rows([[(1, 0), (2, 1)], [(1, 0), (2, 0)]], 2, 2)
 
 
 # ---------------------------------------------------------------------------
