@@ -16,8 +16,9 @@ linalg          one integer echelon kernel on sparse primitive rows (rank
                 and span equality over Q); integer Bareiss
                 determinants over Z and Q; Bareiss on polynomial entries;
                 one bit-packed elimination for rank and determinant mod p
-exterior        coefficient arrays, chart points, group actions, translation
-                by Cauchy-Binet minors of the point, gradients
+exterior        coefficient arrays, chart points, translation by
+                Cauchy-Binet minors of the point, and the gradient and
+                criticality read off the translated array
 hessian         block matrix assembly, duality relabeling, embeddings,
                 det restricted to a line mod p, the (3,6) cube identity
 degree          admissible factor degrees

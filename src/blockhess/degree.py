@@ -21,9 +21,6 @@ class FeasibleDegrees:
         self.total = total
         self.degrees = degrees
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "N": self.N, "total": self.total, "degrees": list(self.degrees)}
-
 
 def feasible_degrees(k: int, N: int) -> FeasibleDegrees:
     """All d in [1, k(N-k)] with k | (k-2)d and (N-k) | 2d.

@@ -9,6 +9,8 @@ point of If = (1..k) is
 where eta_I is the k x k minor with columns I.  Every Hessian entry and
 defining form downstream is a shifted coefficient symbol: If with value t
 placed at position p, read through ``get`` with the sign of sorting.
+The value, gradient and Hessian at a chart point X are all read off the
+translated array ``act_translation(A, X)``, whose form is F(A, X + y).
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from operator import itemgetter, lt
 
-from .linalg import det_cofactor
-from .multiindex import (
-    MultiIndex,
-    enumerate_indices,
-    is_valid_index,
-    sort_with_sign,
-)
-from .ring import MultiPoly, Scalar, scalar_from_string, scalar_to_string
+from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign, star
+from .ring import Scalar, scalar_from_string, scalar_to_string
 
 
 def _all_valid_tuples(keys, k: int, N: int) -> bool:
@@ -134,105 +130,41 @@ class ChartPoint:
     def zero(cls, k: int, N: int) -> "ChartPoint":
         return cls.from_rows(k, N, [[0] * (N - k) for _ in range(k)])
 
-    def entry(self, p: int, t: int):
-        """x^p_t with p in [1,k], t in [k+1,N]."""
-        return self.X[p - 1][t - self.k - 1]
 
-    def frame(self) -> list[list]:
-        """The k x N row frame [Id_k | X]."""
-        return [
-            [1 if c == p else 0 for c in range(1, self.k + 1)] + list(self.X[p - 1])
-            for p in range(1, self.k + 1)
-        ]
-
-    def neg(self) -> "ChartPoint":
-        return ChartPoint.from_rows(self.k, self.N, [[-e for e in row] for row in self.X])
-
-
-GroupElement = Sequence[Sequence]  # N x N matrix
-
-
-def frame_minor(frame: Sequence[Sequence], I: MultiIndex):
-    """The k x k minor of a k x N row frame with columns I (1-based)."""
-    sub = [[row[c - 1] for c in I] for row in frame]
-    return det_cofactor(sub)
-
-
-def evaluate_form(A: ExteriorArray, X: "ChartPoint | Sequence[Sequence]"):
-    """F(A, x) = sum_I a_I eta_I at a chart point or explicit k x N frame."""
-    frame = X.frame() if isinstance(X, ChartPoint) else [list(r) for r in X]
-    total = 0
-    for I, c in A.items():
-        total = total + c * frame_minor(frame, I)
-    return total
-
-
-def var_index(p: int, t: int, k: int, N: int) -> int:
-    """Flat variable index of x^p_t: row-major, matching Hessian row labels."""
-    return (p - 1) * (N - k) + (t - k - 1)
-
-
-def dehomogenized_polynomial(A: ExteriorArray) -> MultiPoly:
-    """F(A, x) as a polynomial in the chart coordinates x^p_t.
-
-    Expanded by Leibniz sums over the column minors rather than through the
-    generic determinant, so it can serve as an independent route in tests.
-    Total degree is at most min(k, N-k).
-    """
-    k, N = A.k, A.N
-    n = k * (N - k)
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for I, c in A.items():
-        # minor of [Id | X] with columns I: identity columns pin their rows,
-        # the remaining rows P are matched to the X-columns T in all ways.
-        # Each (I, matching) gives its own monomial, so no two terms collide.
-        fixed = [v for v in I if v <= k]
-        T = [v for v in I if v > k]
-        P = [p for p in range(1, k + 1) if p not in fixed]
-        col_of = {v: j for j, v in enumerate(I)}
-        for assign in itertools.permutations(P):
-            # row assign[j] picks column T[j]; the rest sit on the identity.
-            perm_images = [0] * k
-            for v in fixed:
-                perm_images[v - 1] = col_of[v]
-            for j, p in enumerate(assign):
-                perm_images[p - 1] = col_of[T[j]]
-            exp = [0] * n
-            for j, p in enumerate(assign):
-                exp[var_index(p, T[j], k, N)] += 1
-            terms[tuple(exp)] = _perm_sign(perm_images) * c
-    return MultiPoly(n, terms)
-
-
-def _perm_sign(images: Sequence[int]) -> int:
-    return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
+def _star_vanishes(A: ExteriorArray, J: MultiIndex) -> bool:
+    """True iff a_I = 0 for every I in the star of J."""
+    return not any(A.coeffs.get(I) for I in star(J, A.N))
 
 
 def gradient(A: ExteriorArray, X: ChartPoint) -> list[list]:
-    """All first partials of the dehomogenized form at X, as a k x (N-k) grid."""
-    poly = dehomogenized_polynomial(A)
-    point = [X.entry(p, t) for p in range(1, A.k + 1) for t in range(A.k + 1, A.N + 1)]
+    """All first partials of the chart form at X, as a k x (N-k) grid.
+
+    F(B, y) = F(A, X + y) for B = ``act_translation(A, X)``, and the
+    linear term of F(B, y) in x^p_t is the coefficient symbol of If with t
+    at position p.
+    """
+    B = act_translation(A, X)
+    base = list(first_index(A.k, A.N))
     return [
-        [poly.derivative(var_index(p, t, A.k, A.N)).eval(point) for t in range(A.k + 1, A.N + 1)]
+        [B.get(base[: p - 1] + [t] + base[p:]) for t in range(A.k + 1, A.N + 1)]
         for p in range(1, A.k + 1)
     ]
 
 
 def is_critical(A: ExteriorArray, X: ChartPoint) -> bool:
-    """True iff F(A, X) = 0 and every first partial vanishes at X."""
-    if evaluate_form(A, X) != 0:
-        return False
-    return all(e == 0 for row in gradient(A, X) for e in row)
+    """True iff F(A, X) = 0 and every first partial vanishes at X: the
+    translated array has no coefficient in the star of If."""
+    return _star_vanishes(act_translation(A, X), first_index(A.k, A.N))
 
 
 def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
     """Translate the array by X: the B with F(B, y) = F(A, X + y).
 
     [Id_k | y] g = [Id_k | X + y] for g = [[Id_k, X], [0, Id_{N-k}]], so by
-    Cauchy-Binet b_J = sum_I a_I minor(g; rows J, cols I); B is
-    act_gl(A, g^T).  With J_lo = J n [1, k] and J_hi = J n [k+1, N], that
-    minor vanishes unless I = (J_lo \\ S) u T u J_hi for some S in J_lo and
-    some |S| columns T above k outside J_hi, and then it is +-det X[S, T].
+    Cauchy-Binet b_J = sum_I a_I minor(g; rows J, cols I).  With
+    J_lo = J n [1, k] and J_hi = J n [k+1, N], that minor vanishes unless
+    I = (J_lo \\ S) u T u J_hi for some S in J_lo and some |S| columns T
+    above k outside J_hi, and then it is +-det X[S, T].
     Each nonzero a_I is therefore pushed to the J = (I_lo u S) u (I_hi \\ T),
     S outside I_lo, T inside I_hi; each minor of X is computed once per call.
 
@@ -293,64 +225,3 @@ def _chart_minors(X: ChartPoint):
         return total
 
     return minor
-
-
-def minor_of(g: GroupElement, rows: MultiIndex, cols: MultiIndex):
-    """k x k minor of g with the given 1-based row and column index sets."""
-    sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
-    return det_cofactor(sub)
-
-
-def _signed_permutation(g: GroupElement) -> tuple[dict[int, int], dict[int, Scalar]] | None:
-    """If g is a signed permutation matrix, return (phi, sign) with
-    g e_j = sign[j] * e_phi(j); otherwise None."""
-    N = len(g)
-    phi: dict[int, int] = {}
-    sgn: dict[int, Scalar] = {}
-    seen_rows: set[int] = set()
-    for j in range(1, N + 1):
-        nz = [(i, g[i - 1][j - 1]) for i in range(1, N + 1) if g[i - 1][j - 1] != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1) or nz[0][0] in seen_rows:
-            return None
-        phi[j] = nz[0][0]
-        sgn[j] = nz[0][1]
-        seen_rows.add(nz[0][0])
-    return phi, sgn
-
-
-def act_gl(A: ExteriorArray, g: GroupElement) -> ExteriorArray:
-    """Right action of GL_N: (A . g)_J = sum_I a_I * minor(g; rows I, cols J)."""
-    k, N = A.k, A.N
-    if len(g) != N or any(len(row) != N for row in g):
-        raise ValueError(f"group element must be {N}x{N}")
-    perm = _signed_permutation(g)
-    coeffs: dict[MultiIndex, Scalar] = {}
-    if perm is not None:
-        phi, sgn = perm
-        inv = {v: kk for kk, v in phi.items()}
-        for I, c in A.items():
-            J = tuple(sorted(inv[i] for i in I))
-            _, order_sign = sort_with_sign([phi[j] for j in J], N)
-            unit = 1
-            for j in J:
-                unit *= sgn[j]
-            coeffs[J] = c * order_sign * unit  # J runs over distinct index sets
-        return ExteriorArray(k, N, coeffs)
-    for J in enumerate_indices(k, N):
-        total = 0
-        for I, c in A.items():
-            total = total + c * minor_of(g, I, J)
-        if total != 0:
-            coeffs[J] = total
-    return ExteriorArray(k, N, coeffs)
-
-
-def w_swap_matrix(k: int, N: int) -> list[list[int]]:
-    """The block swap w = [[0, Id_{N-k}], [Id_k, 0]]: w e_j = e_{N-k+j} for
-    j <= k and e_{j-k} for j > k.  Conjugating the chart by w turns E into wE."""
-    g = [[0] * N for _ in range(N)]
-    for j in range(1, k + 1):
-        g[N - k + j - 1][j - 1] = 1
-    for j in range(k + 1, N + 1):
-        g[j - k - 1][j - 1] = 1
-    return g

@@ -16,19 +16,18 @@ and the direct-sum embedding of two Hessians into a larger one.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections.abc import Sequence
 from math import comb
 
 from . import linalg
-from .exterior import ExteriorArray, act_gl, w_swap_matrix
+from .exterior import ExteriorArray
 from .multiindex import MultiIndex, enumerate_indices, first_index, sort_with_sign
 from .ring import (
     WORD_PRIMES,
     MultiPoly,
     lagrange_interpolate_mod,
     prime_for_trial,
-    scalar_from_string,
-    scalar_to_string,
     uni_root_structure_mod,
 )
 
@@ -98,22 +97,6 @@ class HessianMatrix:
 
     def __repr__(self) -> str:
         return f"HessianMatrix(k={self.k}, N={self.N}, side={self.side})"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def ser(e):
-            if isinstance(e, MultiPoly):
-                return e.to_str(coefficient_names(self.k, self.N))
-            return scalar_to_string(e)
-
-        return {"k": self.k, "N": self.N, "rows": [[ser(e) for e in row] for row in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HessianMatrix":
-        k, N = int(data["k"]), int(data["N"])
-        rows = [[scalar_from_string(e) for e in row] for row in data["rows"]]
-        return cls(k, N, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +185,20 @@ def assemble_symbolic(k: int, N: int) -> HessianMatrix:
 def assemble_dual(A: ExteriorArray) -> HessianMatrix:
     """Hessian at the opposite coordinate point, in swapped-chart coordinates.
 
-    Conjugating by the block swap w moves the chart around the opposite
-    point back to the standard one, so this is assemble(A . w).  Row label
-    (p, t) of the result is the swapped-chart coordinate pair (p, t - k).
+    Conjugating by the block swap w, with w e_j = e_{N-k+j} for j <= k and
+    e_{j-k} for j > k, moves the chart around the opposite point back to the
+    standard one, so this is assemble(A . w) with (A . w)_J = sign * a_{w(J)}.
+    An I with n entries at most N-k comes from the J that lists its other
+    k - n entries minus (N-k), then its first n plus k; sorting w(J) moves
+    those n past the k - n, so sign = (-1)^(n(k-n)).  Row label (p, t) of
+    the result is the swapped-chart coordinate pair (p, t - k).
     """
-    return assemble(act_gl(A, w_swap_matrix(A.k, A.N)))
+    k, m = A.k, A.N - A.k
+    swapped = {}
+    for I, c in A.coeffs.items():
+        n = bisect_right(I, m)
+        swapped[tuple([i - m for i in I[n:]] + [i + k for i in I[:n]])] = -c if n * (k - n) % 2 else c
+    return assemble(ExteriorArray(k, A.N, swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -39,26 +39,6 @@ def _pivot_weight(e) -> int:
     return abs(e)
 
 
-def det_cofactor(m: Sequence[Sequence]):
-    """Determinant by cofactor expansion; intended for n < 5 and test oracles."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        a = m[0][j]
-        if isinstance(a, (int, Fraction)) and a == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = a * det_cofactor(minor)
-        total = total - term if j % 2 else total + term
-    return total
-
-
 def det_bareiss(m: Sequence[Sequence]):
     """Fraction-free determinant (Bareiss) with full pivoting.
 
@@ -108,6 +88,8 @@ def det_bareiss(m: Sequence[Sequence]):
 
 def _det_integer(m: Sequence[Sequence[Scalar]]):
     """Bareiss with exact ``//`` on rows cleared of denominators, divided back."""
+    if not m:
+        return 1
     dens = [lcm(*[e.denominator for e in row]) for row in m]
     a = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
     sign, prev = 1, 1
@@ -126,14 +108,14 @@ def _det_integer(m: Sequence[Sequence[Scalar]]):
 
 
 def det_exact_generic(m: Sequence[Sequence]):
-    """Dispatch: Bareiss on polynomial entries; for ints and Fractions,
-    cofactor expansion below size 5 and integer Bareiss above."""
+    """Dispatch: Bareiss on polynomial entries, integer Bareiss on ints and
+    Fractions of every size."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if any(isinstance(e, MultiPoly) for row in m for e in row):
         return det_bareiss(m)
-    return det_cofactor(m) if n < 5 else _det_integer(m)
+    return _det_integer(m)
 
 
 def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:

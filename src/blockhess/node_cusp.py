@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exterior import ChartPoint, ExteriorArray, _perm_sign, is_critical
+from .exterior import ChartPoint, ExteriorArray, _star_vanishes
 from .hessian import HessianMatrix, assemble, det_exact
 from .linalg import rank_fraction, span_equal
 from .multiindex import (
@@ -45,7 +45,6 @@ from .multiindex import (
     last_index,
     replacement_pairing,
     sort_with_sign,
-    star,
 )
 from .ring import Scalar
 
@@ -91,12 +90,10 @@ def render_laurent(a: Laurent) -> str:
 
 
 def cusp_membership(A: ExteriorArray) -> bool:
-    """True iff the form is critical at the base coordinate point and the
-    Hessian determinant there vanishes."""
-    origin = ChartPoint.zero(A.k, A.N)
-    if not is_critical(A, origin):
-        return False
-    return det_exact(assemble(A)) == 0
+    """True iff the form is critical at the base coordinate point (no
+    coefficient in the star of If) and the Hessian determinant there
+    vanishes."""
+    return _star_vanishes(A, first_index(A.k, A.N)) and det_exact(assemble(A)) == 0
 
 
 def generic_node_membership(A: ExteriorArray) -> bool:
@@ -107,8 +104,7 @@ def generic_node_membership(A: ExteriorArray) -> bool:
     coordinate points: every coefficient in the star of If and of Il
     vanishes.
     """
-    k, N = A.k, A.N
-    return all(A.coeffs.get(I, 0) == 0 for J in (first_index(k, N), last_index(k, N)) for I in star(J, N))
+    return _star_vanishes(A, first_index(A.k, A.N)) and _star_vanishes(A, last_index(A.k, A.N))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +186,10 @@ def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearF
             raise AssertionError(f"minor on columns {I} has a second term")
         form[I] = {sum(e for _, e in choice): Fraction(_perm_sign(cols))}
     return form
+
+
+def _perm_sign(images: list[int]) -> int:
+    return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
 
 
 def _normalized(form: LinearForm) -> tuple[LinearForm, int]:

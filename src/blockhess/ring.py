@@ -269,20 +269,7 @@ class MultiPoly:
             n >>= 1
         return result
 
-    # -- evaluation and substitution -----------------------------------------
-
-    def eval(self, point: Sequence[Scalar]) -> Scalar:
-        """Evaluate at a point of scalars."""
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total: Scalar = 0
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, i: int, value: "MultiPoly | Scalar") -> "MultiPoly":
         """Substitute variable i by a scalar or a same-arity polynomial."""
@@ -298,14 +285,6 @@ class MultiPoly:
             rest = tuple(0 if j == i else v for j, v in enumerate(exp))
             out = out + powers[e] * MultiPoly(self.nvars, {rest: c})
         return out
-
-    def derivative(self, i: int) -> "MultiPoly":
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
-            if exp[i]:
-                new = tuple(e - 1 if j == i else e for j, e in enumerate(exp))
-                terms[new] = terms.get(new, 0) + c * exp[i]
-        return MultiPoly(self.nvars, terms)
 
     def translate(self, point: Sequence[Scalar]) -> "MultiPoly":
         """Compose with the shift x_i -> x_i + point[i] (exact).

@@ -4,14 +4,25 @@ library calls them.
 ``checked_coeffs`` is the key-by-key check that ``ExteriorArray`` falls
 back to when its all-keys-at-once check fails.
 
-``act_translation`` expands the chart form F(A, x) as a polynomial, shifts
-it to F(A, X + y) with ``MultiPoly.translate`` and reads each coefficient
-back off its squarefree monomial.  It is slow and shares no code with the
-Cauchy-Binet kernel in ``blockhess.exterior`` that it checks.
+The polynomial route: ``dehomogenized_polynomial`` expands the chart form
+F(A, x) by Leibniz sums over the column minors of [Id_k | x].
+``gradient``, ``second_partials`` and ``is_critical`` differentiate and
+evaluate it term by term, and ``act_translation`` shifts it to
+F(A, X + y) with ``MultiPoly.translate`` and reads each coefficient back
+off its squarefree monomial.  ``evaluate_form`` sums a_I times the
+cofactor minors of the frame.  ``act_gl`` is the general right action of
+GL_N, one cofactor minor per pair (I, J).  All of them are slow and share
+no code with the Cauchy-Binet kernel in ``blockhess.exterior`` or with
+the block-swap relabel in ``blockhess.hessian.assemble_dual``.
 """
 
-from blockhess.exterior import ExteriorArray, dehomogenized_polynomial, var_index
+import itertools
+
+from blockhess.exterior import ExteriorArray
 from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, sort_with_sign
+from blockhess.ring import MultiPoly
+from linalg_oracle import det_cofactor
+from ring_oracle import evaluate, partial
 
 
 def checked_coeffs(k, N, coeffs):
@@ -27,12 +38,96 @@ def checked_coeffs(k, N, coeffs):
     return out
 
 
+def var_index(p, t, k, N):
+    """Flat variable index of x^p_t: row-major, matching Hessian row labels."""
+    return (p - 1) * (N - k) + (t - k - 1)
+
+
+def chart_coords(X):
+    """The entries x^p_t of a chart point in ``var_index`` order."""
+    return [e for row in X.X for e in row]
+
+
+def frame(X):
+    """The k x N row frame [Id_k | X]."""
+    return [[int(c == p) for c in range(X.k)] + list(row) for p, row in enumerate(X.X)]
+
+
+def frame_minor(rows, I):
+    """The k x k minor of a k x N row frame with columns I (1-based)."""
+    return det_cofactor([[row[c - 1] for c in I] for row in rows])
+
+
+def evaluate_form(A, X):
+    """F(A, X) = sum_I a_I eta_I([Id_k | X])."""
+    rows = frame(X)
+    total = 0
+    for I, c in A.items():
+        total = total + c * frame_minor(rows, I)
+    return total
+
+
+def _perm_sign(images):
+    return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
+
+
+def dehomogenized_polynomial(A):
+    """F(A, x) as a polynomial in the chart coordinates x^p_t.
+
+    Total degree is at most min(k, N-k).
+    """
+    k, N = A.k, A.N
+    n = k * (N - k)
+    terms = {}
+    for I, c in A.items():
+        # minor of [Id | X] with columns I: identity columns pin their rows,
+        # the remaining rows P are matched to the X-columns T in all ways.
+        # Each (I, matching) gives its own monomial, so no two terms collide.
+        fixed = [v for v in I if v <= k]
+        T = [v for v in I if v > k]
+        P = [p for p in range(1, k + 1) if p not in fixed]
+        col_of = {v: j for j, v in enumerate(I)}
+        for assign in itertools.permutations(P):
+            # row assign[j] picks column T[j]; the rest sit on the identity.
+            perm_images = [0] * k
+            for v in fixed:
+                perm_images[v - 1] = col_of[v]
+            for j, p in enumerate(assign):
+                perm_images[p - 1] = col_of[T[j]]
+            exp = [0] * n
+            for j, p in enumerate(assign):
+                exp[var_index(p, T[j], k, N)] += 1
+            terms[tuple(exp)] = _perm_sign(perm_images) * c
+    return MultiPoly(n, terms)
+
+
+def gradient(A, X):
+    """All first partials of the expanded form at X, as a k x (N-k) grid."""
+    k, N = A.k, A.N
+    poly = dehomogenized_polynomial(A)
+    pt = chart_coords(X)
+    return [[evaluate(partial(poly, var_index(p, t, k, N)), pt) for t in range(k + 1, N + 1)] for p in range(1, k + 1)]
+
+
+def second_partials(A, X):
+    """The k(N-k)-square grid of second partials of the expanded form at X."""
+    poly = dehomogenized_polynomial(A)
+    pt = chart_coords(X)
+    firsts = [partial(poly, i) for i in range(len(pt))]
+    return [[evaluate(partial(f, j), pt) for j in range(len(pt))] for f in firsts]
+
+
+def is_critical(A, X):
+    """F(A, X) = 0 and every first partial vanishes at X."""
+    if evaluate(dehomogenized_polynomial(A), chart_coords(X)) != 0:
+        return False
+    return all(e == 0 for row in gradient(A, X) for e in row)
+
+
 def act_translation(A, X):
     """The array whose chart form is F(A, X + y), by polynomial shift."""
     k, N = A.k, A.N
-    poly = dehomogenized_polynomial(A)
-    point = [X.entry(p, t) for p in range(1, k + 1) for t in range(k + 1, N + 1)]
-    shifted = poly.translate(point)
+    shifted = dehomogenized_polynomial(A).translate(chart_coords(X))
     n = k * (N - k)
     coeffs = {}
     for I in enumerate_indices(k, N):
@@ -49,3 +144,27 @@ def act_translation(A, X):
             _, sign = sort_with_sign(raw, N)
             coeffs[I] = sign * c
     return ExteriorArray(k, N, coeffs)
+
+
+def act_gl(A, g):
+    """Right action of GL_N: (A . g)_J = sum_I a_I * minor(g; rows I, cols J)."""
+    k, N = A.k, A.N
+    coeffs = {}
+    for J in enumerate_indices(k, N):
+        total = 0
+        for I, c in A.items():
+            total = total + c * det_cofactor([[g[i - 1][j - 1] for j in J] for i in I])
+        if total != 0:
+            coeffs[J] = total
+    return ExteriorArray(k, N, coeffs)
+
+
+def w_swap_matrix(k, N):
+    """The block swap w = [[0, Id_{N-k}], [Id_k, 0]]: w e_j = e_{N-k+j} for
+    j <= k and e_{j-k} for j > k.  Conjugating the chart by w turns E into wE."""
+    g = [[0] * N for _ in range(N)]
+    for j in range(1, k + 1):
+        g[N - k + j - 1][j - 1] = 1
+    for j in range(k + 1, N + 1):
+        g[j - k - 1][j - 1] = 1
+    return g

@@ -1,15 +1,35 @@
 """Reference linear algebra for the tests; nothing in the library calls it.
 
 Gaussian elimination on ``Fraction`` entries is the oracle that the integer
-echelon kernel in ``blockhess.linalg`` is compared against, and dense
-elimination over full rows the oracle for its GF(p) kernel; they are slow
-and simple on purpose.  The dense helpers at the end build test matrices.
+echelon kernel in ``blockhess.linalg`` is compared against, dense
+elimination over full rows the oracle for its GF(p) kernel, and cofactor
+expansion the oracle for its determinants; they are slow and simple on
+purpose.  The dense helpers at the end build test matrices.
 """
 
 from fractions import Fraction
 
-from blockhess.linalg import det_cofactor
 from blockhess.ring import scalar_mod
+
+
+def det_cofactor(m):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j in range(n):
+        a = m[0][j]
+        if isinstance(a, (int, Fraction)) and a == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = a * det_cofactor(minor)
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def rank_fraction(m):

@@ -23,12 +23,7 @@ def test_feasible_degrees_frozen(k, N):
     feas = feasible_degrees(k, N)
     assert feas.total == k * (N - k)
     assert feas.degrees == FROZEN[(k, N)]
-    assert feas.to_json_dict() == {
-        "k": k,
-        "N": N,
-        "total": k * (N - k),
-        "degrees": list(FROZEN[(k, N)]),
-    }
+    assert (feas.k, feas.N) == (k, N)
 
 
 @pytest.mark.parametrize("k,N", sorted(FROZEN))

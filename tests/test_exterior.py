@@ -1,8 +1,9 @@
 """Coefficient arrays and the chart geometry around them.
 
-The load-bearing check is the dual-route agreement between the minor
-expansion (evaluate_form) and the expanded chart polynomial
-(dehomogenized_polynomial): the two are computed by unrelated code paths.
+The load-bearing check is that everything read off the translated array
+(the value, the gradient, criticality) agrees with the expanded chart
+polynomial and the minor expansion in ``tests/exterior_oracle.py``: routes
+that share no code with ``act_translation``.
 """
 
 import random
@@ -13,21 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exterior_oracle
-from blockhess.exterior import (
-    ChartPoint,
-    ExteriorArray,
-    act_gl,
-    act_translation,
-    dehomogenized_polynomial,
-    evaluate_form,
-    frame_minor,
-    gradient,
-    is_critical,
-    var_index,
-    w_swap_matrix,
-)
+from blockhess.exterior import ChartPoint, ExteriorArray, act_translation, gradient, is_critical
+from blockhess.hessian import assemble, assemble_dual
 from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index, star
 from blockhess.ring import MultiPoly
+from ring_oracle import evaluate
 
 
 def rand_array(rng, k, N, lo=-4, hi=4):
@@ -44,10 +35,6 @@ def _nabla_membership(A, J):
     """True iff a_I = 0 for every I in the star of J: the chart-free
     criticality test at the coordinate point of J."""
     return all(A.coeffs.get(I, 0) == 0 for I in star(tuple(J), A.N))
-
-
-def flatten(X):
-    return [X.entry(p, t) for p in range(1, X.k + 1) for t in range(X.k + 1, X.N + 1)]
 
 
 def test_array_access_resolves_signs():
@@ -129,51 +116,64 @@ def test_evaluate_form_matches_expanded_polynomial(k, N):
     for _ in range(6):
         A = rand_array(rng, k, N)
         X = rand_point(rng, k, N)
-        poly = dehomogenized_polynomial(A)
-        assert poly.eval(flatten(X)) == evaluate_form(A, X)
+        poly = exterior_oracle.dehomogenized_polynomial(A)
+        value = exterior_oracle.evaluate_form(A, X)
+        assert evaluate(poly, exterior_oracle.chart_coords(X)) == value
+        # F(A, X) is the coefficient b_If of the translated array
+        assert act_translation(A, X).get(first_index(k, N)) == value
 
 
 def test_dehomogenized_polynomial_on_symbolic_chart_is_identity_route():
     # substituting the symbolic chart into evaluate_form reproduces the
     # polynomial that dehomogenized_polynomial builds directly
     A = ExteriorArray(2, 4, {(1, 2): 3, (1, 3): 2, (3, 4): 1, (2, 4): -1})
-    S = ChartPoint.from_rows(2, 4, [[MultiPoly.variable(var_index(p, t, 2, 4), 4) for t in (3, 4)] for p in (1, 2)])
-    assert evaluate_form(A, S) == dehomogenized_polynomial(A)
+    var = exterior_oracle.var_index
+    S = ChartPoint.from_rows(2, 4, [[MultiPoly.variable(var(p, t, 2, 4), 4) for t in (3, 4)] for p in (1, 2)])
+    assert exterior_oracle.evaluate_form(A, S) == exterior_oracle.dehomogenized_polynomial(A)
 
 
 def test_plucker_minor_and_frame_minor():
     X = ChartPoint.from_rows(2, 4, [[1, 2], [3, 4]])
-    F = X.frame()
-    assert frame_minor(F, (1, 2)) == 1
-    assert frame_minor(F, (3, 4)) == 1 * 4 - 2 * 3
-    assert frame_minor(F, (1, 3)) == 3  # row2 entry at col 3
-    assert frame_minor(F, (2, 3)) == -1
+    F = exterior_oracle.frame(X)
+    minors = {(1, 2): 1, (3, 4): 1 * 4 - 2 * 3, (1, 3): 3, (2, 3): -1}  # (1, 3): row 2 entry at col 3
+    for I, m in minors.items():
+        assert exterior_oracle.frame_minor(F, I) == m
+        # the translated unit array reads the Pluecker coordinate at If
+        assert act_translation(ExteriorArray(2, 4, {I: 1}), X).get((1, 2)) == m
 
 
-def test_gradient_matches_polynomial_partials():
-    rng = random.Random(8)
-    A = rand_array(rng, 3, 6)
-    X = rand_point(rng, 3, 6)
-    poly = dehomogenized_polynomial(A)
-    pt = flatten(X)
-    n = len(pt)
+@st.composite
+def chart_cases(draw):
+    """(A, X) with k in 1..4 and N in k+1..k+4 (so N < 2k occurs), int or
+    Fraction coefficients, the zero point or a Fraction point, and now and
+    then A zeroed on the star of If, which makes it critical at 0."""
+    k = draw(st.integers(1, 4))
+    N = draw(st.integers(k + 1, k + 4))
+    values = st.integers(-3, 3) if draw(st.booleans()) else st.fractions(-3, 3, max_denominator=4)
+    keys = list(enumerate_indices(k, N))
+    coeffs = dict(zip(keys, draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
+    if draw(st.booleans()):
+        for I in star(first_index(k, N), N):
+            coeffs[I] = 0
+    if draw(st.booleans()):
+        X = ChartPoint.zero(k, N)
+    else:
+        xs = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=N - k, max_size=N - k)
+        X = ChartPoint.from_rows(k, N, draw(st.lists(xs, min_size=k, max_size=k)))
+    return ExteriorArray(k, N, coeffs), X
 
-    def partial(f, i):
-        terms = {}
-        for exp, c in f.terms.items():
-            if exp[i]:
-                e2 = list(exp)
-                e2[i] -= 1
-                terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * exp[i]
-        from blockhess.ring import MultiPoly
 
-        return MultiPoly(n, terms)
-
-    grid = gradient(A, X)
-    for p in range(1, 4):
-        for t in range(4, 7):
-            i = var_index(p, t, 3, 6)
-            assert grid[p - 1][t - 4] == partial(poly, i).eval(pt)
+@settings(max_examples=60, deadline=None)
+@given(chart_cases())
+def test_gradient_matches_polynomial_partials(case):
+    A, X = case
+    k, N = A.k, A.N
+    poly = exterior_oracle.dehomogenized_polynomial(A)
+    assert act_translation(A, X).get(first_index(k, N)) == evaluate(poly, exterior_oracle.chart_coords(X))
+    assert gradient(A, X) == exterior_oracle.gradient(A, X)
+    assert is_critical(A, X) == exterior_oracle.is_critical(A, X)
+    w = exterior_oracle.w_swap_matrix(k, N)
+    assert assemble_dual(A).rows == assemble(exterior_oracle.act_gl(A, w)).rows
 
 
 def test_is_critical_at_zero_iff_no_near_first_terms():
@@ -204,7 +204,7 @@ def test_act_translation_composes_additively():
     ZX = ChartPoint.from_rows(
         3, 6, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(Z.X, X.X)]
     )
-    assert evaluate_form(act_translation(A, X), Z) == evaluate_form(A, ZX)
+    assert exterior_oracle.evaluate_form(act_translation(A, X), Z) == exterior_oracle.evaluate_form(A, ZX)
 
 
 ENTRY_KINDS = {
@@ -275,7 +275,7 @@ def test_act_translation_is_lower_unipotent_gl_action(k, N):
         for p in range(k):
             for t in range(k, N):
                 g[t][p] = X.X[p][t - k]
-        assert act_translation(A, X).coeffs == act_gl(A, g).coeffs
+        assert act_translation(A, X).coeffs == exterior_oracle.act_gl(A, g).coeffs
 
 
 def test_act_gl_is_functorial_and_matches_frame_action():
@@ -287,6 +287,7 @@ def test_act_gl_is_functorial_and_matches_frame_action():
 
     g, h = rand_g(5), rand_g(5)
     gh = [[sum(g[i][l] * h[l][j] for l in range(5)) for j in range(5)] for i in range(5)]
+    act_gl = exterior_oracle.act_gl
     lhs = act_gl(act_gl(A, g), h)
     rhs = act_gl(A, gh)
     assert dict(lhs.items()) == dict(rhs.items())
@@ -297,9 +298,9 @@ def test_act_gl_is_functorial_and_matches_frame_action():
 
 def test_w_swap_pulls_opposite_coefficient_to_first():
     k, N = 3, 7
-    w = w_swap_matrix(k, N)
+    w = exterior_oracle.w_swap_matrix(k, N)
     A = ExteriorArray(k, N, {first_index(k, N): 2, last_index(k, N): 5, (1, 4, 7): 3})
-    B = act_gl(A, w)
+    B = exterior_oracle.act_gl(A, w)
     # the translated array reads the opposite coordinate coefficient at If
     assert abs(B.get(first_index(k, N))) == 5
     # a permutation action is a signed bijection on indices

@@ -1,10 +1,12 @@
 """Assembly of the block matrix and everything downstream of it.
 
 Oracle: entries of the assembled matrix must equal second partial
-derivatives of the expanded chart polynomial, computed here by raw term
-manipulation — a route sharing no code with the assembler.
+derivatives of the expanded chart polynomial, computed by raw term
+manipulation in ``tests/exterior_oracle.py`` — a route sharing no code
+with the assembler.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,16 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exterior_oracle
 from blockhess import linalg
-from blockhess.exterior import (
-    ChartPoint,
-    ExteriorArray,
-    act_gl,
-    act_translation,
-    dehomogenized_polynomial,
-    var_index,
-    w_swap_matrix,
-)
+from blockhess.cli import main
+from blockhess.exterior import ChartPoint, ExteriorArray, act_translation
 from blockhess.hessian import (
     HessianMatrix,
     apply_permutation,
@@ -41,7 +37,7 @@ from blockhess.hessian import (
     symbolic_coefficient_array,
 )
 from blockhess.multiindex import enumerate_indices, first_index
-from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial
+from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial, scalar_from_string
 
 
 def rand_array(rng, k, N, lo=-4, hi=4):
@@ -52,16 +48,6 @@ def rand_point(rng, k, N, lo=-2, hi=2):
     return ChartPoint.from_rows(
         k, N, [[Fraction(rng.randint(lo, hi)) for _ in range(N - k)] for _ in range(k)]
     )
-
-
-def poly_partial(f: MultiPoly, i: int) -> MultiPoly:
-    terms: dict = {}
-    for exp, c in f.terms.items():
-        if exp[i]:
-            e2 = list(exp)
-            e2[i] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * exp[i]
-    return MultiPoly(f.nvars, terms)
 
 
 def _positional_get(A: ExteriorArray, values, positions):
@@ -83,22 +69,13 @@ def _grouping_permutation(k: int, a: int, b: int) -> list[int]:
     return first + second
 
 
-def second_partials_at(A: ExteriorArray, X: ChartPoint):
-    """k(N-k)-square grid of d2F/dx_i dx_j at X via term calculus."""
-    poly = dehomogenized_polynomial(A)
-    pt = [X.entry(p, t) for p in range(1, A.k + 1) for t in range(A.k + 1, A.N + 1)]
-    n = len(pt)
-    firsts = [poly_partial(poly, i) for i in range(n)]
-    return [[poly_partial(firsts[i], j).eval(pt) for j in range(n)] for i in range(n)]
-
-
 @pytest.mark.parametrize("k,N", [(2, 5), (3, 6), (3, 7)])
 def test_assemble_matches_second_partials_at_zero(k, N):
     rng = random.Random(f"hess:{k}:{N}")
     for _ in range(4):
         A = rand_array(rng, k, N)
         H = assemble(A)
-        assert H.rows == second_partials_at(A, ChartPoint.zero(k, N))
+        assert H.rows == exterior_oracle.second_partials(A, ChartPoint.zero(k, N))
 
 
 def test_hessian_at_matches_second_partials_at_general_point():
@@ -106,7 +83,7 @@ def test_hessian_at_matches_second_partials_at_general_point():
     for _ in range(4):
         A = rand_array(rng, 3, 6)
         X = rand_point(rng, 3, 6)
-        assert assemble(act_translation(A, X)).rows == second_partials_at(A, X)
+        assert assemble(act_translation(A, X)).rows == exterior_oracle.second_partials(A, X)
 
 
 def test_structure_zero_diagonal_skew_off_diagonal():
@@ -155,10 +132,16 @@ def test_block_grid_inverts_assembly():
                     assert H.rows[(p - 1) * m + u][(q - 1) * m + v] == B[u][v]
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path, capsys):
+    # the hessian command's record reads back, entry by entry, as the
+    # assembled matrix: ints as JSON numbers, rationals as "a/b" strings
     rng = random.Random(11)
-    H = assemble(rand_array(rng, 3, 6))
-    H2 = HessianMatrix.from_json_dict(H.to_json_dict())
+    A = ExteriorArray(3, 6, {I: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for I in enumerate_indices(3, 6)})
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(A.to_json_dict()), encoding="utf-8")
+    assert main(["hessian", "--input", str(path)]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[1])
+    H, H2 = assemble(A), HessianMatrix(rec["k"], rec["N"], [[scalar_from_string(str(e)) for e in row] for row in rec["rows"]])
     assert H2.k == H.k and H2.N == H.N and H2.rows == H.rows
 
 
@@ -186,7 +169,7 @@ def test_assemble_dual_is_swap_then_assemble():
     rng = random.Random(14)
     A = rand_array(rng, 3, 7)
     lhs = assemble_dual(A)
-    rhs = assemble(act_gl(A, w_swap_matrix(3, 7)))
+    rhs = assemble(exterior_oracle.act_gl(A, exterior_oracle.w_swap_matrix(3, 7)))
     assert lhs.rows == rhs.rows
 
 

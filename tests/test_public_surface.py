@@ -1,10 +1,12 @@
 """Every public function and method of the package has a caller outside the tests.
 
-A name counts as reached when it is named anywhere in ``src/``, ``scripts/``
-or ``perfbench/``: as an identifier, an attribute, or a string constant that
-is a dotted name (``perfbench/tracer.py`` wraps functions by name; prose in
-docstrings and messages does not count).  Naming inside the function's own
-body, as a recursive call does, does not count.  The check goes by name,
+A definition counts as reached when it is named anywhere in ``src/``,
+``scripts/`` or ``perfbench/``, leaving out its own body (as a recursive
+call names it).  A method is reached only through an attribute
+(``x.name``) or a string constant that is a dotted name
+(``perfbench/tracer.py`` wraps methods by name; prose in docstrings and
+messages does not count); a module-level function is reached through a
+bare name too, as ``from .m import f`` makes it.  The check goes by name,
 not by type, so it is coarse: any ``.get(...)`` reaches every method called
 ``get``.
 """
@@ -24,52 +26,58 @@ SEARCHED = ("src", "scripts", "perfbench")
 ALLOWED = {"MultiPoly.translate", "MultiPoly.substitute", "MultiPoly.coefficient"}
 
 
-def _public_definitions() -> dict[str, str]:
-    """Qualified name -> bare name of each public function and method."""
-    defs: dict[str, str] = {}
+def _public_definitions() -> dict[str, tuple[str, bool]]:
+    """Qualified name -> (bare name, is a method) of each public function and method."""
+    defs: dict[str, tuple[str, bool]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defs[f"{path.stem}.{node.name}"] = node.name
+                defs[f"{path.stem}.{node.name}"] = (node.name, False)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        defs[f"{node.name}.{item.name}"] = item.name
+                        defs[f"{node.name}.{item.name}"] = (item.name, True)
     return defs
 
 
-def _names_used(tree: ast.AST) -> set[str]:
-    """Identifiers named in ``tree``, leaving out each function's own body."""
-    used: set[str] = set()
+def _names_used(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(bare names, attributes and dotted-string parts) named in ``tree``,
+    leaving out each function's own body."""
+    bare: set[str] = set()
+    attrs: set[str] = set()
 
     def visit(node: ast.AST, inside: frozenset[str]) -> None:
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
+        if isinstance(node, ast.Name) and node.id not in inside:
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                used.update(parts)
-        if name is not None and name not in inside:
-            used.add(name)
+                attrs.update(parts)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, frozenset())
-    return used
+    return bare, attrs
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used: set[str] = set()
+    bare: set[str] = set()
+    attrs: set[str] = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
-    unreached = sorted(q for q, name in _public_definitions().items() if name not in used and q not in ALLOWED)
+            b, a = _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            bare |= b
+            attrs |= a
+    unreached = sorted(
+        q
+        for q, (name, is_method) in _public_definitions().items()
+        if name not in attrs and (is_method or name not in bare) and q not in ALLOWED
+    )
     assert not unreached, f"public names that only tests reach: {unreached}"
 
 
