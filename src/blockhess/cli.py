@@ -12,7 +12,14 @@ Conventions, fixed across every subcommand:
 * stderr carries a one-line human summary, plus ``{"error": ...}`` as JSON
   when the invocation itself is bad;
 * exit status: 0 success/pass, 1 a verification ran and failed, 2 input
-  error.
+  error.  ``main`` is the one place that maps a rejection to exit 2: the
+  library raises ``ValueError`` for an argument it rejects (a bad shape,
+  array, point, index set or certificate), and ``main`` turns any
+  ``ValueError`` into the ``{"error": ...}`` line.  Any other exception
+  (``AssertionError``, ``RuntimeError``, ``ArithmeticError``) is an
+  internal fault and propagates, save where a handler turns one into a
+  rejection and says why (a ``1/0`` in an input file, a denominator that
+  vanishes mod p).
 
 Query commands (``hessian``, ``det``, ``rank``, ``degrees``, ``node``,
 ``critical``) report data and exit 0 unless the input is bad; checking
@@ -32,65 +39,12 @@ from . import __version__
 # a command loads only what it needs and ``import blockhess.cli`` loads none.
 
 
-class CliInputError(Exception):
-    """Bad invocation or unreadable input; mapped to exit status 2."""
+class CliInputError(ValueError):
+    """A rejected invocation, raised by the CLI itself rather than the library."""
 
 
 # ---------------------------------------------------------------------------
-# run configuration and deterministic seeding
-
-
-class RunConfig:
-    """Everything an invocation depends on; serialized into the meta line."""
-
-    __slots__ = ("command", "inputs", "k", "N", "J", "T", "seed", "trials", "prime_policy", "output", "fmt")
-
-    def __init__(
-        self,
-        command: str,
-        inputs: tuple[str, ...] = (),
-        k: int | None = None,
-        N: int | None = None,
-        J: tuple[int, ...] | None = None,
-        T: str | None = None,
-        seed: int = 0,
-        trials: int = 1,
-        prime_policy: str = "fixed-table",
-        output: str | None = None,
-        fmt: str = "json",
-    ):
-        if trials < 1:
-            raise CliInputError(f"trials must be >= 1, got {trials}")
-        if not 0 <= seed < 2**64:
-            raise CliInputError("seed must fit in 64 unsigned bits")
-        if fmt not in ("json", "text"):
-            raise CliInputError(f"unknown format {fmt!r}")
-        self.command = command
-        self.inputs = inputs
-        self.k = k
-        self.N = N
-        self.J = J
-        self.T = T
-        self.seed = seed
-        self.trials = trials
-        self.prime_policy = prime_policy
-        self.output = output
-        self.fmt = fmt
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "k": self.k,
-            "N": self.N,
-            "J": list(self.J) if self.J is not None else None,
-            "T": self.T,
-            "seed": self.seed,
-            "trials": self.trials,
-            "prime_policy": self.prime_policy,
-            "output": self.output,
-            "format": self.fmt,
-        }
+# deterministic seeding
 
 
 def split_rng(seed: int, label: str):
@@ -104,24 +58,34 @@ def split_rng(seed: int, label: str):
 # small I/O helpers
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse, what: str):
+    """``parse`` the JSON document at ``path``; each rejection names the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliInputError(f"{path} is not {what}: {exc}") from exc
 
 
 def _load_array(path: str):
     from .exterior import ExteriorArray
 
-    doc = _load_json(path)
+    return _load_json(path, ExteriorArray.from_json_dict, "a coefficient array")
+
+
+def _load_certificate(cert_id: str):
+    from .certificates import load
+
     try:
-        return ExteriorArray.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"{path} is not a coefficient array: {exc}") from exc
+        return load(cert_id)
+    except KeyError as exc:
+        raise CliInputError(exc.args[0]) from exc
 
 
 def _render_entry(e, names: list[str] | None = None):
@@ -172,6 +136,8 @@ Handled = tuple[list[dict], bool, "dict[str, str] | None"]
 def _need_kN(args) -> tuple[int, int]:
     if args.k is None or args.N is None:
         raise CliInputError("--k and --N are required here")
+    if not 1 <= args.k < args.N:
+        raise CliInputError(f"need 1 <= k < N, got k={args.k}, N={args.N}")
     return args.k, args.N
 
 
@@ -216,7 +182,7 @@ def _cmd_det(args) -> Handled:
             raise CliInputError(f"--mod needs a prime below 2^64, got {args.mod}")
         try:
             rec = {"det": det_mod(H, args.mod), "mod": args.mod}
-        except ZeroDivisionError as exc:
+        except ZeroDivisionError as exc:  # a denominator that vanishes mod p
             raise CliInputError(str(exc)) from exc
     else:
         rec = {"det": _render_entry(det_exact(H))}
@@ -224,14 +190,15 @@ def _cmd_det(args) -> Handled:
 
 
 def _cmd_rank(args) -> Handled:
-    from .hessian import block_row_rank, corank, rank_exact
+    from .hessian import block_row_rank, rank_exact
 
     A = _load_array(args.input)
     H = _assemble(A, args.dual)
+    side, rank = H.k * (H.N - H.k), rank_exact(H)
     rec = {
-        "side": H.k * (H.N - H.k),
-        "rank": rank_exact(H),
-        "corank": corank(H),
+        "side": side,
+        "rank": rank,
+        "corank": side - rank,
         "block_row_ranks": [block_row_rank(H, i) for i in range(1, H.k + 1)],
     }
     return [rec], True, None
@@ -240,11 +207,7 @@ def _cmd_rank(args) -> Handled:
 def _cmd_degrees(args) -> Handled:
     from .degree import feasible_degrees
 
-    k, N = _need_kN(args)
-    try:
-        feas = feasible_degrees(k, N)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    feas = feasible_degrees(*_need_kN(args))
     return [{"total": feas.total, "degrees": list(feas.degrees)}], True, None
 
 
@@ -253,14 +216,10 @@ def _cmd_irreducible(args) -> Handled:
 
     if args.k is None:
         raise CliInputError("--k is required here")
-    try:
-        if args.N_max is not None:
-            records = [r.to_json_dict() for r in run_schedule(args.k, args.N_max)]
-        else:
-            _, N = _need_kN(args)
-            records = [ensure(KnownFactorTable.seeded(), args.k, N).to_json_dict()]
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    if args.N_max is not None:
+        records = [r.to_json_dict() for r in run_schedule(args.k, args.N_max)]
+    else:
+        records = [ensure(KnownFactorTable.seeded(), *_need_kN(args)).to_json_dict()]
     passed = all(r["status"] != "undecided" for r in records)
     return records, passed, None
 
@@ -270,10 +229,7 @@ def _cmd_specialize(args) -> Handled:
 
     A1, A2 = _load_array(args.inputs[0]), _load_array(args.inputs[1])
     H1, H2 = assemble(A1), assemble(A2)
-    try:
-        E = specialize_embed(H1, H2)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    E = specialize_embed(H1, H2)
     d1, d2, de = det_exact(H1), det_exact(H2), det_exact(E)
     rec = {
         "k": E.k,
@@ -350,33 +306,19 @@ def _cmd_node(args) -> Handled:
         raise CliInputError("--J is required (comma-separated index set)")
     if args.symbolic and args.T is not None:
         raise CliInputError("--symbolic and --T are mutually exclusive")
-    try:
-        node = NodeIndexSet(k, N, _parse_J(args.J))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    records: list[dict] = []
-    passed = True
+    node = NodeIndexSet(k, N, _parse_J(args.J))
     if args.T is not None:
-        try:
-            spec = NodePointSpec(node, _parse_T(args.T))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-        X = chart_point_at(spec)
-        records.append(
-            {
-                "J": list(node.J),
-                "T": args.T,
-                "frame_rows": _render_rows(build_x_J_T(spec)),
-                "chart_point": _render_rows(X.X),
-                "meet_first": len(node.in_first),
-            }
-        )
-        return records, passed, None
+        spec = NodePointSpec(node, _parse_T(args.T))
+        rec = {
+            "J": list(node.J),
+            "T": args.T,
+            "frame_rows": _render_rows(build_x_J_T(spec)),
+            "chart_point": _render_rows(chart_point_at(spec).X),
+            "meet_first": len(node.in_first),
+        }
+        return [rec], True, None
     spec = NodePointSpec(node, None)
-    try:
-        forms = defining_forms_at(spec)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    forms = defining_forms_at(spec)
     rec = {
         "J": list(node.J),
         "meet_first": len(node.in_first),
@@ -389,37 +331,24 @@ def _cmd_node(args) -> Handled:
     }
     if len(node.in_first) == k - 2:
         rec["extra_equations"] = [_render_rational_form(f) for f in extra_equations(node)]
-    records.append(rec)
-    if args.limits:
-        try:
-            lims = limit_T0(forms)
-        except ValueError as exc:
-            records.append({"limits_independent": False, "error": str(exc)})
-            return records, False, None
-        records.append(
-            {
-                "limits_independent": True,
-                "count": len(lims),
-                "limits": [_render_rational_form(f) for f in lims],
-            }
-        )
-    return records, passed, None
+    if not args.limits:
+        return [rec], True, None
+    try:
+        lims = limit_T0(forms)
+    except ValueError as exc:  # dependent limits: a finding, not bad input
+        return [rec, {"limits_independent": False, "error": str(exc)}], False, None
+    limits = {"limits_independent": True, "count": len(lims), "limits": [_render_rational_form(f) for f in lims]}
+    return [rec, limits], True, None
 
 
 def _cmd_verify_certificates(args) -> Handled:
-    from .certificates import CERTIFICATE_IDS, import_certificate, load, payload_checksum
+    from .certificates import CERTIFICATE_IDS, certificate_from_json_dict, load, payload_checksum
     from .certificates import verify as verify_certificate
 
     if args.input:
-        try:
-            certs = [import_certificate(args.input)]
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        certs = [_load_json(args.input, certificate_from_json_dict, "a certificate")]
     elif args.id:
-        try:
-            certs = [load(args.id)]
-        except KeyError as exc:
-            raise CliInputError(str(exc.args[0])) from exc
+        certs = [_load_certificate(args.id)]
     else:
         certs = [load(cid) for cid in CERTIFICATE_IDS]
     records = [verify_certificate(c, completion_seed=args.seed) for c in certs]
@@ -428,15 +357,12 @@ def _cmd_verify_certificates(args) -> Handled:
 
 
 def _cmd_verify_node(args) -> Handled:
-    from .certificates import CHECKSUMS, load
+    from .certificates import CHECKSUMS
     from .certificates import verify as verify_certificate
 
     if not args.id:
         raise CliInputError("--id is required (a nodepair certificate id)")
-    try:
-        cert = load(args.id)
-    except KeyError as exc:
-        raise CliInputError(str(exc.args[0])) from exc
+    cert = _load_certificate(args.id)
     if cert.kind != "nodepair":
         raise CliInputError(f"{cert.id} has kind {cert.kind!r}, not nodepair")
     rec = verify_certificate(cert, completion_seed=args.seed)
@@ -446,36 +372,27 @@ def _cmd_verify_node(args) -> Handled:
 def _cmd_identity_h36(args) -> Handled:
     from .hessian import identity_h36
 
-    try:
-        rec = identity_h36(args.trials, args.seed, include_symbolic=not args.skip_symbolic)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    rec = identity_h36(args.trials, args.seed, include_symbolic=not args.skip_symbolic)
     return [rec], bool(rec["pass"]), None
 
 
 def _cmd_critical(args) -> Handled:
     from fractions import Fraction
 
-    from .exterior import ChartPoint, gradient, is_critical
+    from .exterior import ChartPoint, act_translation, gradient, is_critical
     from .node_cusp import cusp_membership
 
-    A = _load_array(args.input)
+    A = B = _load_array(args.input)
+    at_zero = True
     if args.point:
-        doc = _load_json(args.point)
-        try:
-            X = ChartPoint.from_rows(A.k, A.N, [[Fraction(str(e)) for e in row] for row in doc["rows"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"{args.point} is not a chart point: {exc}") from exc
+        X = _load_json(
+            args.point,
+            lambda doc: ChartPoint.from_rows(A.k, A.N, [[Fraction(str(e)) for e in row] for row in doc["rows"]]),
+            "a chart point",
+        )
         at_zero = all(e == 0 for row in X.X for e in row)
-    else:
-        X = ChartPoint.zero(A.k, A.N)
-        at_zero = True
-    rec = {
-        "k": A.k,
-        "N": A.N,
-        "critical": is_critical(A, X),
-        "gradient": _render_rows(gradient(A, X)),
-    }
+        B = act_translation(A, X)
+    rec = {"k": A.k, "N": A.N, "critical": is_critical(B), "gradient": _render_rows(gradient(B))}
     if at_zero:
         rec["cusp_membership"] = cusp_membership(A)
     return [rec], True, None
@@ -569,25 +486,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    inputs = []
-    for attr in ("input", "point"):
-        v = getattr(args, attr, None)
-        if v:
-            inputs.append(v)
-    inputs.extend(getattr(args, "inputs", ()) or ())
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(inputs),
-        k=getattr(args, "k", None),
-        N=getattr(args, "N", None),
-        J=_parse_J(args.J) if getattr(args, "J", None) else None,
-        T=getattr(args, "T", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "json"),
-    )
+def _config(args) -> dict:
+    """Everything an invocation depends on, as the meta line prints it."""
+    J = getattr(args, "J", None)
+    inputs = [v for v in (getattr(args, "input", None), getattr(args, "point", None)) if v]
+    config = {
+        "command": args.command,
+        "inputs": inputs + list(getattr(args, "inputs", ())),
+        "k": getattr(args, "k", None),
+        "N": getattr(args, "N", None),
+        "J": list(_parse_J(J)) if J else None,
+        "T": getattr(args, "T", None),
+        "seed": args.seed,
+        "trials": getattr(args, "trials", 1),
+        "prime_policy": "fixed-table",
+        "output": args.output,
+        "format": args.fmt,
+    }
+    if config["trials"] < 1:
+        raise CliInputError(f"trials must be >= 1, got {config['trials']}")
+    if not 0 <= args.seed < 2**64:
+        raise CliInputError("seed must fit in 64 unsigned bits")
+    return config
 
 
 def _text_block(rec: dict, indent: str = "") -> list[str]:
@@ -610,18 +530,17 @@ def _text_block(rec: dict, indent: str = "") -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        args = build_parser().parse_args(argv)
+        config = _config(args)
         records, passed, used_checksums = _HANDLERS[args.command](args)
-    except CliInputError as exc:
+    except ValueError as exc:  # the one exit-2 boundary; see the module docstring
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    meta: dict = {"command": config.command, "version": __version__, "config": config.to_json_dict()}
+    meta: dict = {"command": args.command, "version": __version__, "config": config}
     if used_checksums is not None:
         meta["certificate_checksums"] = dict(sorted(used_checksums.items()))
-    if config.fmt == "json":
+    if args.fmt == "json":
         lines = [json.dumps(meta, separators=(",", ":"))]
         lines += [json.dumps(rec, separators=(",", ":")) for rec in records]
     else:
@@ -630,16 +549,16 @@ def main(argv: list[str] | None = None) -> int:
             lines.extend(_text_block(rec))
             lines.append("")
     text = "\n".join(lines) + "\n"
-    if config.output:
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as f:
+            with open(args.output, "w", encoding="utf-8") as f:
                 f.write(text)
         except OSError as exc:
-            print(json.dumps({"error": f"cannot write {config.output}: {exc}"}), file=sys.stderr)
+            print(json.dumps({"error": f"cannot write {args.output}: {exc}"}), file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)
-    print(f"{config.command}: {len(records)} record(s), {'PASS' if passed else 'FAIL'}", file=sys.stderr)
+    print(f"{args.command}: {len(records)} record(s), {'PASS' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1
 
 

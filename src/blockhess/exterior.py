@@ -9,8 +9,9 @@ point of If = (1..k) is
 where eta_I is the k x k minor with columns I.  Every Hessian entry and
 defining form downstream is a shifted coefficient symbol: If with value t
 placed at position p, read through ``get`` with the sign of sorting.
-The value, gradient and Hessian at a chart point X are all read off the
-translated array ``act_translation(A, X)``, whose form is F(A, X + y).
+The value, gradient and Hessian at a chart point X are all read at the
+chart origin off the translated array ``act_translation(A, X)``, whose
+form is F(A, X + y).
 """
 
 from __future__ import annotations
@@ -126,35 +127,31 @@ class ChartPoint:
             raise ValueError(f"chart point must be {k}x{N - k}")
         return cls(k, N, rows)
 
-    @classmethod
-    def zero(cls, k: int, N: int) -> "ChartPoint":
-        return cls.from_rows(k, N, [[0] * (N - k) for _ in range(k)])
-
 
 def _star_vanishes(A: ExteriorArray, J: MultiIndex) -> bool:
     """True iff a_I = 0 for every I in the star of J."""
     return not any(A.coeffs.get(I) for I in star(J, A.N))
 
 
-def gradient(A: ExteriorArray, X: ChartPoint) -> list[list]:
-    """All first partials of the chart form at X, as a k x (N-k) grid.
+def gradient(B: ExteriorArray) -> list[list]:
+    """All first partials of the chart form at the origin, as a k x (N-k) grid.
 
-    F(B, y) = F(A, X + y) for B = ``act_translation(A, X)``, and the
-    linear term of F(B, y) in x^p_t is the coefficient symbol of If with t
-    at position p.
+    The linear term of F(B, y) in x^p_t is the coefficient symbol of If
+    with t at position p.  For the partials of F(A, .) at a chart point X,
+    pass B = ``act_translation(A, X)``, since F(B, y) = F(A, X + y).
     """
-    B = act_translation(A, X)
-    base = list(first_index(A.k, A.N))
+    base = list(first_index(B.k, B.N))
     return [
-        [B.get(base[: p - 1] + [t] + base[p:]) for t in range(A.k + 1, A.N + 1)]
-        for p in range(1, A.k + 1)
+        [B.get(base[: p - 1] + [t] + base[p:]) for t in range(B.k + 1, B.N + 1)]
+        for p in range(1, B.k + 1)
     ]
 
 
-def is_critical(A: ExteriorArray, X: ChartPoint) -> bool:
-    """True iff F(A, X) = 0 and every first partial vanishes at X: the
-    translated array has no coefficient in the star of If."""
-    return _star_vanishes(act_translation(A, X), first_index(A.k, A.N))
+def is_critical(B: ExteriorArray) -> bool:
+    """True iff the chart form and all its first partials vanish at the
+    origin: B has no coefficient in the star of If.  At a chart point X,
+    pass B = ``act_translation(A, X)``."""
+    return _star_vanishes(B, first_index(B.k, B.N))
 
 
 def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:

@@ -240,11 +240,6 @@ def rank_exact(M) -> int:
     return r
 
 
-def corank(M) -> int:
-    rows = _rows_of(M)
-    return len(rows) - rank_exact(rows)
-
-
 def block_row_rank(H: HessianMatrix, i: int) -> int:
     """Rank of the i-th natural row block (height N-k, full width).
 

@@ -109,10 +109,6 @@ class KnownFactorTable:
     def add(self, k: int, N: int, degrees: tuple[int, ...], provenance: str) -> None:
         self.entries[canonical_key(k, N)] = (tuple(sorted(degrees)), provenance)
 
-    def provenance(self, k: int, N: int) -> str | None:
-        hit = self.entries.get(canonical_key(k, N))
-        return hit[1] if hit else None
-
 
 # ---------------------------------------------------------------------------
 # coarsenings and candidate enumeration

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exterior import ChartPoint, ExteriorArray, _star_vanishes
+from .exterior import ChartPoint, ExteriorArray, _star_vanishes, is_critical
 from .hessian import HessianMatrix, assemble, det_exact
 from .linalg import rank_fraction, span_equal
 from .multiindex import (
@@ -93,7 +93,7 @@ def cusp_membership(A: ExteriorArray) -> bool:
     """True iff the form is critical at the base coordinate point (no
     coefficient in the star of If) and the Hessian determinant there
     vanishes."""
-    return _star_vanishes(A, first_index(A.k, A.N)) and det_exact(assemble(A)) == 0
+    return is_critical(A) and det_exact(assemble(A)) == 0
 
 
 def generic_node_membership(A: ExteriorArray) -> bool:

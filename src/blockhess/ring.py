@@ -65,11 +65,16 @@ def is_prime(n: int) -> bool:
 
 
 def scalar_from_string(s: str) -> Scalar:
-    """Parse a decimal string, optionally 'a/b' for rationals."""
+    """Parse a decimal string, optionally 'a/b' for rationals; ValueError
+    for anything else, a zero denominator included."""
+    if not isinstance(s, str):
+        raise ValueError(f"a scalar must be a decimal string, got {s!r}")
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return int(s)
 
 

@@ -18,7 +18,7 @@ the block-swap relabel in ``blockhess.hessian.assemble_dual``.
 
 import itertools
 
-from blockhess.exterior import ExteriorArray
+from blockhess.exterior import ChartPoint, ExteriorArray
 from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, sort_with_sign
 from blockhess.ring import MultiPoly
 from linalg_oracle import det_cofactor
@@ -41,6 +41,11 @@ def checked_coeffs(k, N, coeffs):
 def var_index(p, t, k, N):
     """Flat variable index of x^p_t: row-major, matching Hessian row labels."""
     return (p - 1) * (N - k) + (t - k - 1)
+
+
+def zero_point(k, N):
+    """The chart origin X = 0."""
+    return ChartPoint.from_rows(k, N, [[0] * (N - k) for _ in range(k)])
 
 
 def chart_coords(X):

@@ -349,5 +349,5 @@ def test_criterion_13_translation_equivariance():
         # second partials of the original form at X (independent route)
         assert assemble(B).rows == exterior_oracle.second_partials(A, X)
         # criticality commutes, against the expanded polynomial at X
-        assert is_critical(B, ChartPoint.zero(k, N)) == exterior_oracle.is_critical(A, X)
+        assert is_critical(B) == exterior_oracle.is_critical(A, X)
     assert time.monotonic() - t0 < 30.0

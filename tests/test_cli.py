@@ -7,7 +7,8 @@ import random
 import pytest
 
 from blockhess import __version__
-from blockhess.cli import RunConfig, main, split_rng
+from blockhess import hessian
+from blockhess.cli import main, split_rng
 from blockhess.exterior import ExteriorArray
 from blockhess.hessian import identity_h36
 from blockhess.multiindex import enumerate_indices
@@ -59,12 +60,77 @@ def test_missing_input_exits_2_with_error_object(capsys):
         ("node", "--k", "4", "--N", "8", "--J", "5,6,7,8", "--symbolic", "--T", "2"),
         ("identity-h36", "--trials", "0"),
         ("verify-node", "--id", "corank-3-9"),
+        ("hessian", "--k", "5", "--N", "3"),
+        ("hessian", "--k", "0", "--N", "3"),
+        ("duality", "--k", "3", "--N", "2"),
+        ("verify-certificates", "--input", "/no/such/file"),
     ],
 )
 def test_bad_invocations_exit_2(capsys, argv):
-    code, _out, err = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv)
     assert code == 2
-    assert "error" in json.loads(err.splitlines()[0])
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "array,point",
+    [
+        ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1/0"}]}, None),
+        ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": 5}]}, None),
+        ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1"}]}, {"rows": [["1/0", "0"], ["0", "0"]]}),
+        ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1"}]}, {"rows": [["1", "0"]]}),
+        ([], None),
+    ],
+)
+def test_malformed_input_files_exit_2(capsys, tmp_path, array, point):
+    # one {"error": ...} line naming the file, never a traceback
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(array), encoding="utf-8")
+    argv = ["critical", "--input", str(path)]
+    bad = path
+    if point is not None:
+        bad = tmp_path / "pt.json"
+        bad.write_text(json.dumps(point), encoding="utf-8")
+        argv += ["--point", str(bad)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(bad) in json.loads(err)["error"]
+
+
+def _certificate_with(**fields):
+    from blockhess.certificates import load, to_json_dict
+
+    return json.dumps({**to_json_dict(load("corank-3-9")), **fields}).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"{oops", b'{"id": "x"}', _certificate_with(catalog=[1]), _certificate_with(k=0)],
+    ids=["not-utf8", "not-json", "missing-keys", "list-catalog", "zero-k"],
+)
+def test_malformed_certificate_files_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    code, out, err = invoke(capsys, "verify-certificates", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in json.loads(err)["error"]
+
+
+def test_internal_fault_is_not_an_input_error(capsys, tmp_path, monkeypatch):
+    # only ValueError means a rejected argument; a failed self-check must
+    # propagate rather than exit 2
+    def broken(M):
+        raise AssertionError("mod-p rank exceeds exact rank")
+
+    monkeypatch.setattr(hessian, "rank_exact", broken)
+    path = write_array(tmp_path, "a.json", 3, 6)
+    with pytest.raises(AssertionError):
+        main(["rank", "--input", str(path)])
 
 
 @pytest.mark.parametrize("command", ["verify-certificates", "verify-node"])
@@ -271,14 +337,30 @@ def test_text_format_renders_plainly(capsys, tmp_path):
     assert "rank:" in out and "{" not in out.splitlines()[0]
 
 
-def test_run_config_validation():
-    with pytest.raises(Exception):
-        RunConfig(command="det", trials=0)
-    with pytest.raises(Exception):
-        RunConfig(command="det", seed=-1)
-    cfg = RunConfig(command="det")
-    assert cfg.prime_policy == "fixed-table"
-    assert cfg.to_json_dict()["format"] == "json"
+def test_run_config_validation(capsys):
+    code, _out, err = invoke(capsys, "degrees", "--k", "3", "--N", "8", "--seed", "-1")
+    assert code == 2
+    assert json.loads(err) == {"error": "seed must fit in 64 unsigned bits"}
+    code, _out, err = invoke(capsys, "duality", "--k", "3", "--N", "7", "--trials", "0")
+    assert code == 2
+    assert json.loads(err) == {"error": "trials must be >= 1, got 0"}
+    code, out, _ = invoke(capsys, "node", "--k", "3", "--N", "7", "--J", "5,6,7", "--T", "1/2", "--seed", "9")
+    assert code == 0
+    config = json.loads(out.splitlines()[0])["config"]
+    expected = {
+        "command": "node",
+        "inputs": [],
+        "k": 3,
+        "N": 7,
+        "J": [5, 6, 7],
+        "T": "1/2",
+        "seed": 9,
+        "trials": 1,
+        "prime_policy": "fixed-table",
+        "output": None,
+        "format": "json",
+    }
+    assert config == expected and list(config) == list(expected)
 
 
 def test_split_rng_labels_are_independent():

@@ -26,7 +26,6 @@ from blockhess.hessian import (
     assemble_symbolic,
     block_row_rank,
     coefficient_names,
-    corank,
     det_exact,
     det_mod,
     dualize_layout,
@@ -75,7 +74,7 @@ def test_assemble_matches_second_partials_at_zero(k, N):
     for _ in range(4):
         A = rand_array(rng, k, N)
         H = assemble(A)
-        assert H.rows == exterior_oracle.second_partials(A, ChartPoint.zero(k, N))
+        assert H.rows == exterior_oracle.second_partials(A, exterior_oracle.zero_point(k, N))
 
 
 def test_hessian_at_matches_second_partials_at_general_point():
@@ -237,7 +236,7 @@ def test_rank_helpers_and_adjugate_check():
     H = assemble(rand_array(rng, 3, 7))
     while det_exact(H) == 0:  # pragma: no cover - seed chosen to avoid this
         H = assemble(rand_array(rng, 3, 7))
-    assert rank_exact(H) == 12 and corank(H) == 0
+    assert rank_exact(H) == 12
     for i in (1, 2, 3):
         assert block_row_rank(H, i) == 4
     with pytest.raises(ValueError):

@@ -163,3 +163,9 @@ def test_scalar_string_round_trip(text, value):
     s = scalar_from_string(text)
     assert s == value
     assert scalar_from_string(scalar_to_string(s)) == s
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-3/0", 5, None, ["1"], "x", "1/2/3"])
+def test_scalar_from_string_rejects_with_value_error(bad):
+    with pytest.raises(ValueError):
+        scalar_from_string(bad)
