@@ -319,7 +319,13 @@ def ensure(table: KnownFactorTable, k: int, N: int) -> StepRecord:
 
 
 def run_schedule(k: int, N_max: int, table: KnownFactorTable | None = None) -> list[StepRecord]:
-    """Verdicts for (k, N) over N = 2k .. N_max, extending the table as it goes."""
+    """Verdicts for (k, N) over N = 2k .. N_max, extending the table as it goes.
+
+    Raises ValueError when the range is empty (N_max < 2k): a schedule
+    that decides nothing must not read as a pass.
+    """
+    if N_max < 2 * k:
+        raise ValueError(f"empty schedule: N_max = {N_max} < 2k = {2 * k}")
     if table is None:
         table = KnownFactorTable.seeded()
     return [ensure(table, k, N) for N in range(2 * k, N_max + 1)]

@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .ring import MultiPoly, Scalar, scalar_mod
+from .ring import MultiPoly, Scalar, _exquo_scalar, scalar_mod
 
 
 def _exquo(a, b):
@@ -26,8 +26,7 @@ def _exquo(a, b):
         if a == 0:
             return MultiPoly.zero(b.nvars)
         raise ArithmeticError("scalar divided by polynomial")
-    q = Fraction(a) / Fraction(b)
-    return q.numerator if q.denominator == 1 else q
+    return _exquo_scalar(a, b)
 
 
 def _pivot_weight(e) -> int:

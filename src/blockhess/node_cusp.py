@@ -273,7 +273,7 @@ def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int, str]]:
 def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
     """F and its selected partials at x(J, T), T-normalized.
 
-    Requires |If ∩ J| <= k-2.  In the k-2 case the four forms whose T = 0
+    Requires k >= 3 and |If ∩ J| <= k-2.  In the k-2 case the four forms whose T = 0
     value would duplicate coordinates already present in the base system
     (the two cross partials at (t, alpha') and (t', alpha) and the two
     diagonal partials at (t, t) and (t', t')) are replaced by
@@ -283,6 +283,8 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
     node = spec.J
     k, N = node.k, node.N
     meet = len(node.in_first)
+    if k < 3:
+        raise ValueError(f"the node family's defining forms need k >= 3, got k = {k}")
     if meet > k - 2:
         raise ValueError(
             f"|If ∩ J| = {meet} exceeds k-2 = {k - 2}; the tangency family degenerates"

@@ -7,6 +7,12 @@ explicitly).  On top of that sit a sparse multivariate polynomial type
 univariate polynomials mod p, kept as coefficient lists (used for line
 restrictions).
 
+``MultiPoly.exact_divide`` is the quotient step of fraction-free
+elimination.  It keeps one remainder dict, updated in place, and takes
+its leading terms from a graded-lex max-heap, in the spirit of Monagan and
+Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
+2011); a constant divisor divides coefficient-wise.
+
 No floating point anywhere; every result in this module is exact.
 """
 
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import add, neg, sub
 
 Scalar = int | Fraction
 
@@ -234,10 +241,20 @@ class MultiPoly:
         return out
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = terms.get(exp, 0) - c
+            if s == 0:
+                del terms[exp]
+            else:
+                terms[exp] = s
+        out = MultiPoly(self.nvars)
+        out.terms = terms
+        return out
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -248,16 +265,14 @@ class MultiPoly:
             return out
         other = self._coerce(other)
         acc: dict[tuple[int, ...], Scalar] = {}
+        get = acc.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(exp, 0) + c1 * c2
-                if s == 0:
-                    acc.pop(exp, None)
-                else:
-                    acc[exp] = s
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
         out = MultiPoly(self.nvars)
-        out.terms = acc
+        out.terms = {e: c for e, c in acc.items() if c != 0}
         return out
 
     __rmul__ = __mul__
@@ -308,12 +323,17 @@ class MultiPoly:
                 out = out.substitute(i, shifted)
         return out
 
-    def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
+    def exact_divide(self, divisor: "MultiPoly | Scalar") -> "MultiPoly":
         """Exact division; raises ArithmeticError if the division leaves a remainder.
 
-        Standard leading-term elimination under graded lex: valid whenever
-        ``divisor`` genuinely divides ``self`` (the only way it is called from
-        the fraction-free elimination kernels).
+        Leading-term elimination under graded lex on one remainder dict,
+        updated in place.  The remainder's leading terms come off a max-heap
+        keyed ``(-total degree, negated exponents)``; an exponent popped as
+        leading is never created again, because every later update lies
+        below it, so a stale heap entry is one no longer in the remainder.
+        Each quotient term costs one update per non-leading divisor term.
+        A constant divisor divides coefficient-wise.  A quotient
+        coefficient is an int exactly when it is integral.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -321,20 +341,46 @@ class MultiPoly:
         if self.is_zero():
             return MultiPoly.zero(self.nvars)
         d_exp, d_coef = divisor.leading()
-        quotient = MultiPoly.zero(self.nvars)
-        rem = self
-        while not rem.is_zero():
-            r_exp, r_coef = rem.leading()
-            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in q_exp):
+        out = MultiPoly(self.nvars)
+        if not any(d_exp):
+            out.terms = {e: _exquo_scalar(c, d_coef) for e, c in self.terms.items()}
+            return out
+        from heapq import heapify, heappop, heappush
+
+        tail = [(e, c) for e, c in divisor.terms.items() if e != d_exp]
+        rem = dict(self.terms)
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapify(heap)
+        quotient = out.terms
+        while heap:
+            r_exp = heappop(heap)[2]
+            r_coef = rem.pop(r_exp, None)
+            if r_coef is None:
+                continue
+            q_exp = tuple(map(sub, r_exp, d_exp))
+            if min(q_exp) < 0:
                 raise ArithmeticError("exact_divide: not divisible")
-            q_coef = Fraction(r_coef, 1) / Fraction(d_coef, 1)
-            if q_coef.denominator == 1:
-                q_coef = q_coef.numerator
-            t = MultiPoly(self.nvars, {q_exp: q_coef})
-            quotient = quotient + t
-            rem = rem - t * divisor
-        return quotient
+            q_coef = quotient[q_exp] = _exquo_scalar(r_coef, d_coef)
+            for e, c in tail:
+                exp = tuple(map(add, q_exp, e))
+                s = rem.get(exp, 0) - q_coef * c
+                if s == 0:
+                    del rem[exp]
+                    continue
+                if exp not in rem:
+                    heappush(heap, (-sum(exp), tuple(map(neg, exp)), exp))
+                rem[exp] = s
+        return out
+
+
+def _exquo_scalar(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, as an int exactly when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if r == 0:
+            return q
+    q = Fraction(a) / Fraction(b)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------

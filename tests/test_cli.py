@@ -75,6 +75,30 @@ def test_bad_invocations_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("irreducible", "--k", "3", "--N-max", "2"), "empty schedule"),
+        (("irreducible", "--k", "12", "--N-max", "14"), "empty schedule"),
+        (("node", "--k", "2", "--N", "4", "--J", "3,4"), "need k >= 3"),
+        (("node", "--k", "2", "--N", "5", "--J", "4,5"), "need k >= 3"),
+        (("node", "--k", "2", "--N", "4", "--J", "3,4", "--limits"), "need k >= 3"),
+    ],
+)
+def test_invocations_that_decide_nothing_exit_2(capsys, argv, reason):
+    # an empty schedule must not pass; k = 2 has no symbolic node forms
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert reason in json.loads(err)["error"]
+
+
+def test_numeric_node_point_for_k2(capsys):
+    code, out, _ = invoke(capsys, "node", "--k", "2", "--N", "4", "--J", "3,4", "--T", "2")
+    assert code == 0
+    rec = json.loads(out.splitlines()[1])
+    assert rec["chart_point"] == [["1/2", 0], [0, "1/2"]]
+
+
+@pytest.mark.parametrize(
     "array,point",
     [
         ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1/0"}]}, None),

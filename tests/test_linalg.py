@@ -54,6 +54,20 @@ def test_det_exact_generic_on_polynomials():
     assert det_cofactor(M) == d
 
 
+_poly_entries = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
+    max_size=3,
+).map(lambda d: MultiPoly(2, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 4)).flatmap(lambda n: st.lists(st.lists(_poly_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_bareiss_on_polynomials_matches_cofactor_oracle(M):
+    # zero entries (empty dicts) force pivot swaps; each quotient is an exact_divide
+    assert det_bareiss(M) == det_cofactor(M)
+
+
 def test_det_mod_matches_exact():
     rng = random.Random(7)
     p = prime_for_trial(3)

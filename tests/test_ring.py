@@ -66,6 +66,65 @@ def test_multipoly_substitute():
     assert evaluate(f.substitute(0, 2), [999, 5]) == 4 + 5
 
 
+def _normal(c):
+    """An int when integral, else a Fraction: the form quotients come in."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)).map(_normal),
+)
+
+
+def polys(nvars=3, min_size=0):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), _coeffs, min_size=min_size, max_size=6
+    ).map(lambda d: MultiPoly(nvars, d))
+
+
+nonzero_polys = polys(min_size=1).filter(lambda g: not g.is_zero())
+
+
+@given(polys(), nonzero_polys)
+@settings(max_examples=150, deadline=None)
+def test_exact_divide_round_trip_keeps_coefficient_types(f, g):
+    q = (f * g).exact_divide(g)
+    assert q == f
+    assert {e: type(c) for e, c in q.terms.items()} == {e: type(c) for e, c in f.terms.items()}
+
+
+@given(polys(), _coeffs.filter(lambda c: c != 0))
+@settings(max_examples=60, deadline=None)
+def test_exact_divide_by_a_constant_is_coefficient_wise(f, c):
+    expected = MultiPoly(3, {e: _normal(Fraction(v) / c) for e, v in f.terms.items()})
+    for divisor in (c, MultiPoly.const(3, c)):
+        q = f.exact_divide(divisor)
+        assert q == expected
+        assert {e: type(v) for e, v in q.terms.items()} == {e: type(v) for e, v in expected.terms.items()}
+
+
+@given(polys(), nonzero_polys.filter(lambda g: any(g.leading()[0])))
+@settings(max_examples=60, deadline=None)
+def test_exact_divide_rejects_a_remainder(f, g):
+    # f*g + 1 = q*g would make (q - f)*g = 1, impossible for non-constant g
+    with pytest.raises(ArithmeticError):
+        (f * g + 1).exact_divide(g)
+
+
+def test_exact_divide_guards():
+    x = MultiPoly.variable(0, 2)
+    y = MultiPoly.variable(1, 2)
+    with pytest.raises(ArithmeticError):
+        (x * x + y).exact_divide(x)
+    for zero in (0, MultiPoly.zero(2)):
+        with pytest.raises(ZeroDivisionError):
+            x.exact_divide(zero)
+    assert MultiPoly.zero(2).exact_divide(x + y).is_zero()
+    assert (x * x - y * y).exact_divide(x - y) == x + y
+
+
 @pytest.mark.parametrize("trial", range(8))
 def test_prime_for_trial_is_prime_and_distinct(trial):
     p = prime_for_trial(trial)
