@@ -278,9 +278,9 @@ def _cmd_duality(args) -> Handled:
 
 
 def _render_linear_form(form) -> dict[str, str]:
-    from .node_cusp import render_laurent
+    from .node_cusp import render_monomial
 
-    return {",".join(map(str, I)): render_laurent(lau) for I, lau in sorted(form.items())}
+    return {",".join(map(str, I)): render_monomial(m) for I, m in sorted(form.items())}
 
 
 def _render_rational_form(form) -> dict[str, str]:
@@ -298,7 +298,7 @@ def _cmd_node(args) -> Handled:
         defining_forms_at,
         extra_equations,
         limit_T0,
-        render_laurent,
+        render_monomial,
     )
 
     k, N = _need_kN(args)
@@ -322,7 +322,7 @@ def _cmd_node(args) -> Handled:
     rec = {
         "J": list(node.J),
         "meet_first": len(node.in_first),
-        "frame_rows": [[render_laurent(e) for e in row] for row in build_x_J_T(spec)],
+        "frame_rows": [[render_monomial(e) for e in row] for row in build_x_J_T(spec)],
         "base_forms": [_render_linear_form(f) for f in forms.base],
         "moving_forms": [
             {"label": lab, "replaced": rep, "form": _render_linear_form(f)}

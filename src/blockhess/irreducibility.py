@@ -228,19 +228,26 @@ def irreducible_verdict(k: int, N: int, patterns: list[FactorPattern]) -> Verdic
 
 
 def pattern_sources(table: KnownFactorTable, k: int, N: int) -> list[FactorPattern]:
-    """Specialization patterns available for (k, N) from known entries."""
+    """Specialization patterns available for (k, N), deriving each unknown
+    ingredient with min(k, N-k) >= 3 into the table before reading it."""
+
+    def factors(kk: int, mm: int) -> tuple[int, ...] | None:
+        key = canonical_key(kk, mm)
+        if key[0] >= 3 and key not in table.entries:
+            ensure(table, kk, mm)
+        return table.lookup(kk, mm)
+
     out: list[FactorPattern] = []
     # chart-column pair embeddings: (k, a) next to (k, b), a + b = N + k
     for a in range(k + 2, (N + k) // 2 + 1):
         b = N + k - a
-        fa, fb = table.lookup(k, a), table.lookup(k, b)
+        fa, fb = factors(k, a), factors(k, b)
         if fa is not None and fb is not None:
             out.append(FactorPattern(fa + fb, f"pair ({k},{a})+({k},{b})"))
     # position splits: (k1, k1 + N - k) above (k2, k2 + N - k)
     for k1 in range(2, k // 2 + 1):
         k2 = k - k1
-        fa = table.lookup(k1, k1 + N - k)
-        fb = table.lookup(k2, k2 + N - k)
+        fa, fb = factors(k1, k1 + N - k), factors(k2, k2 + N - k)
         if fa is not None and fb is not None:
             out.append(FactorPattern(fa + fb, f"split ({k1},{k1 + N - k})|({k2},{k2 + N - k})"))
     # k = 4 only: zeroing one off-diagonal block squares a half-degree factor
@@ -295,20 +302,6 @@ def ensure(table: KnownFactorTable, k: int, N: int) -> StepRecord:
     known = table.entries.get((kc, Nc))
     if known:
         return StepRecord(kc, Nc, "base", known[0], None, known[1])
-    if Nc < 2 * kc:
-        raise ValueError(f"need N >= 2k after duality, got ({kc},{Nc})")
-    # make sure every potential ingredient is derived first
-    for a in range(kc + 2, (Nc + kc) // 2 + 1):
-        b = Nc + kc - a
-        for m in (a, b):
-            mk, mN = canonical_key(kc, m)
-            if mk >= 3 and (mk, mN) not in table.entries and mN >= 2 * mk:
-                ensure(table, kc, m)
-    for k1 in range(2, kc // 2 + 1):
-        for kk, mm in ((k1, k1 + Nc - kc), (kc - k1, kc - k1 + Nc - kc)):
-            mk, mN = canonical_key(kk, mm)
-            if mk >= 3 and (mk, mN) not in table.entries and mN >= 2 * mk:
-                ensure(table, kk, mm)
     patterns = pattern_sources(table, kc, Nc)
     verdict = irreducible_verdict(kc, Nc, patterns)
     if verdict.irreducible:

@@ -115,14 +115,14 @@ def star(J: MultiIndex, N: int) -> set[MultiIndex]:
 
 
 class NodeIndexSet:
-    """A k-subset J of If ∪ Il, with its complement Jbar inside If ∪ Il.
+    """A k-subset J of If ∪ Il.
 
     Carries (k, N) context so that the replacement pairing between the
     first-block and last-block halves is well defined.  Requires N >= 2k
     so that If and Il are disjoint.
     """
 
-    __slots__ = ("k", "N", "J", "Jbar")
+    __slots__ = ("k", "N", "J")
 
     def __init__(self, k: int, N: int, J: MultiIndex):
         If = set(first_index(k, N))
@@ -136,7 +136,6 @@ class NodeIndexSet:
         self.k = k
         self.N = N
         self.J = J
-        self.Jbar = tuple(sorted((If | Il) - set(J)))
 
     @property
     def in_first(self) -> tuple[int, ...]:
@@ -168,16 +167,3 @@ def replacement_pairing(node: NodeIndexSet) -> dict[int, int]:
     pairing.update(zip(f_out, l_in))
     return {r: pairing[r] for r in If}
 
-
-def replace(P: Iterable[int], node: NodeIndexSet) -> SignedIndex:
-    """r(P): replace each p in P ⊆ If by its pairing target, sort with sign.
-
-    >>> replace({1}, NodeIndexSet(4, 10, (2, 3, 8, 9)))
-    SignedIndex(index=(2, 3, 4, 8), sign=-1)
-    """
-    Pset = set(P)
-    if not Pset <= set(first_index(node.k, node.N)):
-        raise ValueError(f"P={sorted(Pset)} not a subset of the first block")
-    pairing = replacement_pairing(node)
-    raw = tuple(pairing[p] if p in Pset else p for p in first_index(node.k, node.N))
-    return sort_with_sign(raw, node.N)

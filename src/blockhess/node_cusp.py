@@ -6,28 +6,30 @@ tangency point at the opposite coordinate point, no shared basis vectors)
 and the special ones, indexed by a multiindex J meeting both end blocks.
 For the special ones the second tangency point is pushed along the curve
 x(J, T); this module computes the defining linear forms of the tangency
-conditions at x(J, T) exactly, with T carried as a formal Laurent variable,
-normalizes them, and takes the T = 0 limit.
+conditions at x(J, T) exactly, with T kept symbolic, normalizes them, and
+takes the T = 0 limit.
 
 Conventions:
 
 * A "linear form" on the coefficient space is a dict mapping a sorted
-  multiindex I to the (Laurent or rational) coefficient of a_I.
-* A Laurent scalar is a dict mapping an integer T-exponent to a nonzero
-  Fraction.  The empty dict is zero.
+  multiindex I to the coefficient of a_I: a Fraction for the T = 0 limits,
+  and a signed monomial for the forms at x(J, T).
+* A signed monomial is a pair (e, s) of ints standing for s * T^e with
+  s = +-1.  ``None`` stands for zero where a frame entry may vanish.
 
-Every Laurent coefficient a defining form holds is one signed monomial
-+-T^e, so no Laurent sum or product is ever formed.  Row p of the x(J, T)
-frame is nonzero only at columns p and pairing(p); the pairing maps If
-one-to-one into Il, and If and Il are disjoint because N >= 2k.  So each
-column lies in at most one frame row, except that a partial derivative
-replaces one row by a single unit column, which may be shared with one
-other row.  The replaced row has one column and cannot lie on a cycle, so
-the row-column incidence graph is a forest, every submatrix keeps that
-property, and a forest has at most one perfect matching: each minor has at
-most one nonzero term.  So a form is built from the at most 2**k ways to
-pick one column per frame row, each choice at distinct columns giving the
-whole minor on those columns, and never from the C(N, k) minors one by one.
+A pair is all a defining-form coefficient ever needs, because each is one
+signed monomial +-T^e and no sum or product of them is ever formed.  Row p
+of the x(J, T) frame is nonzero only at columns p and pairing(p); the
+pairing maps If one-to-one into Il, and If and Il are disjoint because
+N >= 2k.  So each column lies in at most one frame row, except that a
+partial derivative replaces one row by a single unit column, which may be
+shared with one other row.  The replaced row has one column and cannot lie
+on a cycle, so the row-column incidence graph is a forest, every submatrix
+keeps that property, and a forest has at most one perfect matching: each
+minor has at most one nonzero term.  So a form is built from the at most
+2**k ways to pick one column per frame row, each choice at distinct columns
+giving the whole minor on those columns, and never from the C(N, k) minors
+one by one.
 """
 
 from __future__ import annotations
@@ -48,41 +50,24 @@ from .multiindex import (
 )
 from .ring import Scalar
 
-Laurent = dict[int, Fraction]
-LinearForm = dict[MultiIndex, Laurent]
+Monomial = tuple[int, int]
+LinearForm = dict[MultiIndex, Monomial]
 RationalForm = dict[MultiIndex, Fraction]
 
 
-# ---------------------------------------------------------------------------
-# Laurent scalar helpers
+def render_monomial(m: Monomial | None) -> str:
+    """Human-readable rendering of s * T^e; ``None`` is zero.
 
-
-def laurent_eval(a: Laurent, t: Scalar) -> Fraction:
-    """Evaluate a Laurent scalar at a nonzero rational T value."""
-    t = Fraction(t)
-    if not t:
-        raise ZeroDivisionError("Laurent evaluation at T = 0")
-    return sum((c * t**e for e, c in a.items()), Fraction(0))
-
-
-def render_laurent(a: Laurent) -> str:
-    """Human-readable rendering, e.g. ``T``, ``-T^-1``, ``1 + 2*T^2``."""
-    if not a:
+    >>> [render_monomial(m) for m in ((0, 1), (0, -1), (1, 1), (-1, -1), (2, 1), None)]
+    ['1', '-1', 'T', '-T^-1', 'T^2', '0']
+    """
+    if m is None:
         return "0"
-    parts = []
-    for e in sorted(a):
-        c = a[e]
-        if e == 0:
-            parts.append(str(c))
-        else:
-            tpow = "T" if e == 1 else f"T^{e}"
-            if c == 1:
-                parts.append(tpow)
-            elif c == -1:
-                parts.append(f"-{tpow}")
-            else:
-                parts.append(f"{c}*{tpow}")
-    return " + ".join(parts).replace("+ -", "- ")
+    e, s = m
+    if e == 0:
+        return str(s)
+    tpow = "T" if e == 1 else f"T^{e}"
+    return tpow if s == 1 else f"-{tpow}"
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +100,7 @@ class NodePointSpec:
     """A choice of second-tangency pattern J together with a parameter T.
 
     ``T=None`` means symbolic: downstream computations carry T as a formal
-    Laurent variable.  Numeric T must be nonzero.
+    variable.  Numeric T must be nonzero.
     """
 
     __slots__ = ("J", "T")
@@ -142,15 +127,14 @@ def build_x_J_T(spec: NodePointSpec) -> tuple[tuple[object, ...], ...]:
 
     Identity in the first k columns, T at (r, pairing(r)) for r in If∩J,
     T^-1 at (r, pairing(r)) for r in If\\J.  Entries are Fractions for
-    numeric T and Laurent dicts for symbolic T.
+    numeric T; for symbolic T they are signed monomials, ``None`` for zero.
     """
     node = spec.J
     k, N = node.k, node.N
-    dense: list[list[object]] = [[{} if spec.T is None else Fraction(0) for _ in range(N)] for _ in range(k)]
+    dense: list[list[object]] = [[None if spec.T is None else Fraction(0)] * N for _ in range(k)]
     for p0, entries in enumerate(_pair_rows(spec)):
         for col, exp in entries:
-            lau = {exp: Fraction(1)}
-            dense[p0][col - 1] = lau if spec.T is None else laurent_eval(lau, spec.T)
+            dense[p0][col - 1] = (exp, 1) if spec.T is None else Fraction(spec.T) ** exp
     return tuple(tuple(row) for row in dense)
 
 
@@ -184,7 +168,7 @@ def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearF
             continue
         if I in form:
             raise AssertionError(f"minor on columns {I} has a second term")
-        form[I] = {sum(e for _, e in choice): Fraction(_perm_sign(cols))}
+        form[I] = (sum(e for _, e in choice), _perm_sign(cols))
     return form
 
 
@@ -192,15 +176,15 @@ def _perm_sign(images: list[int]) -> int:
     return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
 
 
-def _normalized(form: LinearForm) -> tuple[LinearForm, int]:
+def _normalized(form: LinearForm) -> LinearForm:
     """Multiply by the minimal T power making every exponent >= 0 with at
-    least one exponent equal to 0.  Returns (form, power used)."""
+    least one exponent equal to 0."""
     if not form:
         raise ValueError("cannot normalize an identically zero form")
-    low = min(min(lau) for lau in form.values())
+    low = min(e for e, _ in form.values())
     if low == 0:
-        return form, 0
-    return {I: {e - low: c for e, c in lau.items()} for I, lau in form.items()}, -low
+        return form
+    return {I: (e - low, s) for I, (e, s) in form.items()}
 
 
 class DefiningForms:
@@ -214,21 +198,18 @@ class DefiningForms:
     subtract-and-divide step of the |If∩J| = k-2 case.
     """
 
-    __slots__ = ("spec", "base", "moving", "moving_labels", "replaced")
+    __slots__ = ("base", "moving", "moving_labels", "replaced")
 
     def __init__(
         self,
-        spec: NodePointSpec,
         base: tuple[LinearForm, ...],
         moving: tuple[LinearForm, ...],
         moving_labels: tuple[str, ...],
         replaced: tuple[bool, ...] = (),
     ):
         for f in moving:
-            low = min(min(lau) for lau in f.values())
-            if low < 0:
+            if min(e for e, _ in f.values()) < 0:
                 raise AssertionError("negative T power survived normalization")
-        self.spec = spec
         self.base = base
         self.moving = moving
         self.moving_labels = moving_labels
@@ -239,35 +220,26 @@ class DefiningForms:
         return self.base + self.moving
 
 
-def _base_forms(k: int, N: int) -> tuple[tuple[LinearForm, ...], tuple[str, ...]]:
+def _base_forms(k: int, N: int) -> tuple[LinearForm, ...]:
     If = first_index(k, N)
-    forms: list[LinearForm] = [{If: {0: Fraction(1)}}]
-    labels = ["a[If]"]
+    forms: list[LinearForm] = [{If: (0, 1)}]
     for p in range(1, k + 1):
         for t in range(k + 1, N + 1):
             values = list(If)
             values[p - 1] = t
             I, s = sort_with_sign(values, N)
-            forms.append({I: {0: Fraction(s)}})
-            labels.append(f"a[If; {p}->{t}]")
-    return tuple(forms), tuple(labels)
+            forms.append({I: (0, s)})
+    return tuple(forms)
 
 
-def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int, str]]:
-    """The k(N-k) partial-derivative slots: chart columns except the T^-1
-    positions, plus the frame diagonal at each row of If \\ J."""
+def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int]]:
+    """The k(N-k) partial-derivative slots (p, t): chart columns except the
+    T^-1 positions, plus the frame diagonal at each row p of If \\ J."""
     k, N = node.k, node.N
     pairing = replacement_pairing(node)
-    f_out = [p for p in range(1, k + 1) if p not in set(node.in_first)]
-    slots: list[tuple[int, int, str]] = []
-    for p in range(1, k + 1):
-        for t in range(k + 1, N + 1):
-            if p in f_out and pairing[p] == t:
-                continue
-            slots.append((p, t, f"d[{p},{t}]"))
-    for p in f_out:
-        slots.append((p, p, f"d[{p},{p}]"))
-    return slots
+    f_out = [p for p in range(1, k + 1) if p not in node.in_first]
+    slots = [(p, t) for p in range(1, k + 1) for t in range(k + 1, N + 1) if p not in f_out or pairing[p] != t]
+    return slots + [(p, p) for p in f_out]
 
 
 def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
@@ -290,44 +262,30 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
             f"|If ∩ J| = {meet} exceeds k-2 = {k - 2}; the tangency family degenerates"
         )
     rows = _pair_rows(spec)
-    base, _ = _base_forms(k, N)
-
-    moving: list[LinearForm] = []
-    labels: list[str] = []
-    form_F, _ = _normalized(_form_for_rows(rows, k, N))
-    moving.append(form_F)
-    labels.append("F")
-    for p, t, label in _moving_selection(node):
-        replaced_rows = list(rows)
-        replaced_rows[p - 1] = [(t, 0)]
-        form, _ = _normalized(_form_for_rows(replaced_rows, k, N))
-        moving.append(form)
-        labels.append(label)
-
-    replaced = [False] * len(moving)
+    special: set[tuple[int, int]] = set()
     if meet == k - 2:
         pairing = replacement_pairing(node)
-        t1, t2 = (p for p in range(1, k + 1) if p not in set(node.in_first))
-        a1, a2 = pairing[t1], pairing[t2]
-        special = {
-            f"d[{t1},{a2}]",
-            f"d[{t2},{a1}]",
-            f"d[{t1},{t1}]",
-            f"d[{t2},{t2}]",
-        }
-        for idx, label in enumerate(labels):
-            if label not in special:
-                continue
+        t1, t2 = (p for p in range(1, k + 1) if p not in node.in_first)
+        special = {(t1, pairing[t2]), (t2, pairing[t1]), (t1, t1), (t2, t2)}
+
+    moving = [_normalized(_form_for_rows(rows, k, N))]
+    labels = ["F"]
+    replaced = [False]
+    for p, t in _moving_selection(node):
+        replaced_rows = list(rows)
+        replaced_rows[p - 1] = [(t, 0)]
+        form = _normalized(_form_for_rows(replaced_rows, k, N))
+        labels.append(f"d[{p},{t}]")
+        replaced.append((p, t) in special)
+        if replaced[-1]:
             # (form - constant part) / T, on monomial coefficients
-            stripped = {I: {e - 1: c for e, c in lau.items()} for I, lau in moving[idx].items() if 0 not in lau}
-            if not stripped:
-                raise AssertionError(f"special form {label} vanished after stripping")
-            moving[idx] = stripped
-            replaced[idx] = True
+            form = {I: (e - 1, s) for I, (e, s) in form.items() if e}
+            if not form:
+                raise AssertionError(f"special form {labels[-1]} vanished after stripping")
+        moving.append(form)
 
     return DefiningForms(
-        spec=spec,
-        base=base,
+        base=_base_forms(k, N),
         moving=tuple(moving),
         moving_labels=tuple(labels),
         replaced=tuple(replaced),
@@ -340,7 +298,7 @@ def limit_T0(forms: DefiningForms) -> list[RationalForm]:
     Dependence signals a wrong normalization (or an inadmissible J) and is
     raised, never swallowed.
     """
-    limits: list[RationalForm] = [{I: lau[0] for I, lau in f.items() if 0 in lau} for f in forms.forms]
+    limits: list[RationalForm] = [{I: Fraction(s) for I, (e, s) in f.items() if not e} for f in forms.forms]
     r = rank_fraction(limits)
     if r != len(limits):
         raise ValueError(

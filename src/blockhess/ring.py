@@ -164,9 +164,6 @@ class MultiPoly:
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def coefficient(self, exp: tuple[int, ...]) -> Scalar:
-        return self.terms.get(exp, 0)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             if self.nvars != other.nvars:

@@ -141,7 +141,7 @@ def act_translation(A, X):
         exp = [0] * n
         for p, t in zip(P, T):
             exp[var_index(p, t, k, N)] = 1
-        c = shifted.coefficient(tuple(exp))
+        c = shifted.terms.get(tuple(exp), 0)
         if c != 0:
             raw = list(first_index(k, N))
             for p, t in zip(P, T):

@@ -1,23 +1,33 @@
-"""Reference route for the x(J, T) defining forms in the tests; nothing in
-the library calls it.
+"""Reference routes for the x(J, T) defining forms in the tests; nothing in
+the library calls them.
 
 ``form_for_rows`` expands the minor on every one of the C(N, k)
 multiindices along its first row, recursively, which is what
 ``blockhess.node_cusp._form_for_rows`` did before it enumerated the at most
 2**k row choices instead.  It is slow and shares no code with that routine.
+``replace`` names the multiindex r(P) that the frame reaches by swapping
+the rows in P onto their paired columns.
 """
 
-from fractions import Fraction
+from blockhess.multiindex import enumerate_indices, first_index, replacement_pairing, sort_with_sign
 
-from blockhess.multiindex import enumerate_indices
+
+def replace(P, node):
+    """r(P): replace each p in P ⊆ If by its pairing target, sort with sign."""
+    Pset = set(P)
+    if not Pset <= set(first_index(node.k, node.N)):
+        raise ValueError(f"P={sorted(Pset)} not a subset of the first block")
+    pairing = replacement_pairing(node)
+    raw = tuple(pairing[p] if p in Pset else p for p in first_index(node.k, node.N))
+    return sort_with_sign(raw, node.N)
 
 
 def sparse_minor(rows, cols):
     """The minor on ``cols`` of rows given as (column, T-exponent) unit
-    entries, as (sign, T-exponent) of its one term, or None if it vanishes.
+    entries, as (T-exponent, sign) of its one term, or None if it vanishes.
     A second term raises AssertionError."""
     if not rows:
-        return 1, 0
+        return 0, 1
     term = None
     for c, exp in rows[0]:
         if c not in cols:
@@ -28,15 +38,15 @@ def sparse_minor(rows, cols):
             continue
         if term is not None:
             raise AssertionError(f"minor on columns {cols} has a second term")
-        term = (-sub[0] if i % 2 else sub[0]), exp + sub[1]
+        term = exp + sub[0], (-sub[1] if i % 2 else sub[1])
     return term
 
 
 def form_for_rows(rows, k, N):
-    """Every k x k minor of the frame ``rows`` as a {multiindex: {e: +-1}} form."""
+    """Every k x k minor of the frame ``rows`` as a {multiindex: (e, +-1)} form."""
     form = {}
     for I in enumerate_indices(k, N):
         m = sparse_minor(rows, I)
         if m is not None:
-            form[I] = {m[1]: Fraction(m[0])}
+            form[I] = m
     return form

@@ -265,6 +265,15 @@ def test_node_symbolic_forms_and_limits(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d4abcaa4ee330bdd3ef028d199d7d7fbad4f40bf12a56e580c298194f475f10e"
     )
+    # Two more stdouts: meet 0 at (3,7), whose forms hold T^-1 entries, and
+    # meet 1 at (4,9).
+    for argv, digest in (
+        (("--k", "3", "--N", "7", "--J", "5,6,7"), "31fd2c6ebc97bfedbfef821d4f76352c20934c4bd696bca8d52d0dda7f8670fe"),
+        (("--k", "4", "--N", "9", "--J", "1,7,8,9"), "7c75dc7ff06cbb4c92aea9d72cab3e26012ce6d47d1313fb8dfc1dde0421dc74"),
+    ):
+        code, out, _ = invoke(capsys, "node", *argv, "--limits")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_node_numeric_point(capsys):

@@ -10,7 +10,6 @@ from blockhess.multiindex import (
     first_index,
     is_valid_index,
     last_index,
-    replace,
     replacement_pairing,
     sort_with_sign,
     star,
@@ -78,18 +77,6 @@ def test_star_contains_single_replacements_and_center():
     assert len(s) == 1 + 3 * 3
     with pytest.raises(ValueError):
         star((3, 1, 2), 6)
-
-
-def test_replace_swaps_paired_rows_with_sign():
-    node = NodeIndexSet(4, 10, (2, 3, 8, 9))
-    # pairing here is {1: 8, 2: 7, 3: 10, 4: 9}
-    assert replacement_pairing(node) == {1: 8, 2: 7, 3: 10, 4: 9}
-    idx, sign = replace({1}, node)
-    assert (idx, sign) == ((2, 3, 4, 8), -1)
-    idx, sign = replace(set(), node)
-    assert (idx, sign) == ((1, 2, 3, 4), 1)
-    with pytest.raises(ValueError):
-        replace({5}, node)
 
 
 def test_is_valid_index():

@@ -16,7 +16,7 @@ from blockhess.multiindex import (
     enumerate_indices,
     first_index,
     last_index,
-    replace,
+    replacement_pairing,
     sort_with_sign,
     star,
 )
@@ -31,21 +31,23 @@ from blockhess.node_cusp import (
     extra_equations,
     forms_span_equal,
     generic_node_membership,
-    laurent_eval,
     limit_T0,
-    render_laurent,
+    render_monomial,
     verify_node_pair_k3,
 )
 
 
+def _monomial_at(m, t):
+    """The value of a signed monomial (e, s), or of None (zero), at T = t."""
+    if m is None:
+        return Fraction(0)
+    e, s = m
+    return s * Fraction(t) ** e
+
+
 def _form_eval_at_T(form, t):
-    """Substitute a nonzero numeric T into a Laurent-coefficient form."""
-    out = {}
-    for I, lau in form.items():
-        v = laurent_eval(lau, t)
-        if v:
-            out[I] = v
-    return out
+    """Substitute a nonzero numeric T into a signed-monomial form."""
+    return {I: _monomial_at(m, t) for I, m in form.items()}
 
 
 def _form_apply(form, A):
@@ -66,16 +68,37 @@ def star_forms(k, N, Js):
 
 
 # ---------------------------------------------------------------------------
-# Laurent scraps
+# signed monomials and the replacement r(P)
 
 
-def test_laurent_eval_and_render():
-    lau = {1: Fraction(2), -1: Fraction(3), 0: Fraction(-1)}
-    assert laurent_eval(lau, Fraction(2)) == 4 + Fraction(3, 2) - 1
-    s = render_laurent(lau)
-    assert "T" in s and "T^-1" in s
-    assert render_laurent({}) == "0"
-    assert render_laurent({0: Fraction(5)}) == "5"
+def test_render_monomial():
+    cases = {
+        (0, 1): "1",
+        (0, -1): "-1",
+        (1, 1): "T",
+        (1, -1): "-T",
+        (-1, 1): "T^-1",
+        (-1, -1): "-T^-1",
+        (2, 1): "T^2",
+        (-3, -1): "-T^-3",
+        None: "0",
+    }
+    for m, want in cases.items():
+        assert render_monomial(m) == want, m
+    assert _monomial_at((-1, -1), 2) == Fraction(-1, 2)
+    assert _monomial_at(None, 2) == 0
+
+
+def test_replace_swaps_paired_rows_with_sign():
+    node = NodeIndexSet(4, 10, (2, 3, 8, 9))
+    # pairing here is {1: 8, 2: 7, 3: 10, 4: 9}
+    assert replacement_pairing(node) == {1: 8, 2: 7, 3: 10, 4: 9}
+    idx, sign = node_cusp_oracle.replace({1}, node)
+    assert (idx, sign) == ((2, 3, 4, 8), -1)
+    idx, sign = node_cusp_oracle.replace(set(), node)
+    assert (idx, sign) == ((1, 2, 3, 4), 1)
+    with pytest.raises(ValueError):
+        node_cusp_oracle.replace({5}, node)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +129,9 @@ def test_frame_symbolic_matches_numeric():
     num = build_x_J_T(NodePointSpec(node, t))
     for p in range(4):
         for c in range(10):
-            assert laurent_eval(sym[p][c], t) == num[p][c]
+            assert sym[p][c] is None or sym[p][c][1] == 1  # unit entries
+            assert _monomial_at(sym[p][c], t) == num[p][c]
+            assert type(num[p][c]) is Fraction
     # identity part and the pairing positions
     for p in range(4):
         assert num[p][p] == 1
@@ -133,13 +158,13 @@ def test_form_value_exponents_follow_replacement_parity():
     F_raw = _form_for_rows(_pair_rows(NodePointSpec(node, None)), 4, 10)
     IJ = set(node.J)
     for P, want in [((), 0), ((1,), -1), ((2,), 1), ((3,), 1), ((4,), -1), ((1, 2), 0)]:
-        I, _s = replace(set(P), node)
-        lau = F_raw[I]
-        assert len(lau) == 1
-        ((e, _c),) = lau.items()
+        I, _s = node_cusp_oracle.replace(set(P), node)
+        e, s = F_raw[I]
+        assert s in (1, -1)
         assert e == want, (P, e, want)
-    _norm, power = _normalized(F_raw)
+    power = -min(e for e, _ in F_raw.values())
     assert power == len([p for p in range(1, 5) if p not in IJ])
+    assert _normalized(F_raw) == {I: (e + power, s) for I, (e, s) in F_raw.items()}
 
 
 def test_moving_forms_match_gradient_numerically():
@@ -176,7 +201,7 @@ def test_form_for_rows_matches_first_row_expansion():
     for k, N in ((3, 6), (3, 7), (4, 8), (4, 9), (5, 10)):
         for node in admissible_node_sets(k, N):
             rows = _pair_rows(NodePointSpec(node, None))
-            frames = [rows] + [rows[: p - 1] + [[(t, 0)]] + rows[p:] for p, t, _ in _moving_selection(node)]
+            frames = [rows] + [rows[: p - 1] + [[(t, 0)]] + rows[p:] for p, t in _moving_selection(node)]
             for frame in frames:
                 assert _form_for_rows(frame, k, N) == node_cusp_oracle.form_for_rows(frame, k, N), (node.J, frame)
 
@@ -224,8 +249,15 @@ def test_limits_span_with_extras_at_meet_k_minus_2():
     forms = defining_forms_at(NodePointSpec(node, None))
     assert sum(forms.replaced) == 4
     lims = limit_T0(forms)
+    # the limits are Fractions, as the benchmark digests record them
+    assert all(type(c) is Fraction for f in lims for c in f.values())
     target = star_forms(4, 8, [first_index(4, 8), node.J]) + list(extras)
     assert forms_span_equal(lims, target, 4, 8)
+
+
+def test_defining_forms_reject_a_negative_power():
+    with pytest.raises(AssertionError, match="negative T power"):
+        DefiningForms(base=(), moving=({(1, 2, 3): (0, 1), (1, 2, 4): (-1, -1)},), moving_labels=("F",))
 
 
 def test_defining_forms_rejects_large_meet():

@@ -5,10 +5,13 @@ A definition counts as reached when it is named anywhere in ``src/``,
 call names it).  A method is reached only through an attribute
 (``x.name``) or a string constant that is a dotted name
 (``perfbench/tracer.py`` wraps methods by name; prose in docstrings and
-messages does not count); a module-level function is reached through a
-bare name too, as ``from .m import f`` makes it.  The check goes by name,
-not by type, so it is coarse: any ``.get(...)`` reaches every method called
-``get``.
+messages does not count).  A module-level function ``m.f`` is reached only
+through a bare name ``f``, as a use after ``from .m import f``, or through
+``f`` qualified by its module (``m.f`` in code or in a dotted string),
+never through an attribute ``x.f`` on some other object: ``str.replace``
+does not reach a module function called ``replace``.  For methods the
+check goes by name, not by type, so it is coarse: any ``.get(...)``
+reaches every method called ``get``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ SEARCHED = ("src", "scripts", "perfbench")
 # Kept without a library caller: the reference translation in
 # tests/exterior_oracle.py needs them, and perfbench/tracer.py wraps
 # ``translate`` by name.
-ALLOWED = {"MultiPoly.translate", "MultiPoly.substitute", "MultiPoly.coefficient"}
+ALLOWED = {"MultiPoly.translate", "MultiPoly.substitute"}
 
 
 def _public_definitions() -> dict[str, tuple[str, bool]]:
@@ -41,42 +44,56 @@ def _public_definitions() -> dict[str, tuple[str, bool]]:
     return defs
 
 
-def _names_used(tree: ast.AST) -> tuple[set[str], set[str]]:
-    """(bare names, attributes and dotted-string parts) named in ``tree``,
-    leaving out each function's own body."""
+def _names_used(tree: ast.AST) -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """(bare names, attributes and dotted-string parts, (qualifier, name)
+    pairs of attributes and dotted strings) named in ``tree``, leaving out
+    each function's own body."""
     bare: set[str] = set()
     attrs: set[str] = set()
+    qualified: set[tuple[str, str]] = set()
 
     def visit(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, ast.Name) and node.id not in inside:
             bare.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
             attrs.add(node.attr)
+            owner = node.value
+            if isinstance(owner, (ast.Name, ast.Attribute)):
+                qualified.add((owner.id if isinstance(owner, ast.Name) else owner.attr, node.attr))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
                 attrs.update(parts)
+                qualified.update(zip(parts, parts[1:]))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, frozenset())
-    return bare, attrs
+    return bare, attrs, qualified
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     bare: set[str] = set()
     attrs: set[str] = set()
+    qualified: set[tuple[str, str]] = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            b, a = _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            b, a, q = _names_used(ast.parse(path.read_text(encoding="utf-8")))
             bare |= b
             attrs |= a
+            qualified |= q
+
+    def reached(qualname: str, name: str, is_method: bool) -> bool:
+        if is_method:
+            return name in attrs
+        return name in bare or tuple(qualname.split(".")) in qualified
+
     unreached = sorted(
         q
         for q, (name, is_method) in _public_definitions().items()
-        if name not in attrs and (is_method or name not in bare) and q not in ALLOWED
+        if not reached(q, name, is_method) and q not in ALLOWED
     )
     assert not unreached, f"public names that only tests reach: {unreached}"
 
