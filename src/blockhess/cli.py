@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -71,6 +72,32 @@ def _load_json(path: str, parse, what: str):
         return parse(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"{path} is not {what}: {exc}") from exc
+
+
+def _point_entry(e):
+    """One chart-point entry, exactly: a JSON number, or a string holding an
+    integer, ``"a/b"``, or a decimal with an optional exponent, read as
+    ``Fraction(str(e))`` reads it.  The exponent is read before anything is
+    expanded: neither the numerator nor the denominator may have more digits
+    than ``int`` reads from a string (``sys.get_int_max_str_digits()``)."""
+    from fractions import Fraction
+
+    text = str(e)
+    limit = sys.get_int_max_str_digits()
+    too_long = f"chart-point entry {text!r} has more than {limit} digits"
+    decimal = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", text)
+    # Fraction builds 10**exponent before it reduces; past limit + len(text)
+    # powers of ten the digits before the exponent cannot cancel enough of
+    # them, so only a zero fits
+    if limit and decimal and abs(int(decimal[2])) > limit + len(text):
+        head = Fraction(decimal[1] + "e0")
+        if head:
+            raise ValueError(too_long)
+        return head
+    x = Fraction(text)
+    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise ValueError(too_long)
+    return x
 
 
 def _load_array(path: str):
@@ -377,8 +404,6 @@ def _cmd_identity_h36(args) -> Handled:
 
 
 def _cmd_critical(args) -> Handled:
-    from fractions import Fraction
-
     from .exterior import ChartPoint, act_translation, gradient, is_critical
     from .node_cusp import cusp_membership
 
@@ -387,7 +412,7 @@ def _cmd_critical(args) -> Handled:
     if args.point:
         X = _load_json(
             args.point,
-            lambda doc: ChartPoint.from_rows(A.k, A.N, [[Fraction(str(e)) for e in row] for row in doc["rows"]]),
+            lambda doc: ChartPoint.from_rows(A.k, A.N, [[_point_entry(e) for e in row] for row in doc["rows"]]),
             "a chart point",
         )
         at_zero = all(e == 0 for row in X.X for e in row)

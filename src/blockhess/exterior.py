@@ -17,8 +17,9 @@ form is F(A, X + y).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections.abc import Mapping, Sequence
+from fractions import Fraction
+from math import lcm
 from operator import itemgetter, lt
 
 from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign, star
@@ -125,6 +126,7 @@ class ChartPoint:
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != k or any(len(r) != N - k for r in rows):
             raise ValueError(f"chart point must be {k}x{N - k}")
+        _require_exact(itertools.chain.from_iterable(rows), "a chart-point entry")
         return cls(k, N, rows)
 
 
@@ -165,60 +167,145 @@ def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
     Each nonzero a_I is therefore pushed to the J = (I_lo u S) u (I_hi \\ T),
     S outside I_lo, T inside I_hi; each minor of X is computed once per call.
 
+    The loop runs on ints, as fraction-free elimination does (Bareiss,
+    Math. Comp. 22, 1968).  With D the lcm of the denominators of the a_I
+    and L that of the entries of X, each a_I enters as the int a_I * D and
+    each minor over s <= k rows as the int det X[S, T] * L^k (see
+    ``_ChartMinors``), so every term of b_J carries the scale D * L^k and
+    each coefficient is divided by it once, at the end.
+
     A coefficient is a Fraction when one of its terms with no zero factor
-    has a Fraction factor, and an int otherwise.  The polynomial shift of
-    F(A, .) that this replaces is the test oracle, in
-    ``tests/exterior_oracle.py``.
+    has a Fraction factor, and an int otherwise; ``Fraction(n, 1)`` counts
+    as a Fraction.  The coefficients of A and the entries of X must be ints
+    or Fractions, and X must have A's shape; anything else is a ValueError.
+    The polynomial shift of F(A, .) and the same pushes on Fraction
+    arithmetic are the test oracles, in ``tests/exterior_oracle.py``.
     """
-    k = A.k
-    minor = _chart_minors(X)
-    acc: dict[MultiIndex, Scalar] = {}
+    k, N = A.k, A.N
+    if (X.k, X.N) != (k, N):
+        raise ValueError(f"a ({X.k},{X.N}) chart point cannot translate a ({k},{N}) array")
+    D = _common_denominator(A.coeffs.values(), "a coefficient")
+    minors = _ChartMinors(X)
+    scale = D * minors[0][0]
+    # Index sets are bitmasks, bit v for the index v: rows are bits 1..k.
+    row_bits = minors.row_bits
+    row_plans: dict[int, list] = {}
+    column_plans: dict[int, list] = {}
+    acc: dict[int, int] = {}
+    flagged = set()
     for I, c in A.coeffs.items():
-        n_lo = bisect_right(I, k)
-        lo, hi = I[:n_lo], I[n_lo:]
-        h = len(hi)
-        free = [p for p in range(1, k + 1) if p not in lo]
-        # The sign of minor(g; J, I) is that of sorting J with each row S[a]
-        # replaced by its column T[a], which passes the entries of lo above
-        # S[a] and the Tpos[a] - a entries of I_hi \ T below T[a].
-        above = [sum(v > p for v in lo) for p in free]
-        for s in range(h + 1):
-            for Spos in itertools.combinations(range(h), s):
-                S = tuple([free[i] for i in Spos])
-                J_lo = tuple(sorted(lo + S))
-                parity = sum([above[i] for i in Spos]) - s * (s - 1) // 2
-                for Tpos in itertools.combinations(range(h), s):
-                    m = minor(S, tuple([hi[i] for i in Tpos]))
+        Im = sum([1 << v for v in I])
+        lo, hi = Im & row_bits, Im & ~row_bits
+        if lo not in row_plans:
+            row_plans[lo] = _row_plan(lo, k)
+        if hi not in column_plans:
+            column_plans[hi] = _column_plan(hi)
+        is_fraction = type(c) is Fraction
+        c = c.numerator * (D // c.denominator)
+        for S_plan, T_plan in zip(row_plans[lo], column_plans[hi]):
+            for Sm, S_odd in S_plan:
+                signed = (-c, c) if S_odd else (c, -c)
+                pushed = Im | Sm
+                for Tm, T_odd in T_plan:
+                    m = minors[Sm | Tm]
                     if m is None:
                         continue
-                    J = J_lo + tuple([hi[i] for i in range(h) if i not in Tpos])
-                    acc[J] = acc.get(J, 0) + (c if (parity + sum(Tpos)) % 2 == 0 else -c) * m
-    return ExteriorArray(k, A.N, {J: acc[J] for J in sorted(acc) if acc[J] != 0})
+                    J = pushed ^ Tm
+                    acc[J] = acc.get(J, 0) + signed[T_odd] * m[0]
+                    if is_fraction or m[1]:
+                        flagged.add(J)
+    out = sorted(
+        (tuple([v for v in range(1, N + 1) if J >> v & 1]), Fraction(b, scale) if J in flagged else b // scale)
+        for J, b in acc.items()
+        if b
+    )
+    return ExteriorArray(k, N, dict(out))
 
 
-def _chart_minors(X: ChartPoint):
-    """Memoized minor(S, T) = det X[rows S, cols T] for sorted S, T, by
-    Laplace expansion along the first row; None when every term of the
-    expansion has a zero factor."""
-    k = X.k
-    memo: dict[tuple[MultiIndex, MultiIndex], Scalar | None] = {((), ()): 1}
+def _require_exact(values, what: str) -> None:
+    """ValueError unless every value is an int or a Fraction."""
+    for v in values:
+        if type(v) not in (int, bool, Fraction):
+            raise ValueError(f"{what} must be an int or a Fraction, got {v!r}")
 
-    def minor(S: MultiIndex, T: MultiIndex):
-        key = (S, T)
-        if key in memo:
-            return memo[key]
-        row, rest = X.X[S[0] - 1], S[1:]
-        total = None
-        for j, t in enumerate(T):
-            x = row[t - k - 1]
-            if x == 0:
-                continue
-            sub = minor(rest, T[:j] + T[j + 1 :])
-            if sub is None:
-                continue
-            term = (x if j % 2 == 0 else -x) * sub
-            total = term if total is None else total + term
-        memo[key] = total
-        return total
 
-    return minor
+def _common_denominator(values, what: str) -> int:
+    """The lcm of the denominators of ``values``: ints or Fractions only."""
+    _require_exact(values, what)
+    return lcm(*{v.denominator for v in values})
+
+
+def _row_plan(lo: int, k: int) -> list[list[tuple[int, int]]]:
+    """For each s, the row sets S of size s outside the rows ``lo`` of I, as
+    (mask, parity of the row part of the sign).
+
+    The sign of minor(g; J, I) is that of sorting J with each row S[a]
+    replaced by its column T[a], which passes the rows of I above S[a] and
+    the Tpos[a] - a columns of I_hi \\ T below T[a].  The row part is the
+    sum over a of (rows of I above S[a]) - a; ``_column_plan`` adds sum(Tpos).
+    """
+    free = [p for p in range(1, k + 1) if not lo >> p & 1]
+    above = [(lo >> p + 1).bit_count() for p in free]
+    return [
+        [
+            (sum([1 << free[i] for i in Spos]), (sum([above[i] for i in Spos]) - s * (s - 1) // 2) & 1)
+            for Spos in itertools.combinations(range(len(free)), s)
+        ]
+        for s in range(len(free) + 1)
+    ]
+
+
+def _column_plan(hi: int) -> list[list[tuple[int, int]]]:
+    """For each s, the column sets T of size s inside the columns ``hi`` of
+    I, as (mask, parity of the sum of T's positions in I_hi)."""
+    cols = [1 << v for v in range(hi.bit_length()) if hi >> v & 1]
+    return [
+        [(sum([cols[i] for i in Tpos]), sum(Tpos) & 1) for Tpos in itertools.combinations(range(len(cols)), s)]
+        for s in range(len(cols) + 1)
+    ]
+
+
+class _ChartMinors(dict):
+    """det X[S, T] * L^k as an int, keyed by the bitmask S | T, where L is
+    the lcm of the denominators of X's entries, filled on first lookup by
+    Laplace expansion along the first row of S.
+
+    Each entry is a pair (value, flag), where the flag says whether a term
+    of the expansion with no zero factor has a Fraction factor; it is None
+    when every term has a zero factor.  The key 0 holds (L^k, False).
+    X's entries enter scaled by L, so each Laplace sum carries L^(k+1) and
+    is divided by L exactly: det X[S, T] * L^|S| is an int and |S| <= k.
+    """
+
+    __slots__ = ("L", "rows", "row_bits")
+
+    def __init__(self, X: ChartPoint):
+        k = X.k
+        self.L = L = _common_denominator(list(itertools.chain.from_iterable(X.X)), "a chart-point entry")
+        # rows[p][t]: the entry x^p_t scaled by L and its Fraction flag, None for 0
+        self.rows = [None] + [
+            [None] * (k + 1) + [(x.numerator * (L // x.denominator), type(x) is Fraction) if x else None for x in r]
+            for r in X.X
+        ]
+        self.row_bits = (1 << k + 1) - 2
+        self[0] = (L**k, False)
+
+    def __missing__(self, key: int):
+        first = key & -key
+        rest = key ^ first
+        row = self.rows[first.bit_length() - 1]
+        cols = rest & ~self.row_bits
+        total, fraction, odd = None, False, False
+        while cols:
+            t = cols & -cols
+            cols ^= t
+            x = row[t.bit_length() - 1]
+            sub = self[rest ^ t] if x else None
+            if sub is not None:
+                term = x[0] * sub[0]
+                total = (0 if total is None else total) + (-term if odd else term)
+                fraction = fraction or x[1] or sub[1]
+            odd = not odd
+        entry = None if total is None else (total // self.L, fraction)
+        self[key] = entry
+        return entry

@@ -14,13 +14,18 @@ cofactor minors of the frame.  ``act_gl`` is the general right action of
 GL_N, one cofactor minor per pair (I, J).  All of them are slow and share
 no code with the Cauchy-Binet kernel in ``blockhess.exterior`` or with
 the block-swap relabel in ``blockhess.hessian.assemble_dual``.
+
+``act_translation_fraction`` is the same Cauchy-Binet pushing as the
+library kernel, but on Fraction arithmetic with no common scale: the
+reference for the exact value and the exact type of every coefficient.
 """
 
 import itertools
+from bisect import bisect_right
 
 from blockhess.exterior import ChartPoint, ExteriorArray
-from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, sort_with_sign
-from blockhess.ring import MultiPoly
+from blockhess.multiindex import MultiIndex, enumerate_indices, first_index, is_valid_index, sort_with_sign
+from blockhess.ring import MultiPoly, Scalar
 from linalg_oracle import det_cofactor
 from ring_oracle import evaluate, partial
 
@@ -173,3 +178,73 @@ def w_swap_matrix(k, N):
     for j in range(k + 1, N + 1):
         g[j - k - 1][j - 1] = 1
     return g
+
+
+def act_translation_fraction(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
+    """Translate the array by X: the B with F(B, y) = F(A, X + y).
+
+    [Id_k | y] g = [Id_k | X + y] for g = [[Id_k, X], [0, Id_{N-k}]], so by
+    Cauchy-Binet b_J = sum_I a_I minor(g; rows J, cols I).  With
+    J_lo = J n [1, k] and J_hi = J n [k+1, N], that minor vanishes unless
+    I = (J_lo \\ S) u T u J_hi for some S in J_lo and some |S| columns T
+    above k outside J_hi, and then it is +-det X[S, T].
+    Each nonzero a_I is therefore pushed to the J = (I_lo u S) u (I_hi \\ T),
+    S outside I_lo, T inside I_hi; each minor of X is computed once per call.
+
+    A coefficient is a Fraction when one of its terms with no zero factor
+    has a Fraction factor, and an int otherwise.  Every product and sum is
+    taken in int/Fraction arithmetic as it comes, so this is the reference
+    for both the values and the value types of the scaled integer kernel.
+    """
+    k = A.k
+    minor = chart_minors_fraction(X)
+    acc: dict[MultiIndex, Scalar] = {}
+    for I, c in A.coeffs.items():
+        n_lo = bisect_right(I, k)
+        lo, hi = I[:n_lo], I[n_lo:]
+        h = len(hi)
+        free = [p for p in range(1, k + 1) if p not in lo]
+        # The sign of minor(g; J, I) is that of sorting J with each row S[a]
+        # replaced by its column T[a], which passes the entries of lo above
+        # S[a] and the Tpos[a] - a entries of I_hi \ T below T[a].
+        above = [sum(v > p for v in lo) for p in free]
+        for s in range(h + 1):
+            for Spos in itertools.combinations(range(h), s):
+                S = tuple([free[i] for i in Spos])
+                J_lo = tuple(sorted(lo + S))
+                parity = sum([above[i] for i in Spos]) - s * (s - 1) // 2
+                for Tpos in itertools.combinations(range(h), s):
+                    m = minor(S, tuple([hi[i] for i in Tpos]))
+                    if m is None:
+                        continue
+                    J = J_lo + tuple([hi[i] for i in range(h) if i not in Tpos])
+                    acc[J] = acc.get(J, 0) + (c if (parity + sum(Tpos)) % 2 == 0 else -c) * m
+    return ExteriorArray(k, A.N, {J: acc[J] for J in sorted(acc) if acc[J] != 0})
+
+
+def chart_minors_fraction(X: ChartPoint):
+    """Memoized minor(S, T) = det X[rows S, cols T] for sorted S, T, by
+    Laplace expansion along the first row; None when every term of the
+    expansion has a zero factor."""
+    k = X.k
+    memo: dict[tuple[MultiIndex, MultiIndex], Scalar | None] = {((), ()): 1}
+
+    def minor(S: MultiIndex, T: MultiIndex):
+        key = (S, T)
+        if key in memo:
+            return memo[key]
+        row, rest = X.X[S[0] - 1], S[1:]
+        total = None
+        for j, t in enumerate(T):
+            x = row[t - k - 1]
+            if x == 0:
+                continue
+            sub = minor(rest, T[:j] + T[j + 1 :])
+            if sub is None:
+                continue
+            term = (x if j % 2 == 0 else -x) * sub
+            total = term if total is None else total + term
+        memo[key] = total
+        return total
+
+    return minor

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -352,6 +353,48 @@ def test_critical_reports_cusp_membership_at_zero(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out.splitlines()[1])
     assert "cusp_membership" not in rec
+
+
+def test_critical_at_a_fraction_point_is_pinned(capsys, tmp_path, monkeypatch):
+    # The whole stdout, recorded before act_translation moved onto ints: the
+    # point has one nonzero row, so the gradient holds ints (row 1) and
+    # Fractions, integral and not.
+    monkeypatch.chdir(tmp_path)
+    write_array(tmp_path, "a.json", 4, 8, seed=0)
+    rows = [["1/2", "-2/3", 0, "3/4"], [0, 0, 0, 0], [0, "0", 0, 0], [0, 0, 0, 0]]
+    (tmp_path / "pt.json").write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    code, out, _ = invoke(capsys, "critical", "--input", "a.json", "--point", "pt.json")
+    assert code == 0
+    assert json.loads(out.splitlines()[1])["gradient"][:2] == [[-2, 1, 0, -1], ["-11/2", "-1/2", -7, 0]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "32f4a60a230c59ea77ae8f2e8338a1e7f00e439958d25e0a51943097ee776563"
+    )
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "-2.5e-4400", "1e4300"])
+def test_chart_point_entry_past_the_digit_limit_exits_2(capsys, tmp_path, entry):
+    # the exponent is read before 10**exponent is built; "1e999999999" would
+    # otherwise run for hours (the installed-script CI step checks that one)
+    path = write_array(tmp_path, "a.json", 2, 4)
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"rows": [[entry, 0], [0, "1/2"]]}), encoding="utf-8")
+    code, out, err = invoke(capsys, "critical", "--input", str(path), "--point", str(point))
+    assert (code, out) == (2, "")
+    assert "more than 4300 digits" in json.loads(err)["error"]
+
+
+def test_chart_point_entries_parse_exactly():
+    # what Fraction(str(e)) reads, JSON numbers by their decimal text
+    from blockhess.cli import _point_entry
+
+    for e in ["0.5", "1e3", "-3/4", "2", 2, 0.5, 0.1, -1e300, " 1_0e-2 ", "1e4299", "-7e-4299"]:
+        x = _point_entry(e)
+        assert type(x) is Fraction and x == Fraction(str(e)), e
+    assert _point_entry(0.1) == Fraction(1, 10)
+    assert _point_entry("-0.0e-999999999") == 0  # a zero head needs no powers of ten
+    for bad in ["1/2e3", "inf", "nan", "1/0", "True"]:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            _point_entry(bad)
 
 
 def test_output_flag_writes_report_file(capsys, tmp_path):

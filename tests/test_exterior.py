@@ -127,8 +127,9 @@ def test_dehomogenized_polynomial_on_symbolic_chart_is_identity_route():
     # substituting the symbolic chart into evaluate_form reproduces the
     # polynomial that dehomogenized_polynomial builds directly
     A = ExteriorArray(2, 4, {(1, 2): 3, (1, 3): 2, (3, 4): 1, (2, 4): -1})
+    # (from_rows takes exact numbers only, so the symbolic chart is built directly)
     var = exterior_oracle.var_index
-    S = ChartPoint.from_rows(2, 4, [[MultiPoly.variable(var(p, t, 2, 4), 4) for t in (3, 4)] for p in (1, 2)])
+    S = ChartPoint(2, 4, tuple(tuple(MultiPoly.variable(var(p, t, 2, 4), 4) for t in (3, 4)) for p in (1, 2)))
     assert exterior_oracle.evaluate_form(A, S) == exterior_oracle.dehomogenized_polynomial(A)
 
 
@@ -261,6 +262,69 @@ def test_act_translation_value_types():
     X = ChartPoint.from_rows(2, 4, [[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(1)]])
     b, ref = act_translation(A, X).coeffs[(1, 2)], exterior_oracle.act_translation(A, X).coeffs[(1, 2)]
     assert b == ref == 1 and type(b) is Fraction and type(ref) is int
+
+
+# Pairwise coprime, so the common denominators of a and X run up to ~5 * 10^21.
+DENOMINATORS = (2, 3, 125, 7, 999961, 999979, 999983)
+
+
+def exact_values(kind):
+    """ints, Fractions (Fraction(n, 1) included) or both; zero of the kind's type."""
+    ints = st.integers(-9, 9)
+    fractions = st.one_of(st.builds(Fraction, ints, st.sampled_from(DENOMINATORS)), ints.map(Fraction))
+    return {
+        "int": (st.just(0), ints),
+        "fraction": (st.just(Fraction(0)), fractions),
+        "mixed": (st.sampled_from([0, Fraction(0)]), st.one_of(ints, fractions)),
+    }[kind]
+
+
+@st.composite
+def exact_translation_cases(draw):
+    k = draw(st.integers(1, 5))
+    N = draw(st.integers(k, 9))  # N = k: the chart point has empty rows
+    kinds = st.sampled_from(sorted(ENTRY_KINDS))
+    zero, values = exact_values(draw(kinds))
+    coeffs = {} if draw(st.booleans()) and draw(st.booleans()) else {
+        I: draw(st.one_of(zero, values)) for I in enumerate_indices(k, N)
+    }
+    zero, values = exact_values(draw(kinds))
+    entry = draw(st.sampled_from([zero, st.one_of(zero, values), values]))  # all, partly or seldom zero
+    X = ChartPoint.from_rows(k, N, [[draw(entry) for _ in range(N - k)] for _ in range(k)])
+    return ExteriorArray(k, N, coeffs), X
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_translation_cases())
+def test_act_translation_matches_fraction_kernel_in_value_and_type(case):
+    # the same Cauchy-Binet pushes with every product taken in Fraction
+    # arithmetic: equal coefficients, in the same order, of the same type
+    A, X = case
+    B, ref = act_translation(A, X), exterior_oracle.act_translation_fraction(A, X)
+    assert B.coeffs == ref.coeffs
+    assert [(J, type(c)) for J, c in B.coeffs.items()] == [(J, type(c)) for J, c in ref.coeffs.items()]
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (2, 7), (3, 6)])
+def test_act_translation_rejects_a_point_of_another_shape(shape):
+    k, N = shape
+    A = ExteriorArray(3, 7, {(1, 2, 3): 1, (1, 5, 7): 2})
+    X = ChartPoint.from_rows(k, N, [[1] * (N - k) for _ in range(k)])
+    with pytest.raises(ValueError, match="chart point"):
+        act_translation(A, X)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, MultiPoly.const(2, 1), "1", None])
+def test_translation_takes_ints_and_fractions_only(bad):
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        ChartPoint.from_rows(2, 4, [[1, bad], [0, Fraction(1, 2)]])
+    # a point built around from_rows is checked where it is used
+    X = ChartPoint(2, 4, ((1, bad), (0, Fraction(1, 2))))
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        act_translation(ExteriorArray(2, 4, {(1, 2): 1}), X)
+    A = ExteriorArray(2, 4, {(1, 2): 1, (1, 3): bad})
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        act_translation(A, ChartPoint.from_rows(2, 4, [[1, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("k,N", [(1, 4), (2, 5), (3, 6), (3, 7), (4, 6)])
