@@ -602,6 +602,9 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
             if not all(isinstance(e, int) and not isinstance(e, bool) for e in r):
                 raise ValueError(f"block {name} has a non-integer entry")
         frozen[name] = tuple(tuple(r) for r in rows)
+    catalog = doc.get("catalog", 0)
+    if type(catalog) is not int:
+        raise ValueError(f"catalog must be a JSON integer, got {catalog!r}")
     return Certificate(
         id=str(doc["id"]),
         kind=kind,
@@ -609,7 +612,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         N=N,
         blocks=frozen,
         claim=str(doc["claim"]),
-        catalog=int(doc.get("catalog", 0)),
+        catalog=catalog,
     )
 
 

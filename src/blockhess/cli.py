@@ -234,19 +234,19 @@ def _cmd_rank(args) -> Handled:
 def _cmd_degrees(args) -> Handled:
     from .degree import feasible_degrees
 
-    feas = feasible_degrees(*_need_kN(args))
-    return [{"total": feas.total, "degrees": list(feas.degrees)}], True, None
+    k, N = _need_kN(args)
+    return [{"total": k * (N - k), "degrees": list(feasible_degrees(k, N))}], True, None
 
 
 def _cmd_irreducible(args) -> Handled:
-    from .irreducibility import KnownFactorTable, ensure, run_schedule
+    from .irreducibility import ensure, run_schedule, seeded_table
 
     if args.k is None:
         raise CliInputError("--k is required here")
     if args.N_max is not None:
-        records = [r.to_json_dict() for r in run_schedule(args.k, args.N_max)]
+        records = run_schedule(args.k, args.N_max)
     else:
-        records = [ensure(KnownFactorTable.seeded(), *_need_kN(args)).to_json_dict()]
+        records = [ensure(seeded_table(), *_need_kN(args))]
     passed = all(r["status"] != "undecided" for r in records)
     return records, passed, None
 
@@ -559,21 +559,23 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = _config(args)
         records, passed, used_checksums = _HANDLERS[args.command](args)
+        meta: dict = {"command": args.command, "version": __version__, "config": config}
+        if used_checksums is not None:
+            meta["certificate_checksums"] = dict(sorted(used_checksums.items()))
+        # rendered inside the boundary: an int past the digit limit
+        # (sys.get_int_max_str_digits()) is a ValueError here
+        if args.fmt == "json":
+            lines = [json.dumps(meta, separators=(",", ":"))]
+            lines += [json.dumps(rec, separators=(",", ":")) for rec in records]
+        else:
+            lines = []
+            for rec in records:
+                lines.extend(_text_block(rec))
+                lines.append("")
+        text = "\n".join(lines) + "\n"
     except ValueError as exc:  # the one exit-2 boundary; see the module docstring
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    meta: dict = {"command": args.command, "version": __version__, "config": config}
-    if used_checksums is not None:
-        meta["certificate_checksums"] = dict(sorted(used_checksums.items()))
-    if args.fmt == "json":
-        lines = [json.dumps(meta, separators=(",", ":"))]
-        lines += [json.dumps(rec, separators=(",", ":")) for rec in records]
-    else:
-        lines = []
-        for rec in records:
-            lines.extend(_text_block(rec))
-            lines.append("")
-    text = "\n".join(lines) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as f:

@@ -10,28 +10,14 @@ never sufficient; the irreducibility engine uses them purely as a filter.
 from __future__ import annotations
 
 
-class FeasibleDegrees:
-    """Admissible factor degrees for the (k, N) determinant."""
-
-    __slots__ = ("k", "N", "total", "degrees")
-
-    def __init__(self, k: int, N: int, total: int, degrees: tuple[int, ...]):
-        self.k = k
-        self.N = N
-        self.total = total
-        self.degrees = degrees
-
-
-def feasible_degrees(k: int, N: int) -> FeasibleDegrees:
-    """All d in [1, k(N-k)] with k | (k-2)d and (N-k) | 2d.
+def feasible_degrees(k: int, N: int) -> tuple[int, ...]:
+    """All d in [1, k(N-k)] with k | (k-2)d and (N-k) | 2d; the total
+    degree of the determinant is k(N-k).
 
     For k = 3 this is exactly: 3 | d, (N-3) | 2d, d <= 3(N-3).
     """
     if k < 2 or N <= k:
         raise ValueError(f"need k >= 2 and N > k, got ({k},{N})")
-    total = k * (N - k)
-    degs = tuple(
-        d for d in range(1, total + 1) if ((k - 2) * d) % k == 0 and (2 * d) % (N - k) == 0
+    return tuple(
+        d for d in range(1, k * (N - k) + 1) if ((k - 2) * d) % k == 0 and (2 * d) % (N - k) == 0
     )
-    return FeasibleDegrees(k, N, total, degs)
-

@@ -23,7 +23,7 @@ from math import lcm
 from operator import itemgetter, lt
 
 from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign, star
-from .ring import Scalar, scalar_from_string, scalar_to_string
+from .ring import Scalar, scalar_from_string
 
 
 def _all_valid_tuples(keys, k: int, N: int) -> bool:
@@ -88,21 +88,18 @@ class ExteriorArray:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "N": self.N,
-            "entries": [
-                {"I": list(I), "c": scalar_to_string(c)} for I, c in self.items()
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExteriorArray":
-        k, N = int(data["k"]), int(data["N"])
+        """Read ``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``; k, N
+        and each index entry must be JSON integers, never floats or bools."""
+        k, N = data["k"], data["N"]
+        if type(k) is not int or type(N) is not int:
+            raise ValueError(f"k and N must be JSON integers, got k={k!r}, N={N!r}")
         coeffs: dict[MultiIndex, Scalar] = {}
         for ent in data.get("entries", ()):
-            I = tuple(int(v) for v in ent["I"])
+            I = tuple(ent["I"])
+            if any(type(v) is not int for v in I):
+                raise ValueError(f"entry index {list(I)} must hold JSON integers")
             if not is_valid_index(I, k, N):
                 raise ValueError(f"entry index {list(I)} must be sorted, distinct, in [1,{N}]")
             if I in coeffs:

@@ -50,13 +50,6 @@ class HessianMatrix:
     def side(self) -> int:
         return self.k * (self.N - self.k)
 
-    def index_of(self, p: int, t: int) -> int:
-        """Label (p, t) -> 0-based row index."""
-        return (p - 1) * (self.N - self.k) + (t - self.k - 1)
-
-    def entry(self, p: int, t: int, pp: int, tt: int):
-        return self.rows[self.index_of(p, t)][self.index_of(pp, tt)]
-
     def block(self, i: int, j: int) -> list[list]:
         """The (N-k) x (N-k) block at block position (i, j), 1-based."""
         w = self.N - self.k
@@ -118,8 +111,7 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     k, N = A.k, A.N
     w = N - k
     side = k * w
-    poly_nvars = _array_poly_nvars(A)
-    zero = MultiPoly.zero(poly_nvars) if poly_nvars is not None else 0
+    zero = _zero_of(A.coeffs.values())
     H = HessianMatrix(k, N, [[zero] * side for _ in range(side)])
     rows, get = H.rows, A.coeffs.get
     for p in range(1, k + 1):
@@ -136,11 +128,13 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     return H
 
 
-def _array_poly_nvars(A: ExteriorArray) -> int | None:
-    for c in A.coeffs.values():
-        if isinstance(c, MultiPoly):
-            return c.nvars
-    return None
+def _zero_of(entries) -> int | MultiPoly:
+    """The zero of the entries' ring: MultiPoly's on the first polynomial
+    entry's variables, else int 0."""
+    for e in entries:
+        if isinstance(e, MultiPoly):
+            return MultiPoly.zero(e.nvars)
+    return 0
 
 
 def coefficient_names(k: int, N: int) -> list[str]:
@@ -364,45 +358,15 @@ def specialize_embed(H1: HessianMatrix, H2: HessianMatrix) -> HessianMatrix:
     Each block of the result carries H1's block on the first a-k chart
     columns, H2's block on the last b-k, and zeros in between; regrouping
     rows/columns by source turns it into blockdiag(H1, H2), so the
-    determinant is exactly det(H1) * det(H2).
+    determinant is exactly det(H1) * det(H2).  In the dual layouts the
+    chart columns are positions, so this is the position split of the two
+    duals, read back in the (k, a + b - k) layout.
     """
     if H1.k != H2.k:
         raise ValueError(f"mixed k: {H1.k} vs {H2.k}")
-    k = H1.k
-    a, b = H1.N, H2.N
-    k1, k2 = a - k, b - k
-    if k1 < 1 or k2 < 1:
+    if H1.N - H1.k < 1 or H2.N - H2.k < 1:
         raise ValueError("each factor needs at least one chart column")
-    N = a + b - k
-    side = k * (N - k)
-    zero = 0
-    for H in (H1, H2):
-        nv = _matrix_poly_nvars(H)
-        if nv is not None:
-            zero = MultiPoly.zero(nv)
-            break
-    out = HessianMatrix(k, N, [[zero] * side for _ in range(side)])
-    for p in range(1, k + 1):
-        for pp in range(1, k + 1):
-            for u in range(1, N - k + 1):
-                for v in range(1, N - k + 1):
-                    if u <= k1 and v <= k1:
-                        e = H1.entry(p, k + u, pp, k + v)
-                    elif u > k1 and v > k1:
-                        e = H2.entry(p, k + u - k1, pp, k + v - k1)
-                    else:
-                        continue
-                    if e != 0:
-                        out.rows[out.index_of(p, k + u)][out.index_of(pp, k + v)] = e
-    return out
-
-
-def _matrix_poly_nvars(H: HessianMatrix) -> int | None:
-    for row in H.rows:
-        for e in row:
-            if isinstance(e, MultiPoly):
-                return e.nvars
-    return None
+    return dualize_layout(position_split_embed(dualize_layout(H1), dualize_layout(H2)))
 
 
 def position_split_embed(H1: HessianMatrix, H2: HessianMatrix) -> HessianMatrix:
@@ -419,12 +383,7 @@ def position_split_embed(H1: HessianMatrix, H2: HessianMatrix) -> HessianMatrix:
         raise ValueError(f"chart-column mismatch: {m} vs {H2.N - H2.k}")
     k = H1.k + H2.k
     side = k * m
-    zero = 0
-    for H in (H1, H2):
-        nv = _matrix_poly_nvars(H)
-        if nv is not None:
-            zero = MultiPoly.zero(nv)
-            break
+    zero = _zero_of(e for H in (H1, H2) for row in H.rows for e in row)
     rows = [[zero] * side for _ in range(side)]
     off = H1.k * m
     for r in range(H1.k * m):

@@ -32,25 +32,6 @@ class InconsistentPatterns(ValueError):
     itself (some factorization always exists), so fail loudly."""
 
 
-class FactorPattern:
-    """Irreducible factor degrees of one specialized determinant."""
-
-    __slots__ = ("degrees", "provenance")
-
-    def __init__(self, degrees: tuple[int, ...], provenance: str):
-        degrees = tuple(sorted(degrees))
-        if any(d <= 0 for d in degrees):
-            raise ValueError(f"factor degrees must be positive: {degrees}")
-        self.degrees = degrees
-        self.provenance = provenance
-
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    def to_json_dict(self) -> dict:
-        return {"degrees": list(self.degrees), "provenance": self.provenance}
-
-
 #: Factor degree multisets established by direct computation, keyed by the
 #: canonical (min(k, N-k), N).  These are trusted inputs, not re-derived here.
 BASE_FACTORS: dict[tuple[int, int], tuple[tuple[int, ...], str]] = {
@@ -80,34 +61,10 @@ def skew_pair_factors(m: int) -> tuple[int, ...] | None:
     return ((m - 2) // 2,) * 4
 
 
-class KnownFactorTable:
-    """Map (k, N) -> factor degree multiset, with provenance per entry."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[int, int], tuple[tuple[int, ...], str]] = {}
-
-    @classmethod
-    def seeded(cls) -> "KnownFactorTable":
-        t = cls()
-        for key, (degs, why) in BASE_FACTORS.items():
-            t.entries[key] = (degs, f"base: {why}")
-        return t
-
-    def lookup(self, k: int, N: int) -> tuple[int, ...] | None:
-        """Factor degrees if known (duality applied, k=2 by formula);
-        None when unknown or when the determinant vanishes identically."""
-        kc, Nc = canonical_key(k, N)
-        if kc < 2:
-            return None
-        if kc == 2:
-            return skew_pair_factors(Nc)
-        hit = self.entries.get((kc, Nc))
-        return hit[0] if hit else None
-
-    def add(self, k: int, N: int, degrees: tuple[int, ...], provenance: str) -> None:
-        self.entries[canonical_key(k, N)] = (tuple(sorted(degrees)), provenance)
+def seeded_table() -> dict[tuple[int, int], tuple[tuple[int, ...], str]]:
+    """A factor table: canonical (k, N) -> (factor degrees, provenance),
+    holding the base entries; ``ensure`` adds each entry it derives."""
+    return {key: (degs, f"base: {why}") for key, (degs, why) in BASE_FACTORS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +91,15 @@ def _sum_groupings(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def coarsenings(pattern: FactorPattern) -> set[tuple[int, ...]]:
+def coarsenings(pattern: dict) -> set[tuple[int, ...]]:
     """All multisets obtained by grouping the pattern's entries and summing
     each group.  Always contains the pattern itself and the singleton total."""
-    if not pattern.degrees:
+    degrees = pattern["degrees"]
+    if not degrees:
         raise ValueError("empty pattern")
-    if len(pattern.degrees) > 12:
-        raise ValueError(f"pattern with {len(pattern.degrees)} entries exceeds the supported size")
-    return set(_sum_groupings(tuple(sorted(pattern.degrees))))
+    if len(degrees) > 12:
+        raise ValueError(f"pattern with {len(degrees)} entries exceeds the supported size")
+    return set(_sum_groupings(tuple(sorted(degrees))))
 
 
 def _partitions_into(total: int, parts: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -164,155 +122,122 @@ def _partitions_into(total: int, parts: tuple[int, ...]) -> set[tuple[int, ...]]
     return set(rec(total, 0))
 
 
-class Verdict:
-    __slots__ = ("k", "N", "irreducible", "candidates", "patterns", "feasible")
-
-    def __init__(
-        self,
-        k: int,
-        N: int,
-        irreducible: bool,
-        candidates: tuple[tuple[int, ...], ...],
-        patterns: tuple[FactorPattern, ...],
-        feasible: tuple[int, ...],
-    ):
-        self.k = k
-        self.N = N
-        self.irreducible = irreducible
-        self.candidates = candidates
-        self.patterns = patterns
-        self.feasible = feasible
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "N": self.N,
-            "irreducible": self.irreducible,
-            "candidates": [list(c) for c in self.candidates],
-            "patterns": [p.to_json_dict() for p in self.patterns],
-            "feasible_degrees": list(self.feasible),
-        }
-
-
-def irreducible_verdict(k: int, N: int, patterns: list[FactorPattern]) -> Verdict:
+def irreducible_verdict(k: int, N: int, patterns: list[dict]) -> dict:
     """Intersect the coarsenings of all patterns, keep candidates whose parts
     are all feasible degrees, and declare irreducible iff only the full
     degree survives.  With no patterns, candidates are all partitions of the
-    total into feasible degrees."""
+    total into feasible degrees.
+
+    A pattern is ``{"degrees": sorted list, "provenance": str}``; each must
+    hold positive degrees summing to k(N-k).
+    """
     total = k * (N - k)
-    feas = feasible_degrees(k, N).degrees
-    feas_set = set(feas)
+    feas = feasible_degrees(k, N)
     for p in patterns:
-        if p.total() != total:
-            raise ValueError(f"pattern {p.degrees} sums to {p.total()}, expected {total}")
+        degs = tuple(p["degrees"])
+        if any(d <= 0 for d in degs):
+            raise ValueError(f"factor degrees must be positive: {degs}")
+        if sum(degs) != total:
+            raise ValueError(f"pattern {degs} sums to {sum(degs)}, expected {total}")
     if patterns:
-        cand: set[tuple[int, ...]] | None = None
-        for p in patterns:
-            cs = coarsenings(p)
-            cand = cs if cand is None else cand & cs
-        assert cand is not None
-        cand = {c for c in cand if all(d in feas_set for d in c)}
+        cand = coarsenings(patterns[0])
+        for p in patterns[1:]:
+            cand &= coarsenings(p)
+        feas_set = set(feas)
+        cand = {c for c in cand if feas_set.issuperset(c)}
     else:
         cand = _partitions_into(total, feas)
     if not cand:
         raise InconsistentPatterns(
             f"no candidate factorization survives for ({k},{N}); "
-            f"patterns: {[p.degrees for p in patterns]}"
+            f"patterns: {[tuple(p['degrees']) for p in patterns]}"
         )
-    ordered = tuple(sorted(cand, key=lambda c: (len(c), c)))
-    return Verdict(k, N, ordered == ((total,),), ordered, tuple(patterns), feas)
+    ordered = sorted(cand, key=lambda c: (len(c), c))
+    return {
+        "k": k,
+        "N": N,
+        "irreducible": ordered == [(total,)],
+        "candidates": [list(c) for c in ordered],
+        "patterns": list(patterns),
+        "feasible_degrees": list(feas),
+    }
 
 
 # ---------------------------------------------------------------------------
 # pattern sources and the inductive schedule
 
 
-def pattern_sources(table: KnownFactorTable, k: int, N: int) -> list[FactorPattern]:
+def pattern_sources(table: dict, k: int, N: int) -> list[dict]:
     """Specialization patterns available for (k, N), deriving each unknown
     ingredient with min(k, N-k) >= 3 into the table before reading it."""
 
     def factors(kk: int, mm: int) -> tuple[int, ...] | None:
+        """Factor degrees if known (duality applied, k = 2 by formula); None
+        when unknown or when the determinant vanishes identically."""
         key = canonical_key(kk, mm)
-        if key[0] >= 3 and key not in table.entries:
-            ensure(table, kk, mm)
-        return table.lookup(kk, mm)
+        if key[0] < 2:
+            return None
+        if key[0] == 2:
+            return skew_pair_factors(key[1])
+        if key not in table:
+            ensure(table, *key)
+        hit = table.get(key)
+        return hit[0] if hit else None
 
-    out: list[FactorPattern] = []
+    out: list[dict] = []
     # chart-column pair embeddings: (k, a) next to (k, b), a + b = N + k
     for a in range(k + 2, (N + k) // 2 + 1):
         b = N + k - a
         fa, fb = factors(k, a), factors(k, b)
         if fa is not None and fb is not None:
-            out.append(FactorPattern(fa + fb, f"pair ({k},{a})+({k},{b})"))
+            out.append({"degrees": sorted(fa + fb), "provenance": f"pair ({k},{a})+({k},{b})"})
     # position splits: (k1, k1 + N - k) above (k2, k2 + N - k)
     for k1 in range(2, k // 2 + 1):
         k2 = k - k1
         fa, fb = factors(k1, k1 + N - k), factors(k2, k2 + N - k)
         if fa is not None and fb is not None:
-            out.append(FactorPattern(fa + fb, f"split ({k1},{k1 + N - k})|({k2},{k2 + N - k})"))
+            out.append({"degrees": sorted(fa + fb), "provenance": f"split ({k1},{k1 + N - k})|({k2},{k2 + N - k})"})
     # k = 4 only: zeroing one off-diagonal block squares a half-degree factor
     if k == 4:
-        out.append(FactorPattern((2 * (N - 4), 2 * (N - 4)), "zeroed-block square"))
+        out.append({"degrees": [2 * (N - 4)] * 2, "provenance": "zeroed-block square"})
     # keep only patterns small enough to coarsen
-    return [p for p in out if len(p.degrees) <= 12]
+    return [p for p in out if len(p["degrees"]) <= 12]
 
 
-class StepRecord:
-    __slots__ = ("k", "N", "status", "factors", "verdict", "note")
-
-    def __init__(
-        self,
-        k: int,
-        N: int,
-        status: str,  # base | formula | zero | irreducible | undecided
-        factors: tuple[int, ...] | None,
-        verdict: Verdict | None,
-        note: str,
-    ):
-        self.k = k
-        self.N = N
-        self.status = status
-        self.factors = factors
-        self.verdict = verdict
-        self.note = note
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "k": self.k,
-            "N": self.N,
-            "status": self.status,
-            "factors": list(self.factors) if self.factors is not None else None,
-            "note": self.note,
-        }
-        if self.verdict is not None:
-            d["verdict"] = self.verdict.to_json_dict()
-        return d
+def _record(
+    k: int, N: int, status: str, factors: tuple[int, ...] | None, note: str, verdict: dict | None = None
+) -> dict:
+    """One schedule step; status is base | formula | zero | irreducible | undecided."""
+    rec = {"k": k, "N": N, "status": status, "factors": None if factors is None else list(factors), "note": note}
+    if verdict is not None:
+        rec["verdict"] = verdict
+    return rec
 
 
-def ensure(table: KnownFactorTable, k: int, N: int) -> StepRecord:
-    """Make the table know (k, N), deriving it inductively if needed."""
+def ensure(table: dict, k: int, N: int) -> dict:
+    """Make the table know (k, N), deriving it inductively if needed; the
+    step's record ``{k, N, status, factors, note[, verdict]}``."""
     kc, Nc = canonical_key(k, N)
     if kc < 2:
         raise ValueError(f"no meaningful determinant for ({k},{N})")
     if kc == 2:
         degs = skew_pair_factors(Nc)
         if degs is None:
-            return StepRecord(kc, Nc, "zero", None, None, "odd skew block: determinant vanishes")
-        return StepRecord(kc, Nc, "formula", degs, None, "fourth power of the pfaffian")
-    known = table.entries.get((kc, Nc))
+            return _record(kc, Nc, "zero", None, "odd skew block: determinant vanishes")
+        return _record(kc, Nc, "formula", degs, "fourth power of the pfaffian")
+    known = table.get((kc, Nc))
     if known:
-        return StepRecord(kc, Nc, "base", known[0], None, known[1])
-    patterns = pattern_sources(table, kc, Nc)
-    verdict = irreducible_verdict(kc, Nc, patterns)
-    if verdict.irreducible:
+        return _record(kc, Nc, "base", known[0], known[1])
+    verdict = irreducible_verdict(kc, Nc, pattern_sources(table, kc, Nc))
+    if verdict["irreducible"]:
         total = kc * (Nc - kc)
-        table.add(kc, Nc, (total,), "induction")
-        return StepRecord(kc, Nc, "irreducible", (total,), verdict, "derived inductively")
-    return StepRecord(kc, Nc, "undecided", None, verdict, "candidates remain")
+        table[(kc, Nc)] = ((total,), "induction")
+        return _record(kc, Nc, "irreducible", (total,), "derived inductively", verdict)
+    return _record(kc, Nc, "undecided", None, "candidates remain", verdict)
 
 
-def run_schedule(k: int, N_max: int, table: KnownFactorTable | None = None) -> list[StepRecord]:
-    """Verdicts for (k, N) over N = 2k .. N_max, extending the table as it goes.
+def run_schedule(k: int, N_max: int, table: dict | None = None) -> list[dict]:
+    """Records for (k, N) over N = 2k .. N_max, extending the table as it goes.
 
     Raises ValueError when the range is empty (N_max < 2k): a schedule
     that decides nothing must not read as a pass.
@@ -320,5 +245,5 @@ def run_schedule(k: int, N_max: int, table: KnownFactorTable | None = None) -> l
     if N_max < 2 * k:
         raise ValueError(f"empty schedule: N_max = {N_max} < 2k = {2 * k}")
     if table is None:
-        table = KnownFactorTable.seeded()
+        table = seeded_table()
     return [ensure(table, k, N) for N in range(2 * k, N_max + 1)]

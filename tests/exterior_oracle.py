@@ -18,6 +18,9 @@ the block-swap relabel in ``blockhess.hessian.assemble_dual``.
 ``act_translation_fraction`` is the same Cauchy-Binet pushing as the
 library kernel, but on Fraction arithmetic with no common scale: the
 reference for the exact value and the exact type of every coefficient.
+
+``array_to_json_dict`` writes the array-file document that
+``ExteriorArray.from_json_dict`` reads.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from bisect import bisect_right
 
 from blockhess.exterior import ChartPoint, ExteriorArray
 from blockhess.multiindex import MultiIndex, enumerate_indices, first_index, is_valid_index, sort_with_sign
-from blockhess.ring import MultiPoly, Scalar
+from blockhess.ring import MultiPoly, Scalar, scalar_to_string
 from linalg_oracle import det_cofactor
 from ring_oracle import evaluate, partial
 
@@ -248,3 +251,8 @@ def chart_minors_fraction(X: ChartPoint):
         return total
 
     return minor
+
+
+def array_to_json_dict(A: ExteriorArray) -> dict:
+    """``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``, entries in key order."""
+    return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": scalar_to_string(c)} for I, c in A.items()]}

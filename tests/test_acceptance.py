@@ -176,11 +176,11 @@ def test_criterion_05_line_restriction_factor_structure():
 def test_criterion_06_degree_arithmetic():
     """Frozen feasible-degree sets; instantaneous."""
     t0 = time.monotonic()
-    assert feasible_degrees(3, 6).degrees == (3, 6, 9)
-    assert feasible_degrees(3, 7).degrees == (6, 12)
-    assert feasible_degrees(3, 8).degrees == (15,)
-    assert feasible_degrees(3, 10).degrees == (21,)
-    assert feasible_degrees(5, 12).degrees == (35,)
+    assert feasible_degrees(3, 6) == (3, 6, 9)
+    assert feasible_degrees(3, 7) == (6, 12)
+    assert feasible_degrees(3, 8) == (15,)
+    assert feasible_degrees(3, 10) == (21,)
+    assert feasible_degrees(5, 12) == (35,)
     assert time.monotonic() - t0 < 1.0
 
 
@@ -189,26 +189,26 @@ def test_criterion_07_irreducibility_schedule():
     patterns; k = 3 irreducible through N = 20, k = 4 through N = 16;
     (5,11) decided by {15,15} and {3,3,3,3,18}; < 10 s."""
     t0 = time.monotonic()
-    rec3 = {(r.k, r.N): r for r in run_schedule(3, 20)}
+    rec3 = {(r["k"], r["N"]): r for r in run_schedule(3, 20)}
     for N in range(8, 21):
         r = rec3[(3, N)]
-        assert r.status in ("base", "irreducible"), (N, r.status)
-        if r.status == "irreducible":
-            assert r.verdict is not None and r.verdict.irreducible is True
+        assert r["status"] in ("base", "irreducible"), (N, r["status"])
+        if r["status"] == "irreducible":
+            assert r["verdict"]["irreducible"] is True
     r311 = rec3[(3, 11)]
-    pat_degrees = {p.degrees for p in r311.verdict.patterns}
+    pat_degrees = {tuple(p["degrees"]) for p in r311["verdict"]["patterns"]}
     assert (3, 3, 3, 15) in pat_degrees
     assert (6, 6, 6, 6) in pat_degrees
 
-    rec4 = {(r.k, r.N): r for r in run_schedule(4, 16)}
+    rec4 = {(r["k"], r["N"]): r for r in run_schedule(4, 16)}
     for N in range(8, 17):
         r = rec4[(4, N)]
-        assert r.status in ("base", "irreducible"), (N, r.status)
+        assert r["status"] in ("base", "irreducible"), (N, r["status"])
 
-    rec5 = {(r.k, r.N): r for r in run_schedule(5, 11)}
+    rec5 = {(r["k"], r["N"]): r for r in run_schedule(5, 11)}
     r511 = rec5[(5, 11)]
-    assert r511.status in ("base", "irreducible")
-    pat_degrees = {p.degrees for p in r511.verdict.patterns}
+    assert r511["status"] in ("base", "irreducible")
+    pat_degrees = {tuple(p["degrees"]) for p in r511["verdict"]["patterns"]}
     assert (15, 15) in pat_degrees
     assert (3, 3, 3, 3, 18) in pat_degrees
     assert time.monotonic() - t0 < 10.0

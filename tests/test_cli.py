@@ -13,6 +13,7 @@ from blockhess.cli import main, split_rng
 from blockhess.exterior import ExteriorArray
 from blockhess.hessian import identity_h36
 from blockhess.multiindex import enumerate_indices
+from exterior_oracle import array_to_json_dict
 
 
 def invoke(capsys, *argv):
@@ -25,7 +26,7 @@ def write_array(tmp_path, name, k, N, seed=0):
     rng = random.Random(seed)
     A = ExteriorArray(k, N, {I: rng.randint(-3, 3) for I in enumerate_indices(k, N)})
     path = tmp_path / name
-    path.write_text(json.dumps(A.to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(array_to_json_dict(A)), encoding="utf-8")
     return path
 
 
@@ -107,12 +108,19 @@ def test_numeric_node_point_for_k2(capsys):
         ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1"}]}, {"rows": [["1/0", "0"], ["0", "0"]]}),
         ({"k": 2, "N": 4, "entries": [{"I": [1, 2], "c": "1"}]}, {"rows": [["1", "0"]]}),
         ([], None),
+        # shapes and index entries are JSON integers: a float is neither
+        # truncated nor overflowed, and a bool is not an int
+        ({"k": 3.9, "N": 6, "entries": [{"I": [1, 2, 3], "c": "2"}]}, None),
+        ({"k": 3, "N": 6, "entries": [{"I": [1, 2.9, 3], "c": "2"}]}, None),
+        ('{"k": 1e999, "N": 6, "entries": []}', None),
+        ({"k": 2, "N": 4, "entries": [{"I": [True, 2], "c": "1"}]}, None),
+        ({"k": 2, "N": "4", "entries": []}, None),
     ],
 )
 def test_malformed_input_files_exit_2(capsys, tmp_path, array, point):
     # one {"error": ...} line naming the file, never a traceback
     path = tmp_path / "a.json"
-    path.write_text(json.dumps(array), encoding="utf-8")
+    path.write_text(array if isinstance(array, str) else json.dumps(array), encoding="utf-8")
     argv = ["critical", "--input", str(path)]
     bad = path
     if point is not None:
@@ -134,8 +142,19 @@ def _certificate_with(**fields):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{}", b"{oops", b'{"id": "x"}', _certificate_with(catalog=[1]), _certificate_with(k=0)],
-    ids=["not-utf8", "not-json", "missing-keys", "list-catalog", "zero-k"],
+    [
+        b"\xff\xfe{}",
+        b"{oops",
+        b'{"id": "x"}',
+        _certificate_with(catalog=[1]),
+        _certificate_with(k=0),
+        _certificate_with(catalog=2.5),
+        _certificate_with(catalog=0).replace(b'"catalog": 0', b'"catalog": 1e999'),
+        _certificate_with(catalog="1"),
+        _certificate_with(catalog=True),
+    ],
+    ids=["not-utf8", "not-json", "missing-keys", "list-catalog", "zero-k", "float-catalog", "huge-catalog",
+         "string-catalog", "bool-catalog"],
 )
 def test_malformed_certificate_files_exit_2(capsys, tmp_path, content):
     path = tmp_path / "cert.json"
@@ -144,6 +163,18 @@ def test_malformed_certificate_files_exit_2(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert str(path) in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_result_past_the_digit_limit_exits_2(capsys, tmp_path, fmt):
+    # a legal 4,201-digit coefficient; its determinant, c^4, has about
+    # 16,800 digits, more than an int renders as a string
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"k": 2, "N": 4, "entries": [{"I": [3, 4], "c": "9" * 4201}]}), encoding="utf-8")
+    code, out, err = invoke(capsys, "det", "--input", str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "integer string conversion" in json.loads(err)["error"]
 
 
 def test_internal_fault_is_not_an_input_error(capsys, tmp_path, monkeypatch):
@@ -337,10 +368,24 @@ def test_irreducible_single_and_schedule(capsys):
     assert all(r["status"] != "undecided" for r in recs)
 
 
+    # whole stdout, recorded before the engine's records became plain dicts
+    pinned = {
+        "irreducible --k 4 --N-max 16": "b5066a1255847d3ae15a82e0fa71d76ebed5891beb49c01a344abe2c2e8c5067",
+        "irreducible --k 5 --N-max 14": "586c5b90ff6fe4dda0e786679bf925c450e83d93c1edbde2f90c13ca368b53b0",
+        "irreducible --k 3 --N 11": "661eff2a29d57bfd83534731623e1e6793043fd1782259ce277f8bb4e9132c35",
+        "irreducible --k 4 --N-max 16 --format text": "6cf4c8e35ad212c465cf1c95a2e0e5c12aebb4f4565e8262e3473caac4122d23",
+        "degrees --k 4 --N 10": "f73d0bb2cbeb61af125857806c2aad13bb253c3645ba444bb7fdea4df8a5527f",
+    }
+    for argv, digest in pinned.items():
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_critical_reports_cusp_membership_at_zero(capsys, tmp_path):
     A = ExteriorArray(3, 6, {(2, 4, 6): 1, (3, 4, 5): 2})
     path = tmp_path / "node_like.json"
-    path.write_text(json.dumps(A.to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(array_to_json_dict(A)), encoding="utf-8")
     code, out, _ = invoke(capsys, "critical", "--input", str(path))
     assert code == 0
     rec = json.loads(out.splitlines()[1])

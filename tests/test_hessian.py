@@ -110,12 +110,12 @@ def test_structure_zero_diagonal_skew_off_diagonal():
 
 
 def test_index_label_entry_block_consistency():
+    # label (p, t) is row (p - 1)(N - k) + (t - k - 1)
     H = assemble_symbolic(3, 6)
-    assert [H.index_of(p, t) for p in range(1, 4) for t in range(4, 7)] == list(range(9))
-    assert H.entry(1, 4, 2, 5) == H.rows[H.index_of(1, 4)][H.index_of(2, 5)]
     for p in range(1, 4):
         for q in range(1, 4):
-            assert H.block(p, q) == [[H.entry(p, t, q, tt) for tt in range(4, 7)] for t in range(4, 7)]
+            cells = [[H.rows[3 * (p - 1) + t - 4][3 * (q - 1) + tt - 4] for tt in range(4, 7)] for t in range(4, 7)]
+            assert H.block(p, q) == cells
 
 
 def test_block_grid_inverts_assembly():
@@ -137,7 +137,7 @@ def test_json_round_trip(tmp_path, capsys):
     rng = random.Random(11)
     A = ExteriorArray(3, 6, {I: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for I in enumerate_indices(3, 6)})
     path = tmp_path / "a.json"
-    path.write_text(json.dumps(A.to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(exterior_oracle.array_to_json_dict(A)), encoding="utf-8")
     assert main(["hessian", "--input", str(path)]) == 0
     rec = json.loads(capsys.readouterr().out.splitlines()[1])
     H, H2 = assemble(A), HessianMatrix(rec["k"], rec["N"], [[scalar_from_string(str(e)) for e in row] for row in rec["rows"]])
@@ -211,8 +211,10 @@ def test_specialize_embed_layout_and_multiplicativity():
         assert [row[:n1] for row in G[:n1]] == H1.rows
         assert [row[n1:] for row in G[n1:]] == H2.rows
         assert all(e == 0 for row in G[:n1] for e in row[n1:])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed k: 3 vs 4"):
         specialize_embed(assemble(rand_array(rng, 3, 6)), assemble(rand_array(rng, 4, 6)))
+    with pytest.raises(ValueError, match="at least one chart column"):
+        specialize_embed(HessianMatrix(3, 3, []), assemble(rand_array(rng, 3, 6)))
 
 
 def test_position_split_embed_layout_and_multiplicativity():
@@ -271,9 +273,10 @@ def test_assemble_matches_positional_get(k, N, kind):
     zero = MultiPoly.zero(nvars) if kind == "symbolic" and nvars else 0
     for p in range(1, k + 1):
         for pp in range(1, k + 1):
+            block = H.block(p, pp)
             for t in range(k + 1, N + 1):
                 for tt in range(k + 1, N + 1):
-                    e = H.entry(p, t, pp, tt)
+                    e = block[t - k - 1][tt - k - 1]
                     want = zero if p == pp or t == tt else _positional_get(A, (t, tt), (p, pp))
                     assert e == want and type(e) is type(want), (p, t, pp, tt)
 

@@ -4,17 +4,20 @@ import pytest
 
 from blockhess.degree import feasible_degrees
 from blockhess.irreducibility import (
-    FactorPattern,
     InconsistentPatterns,
-    KnownFactorTable,
     canonical_key,
     coarsenings,
     ensure,
     irreducible_verdict,
     pattern_sources,
     run_schedule,
+    seeded_table,
     skew_pair_factors,
 )
+
+
+def pattern(*degrees):
+    return {"degrees": sorted(degrees), "provenance": "test"}
 
 
 def test_canonical_key_folds_duality():
@@ -35,74 +38,77 @@ def test_skew_pair_factors():
 
 
 def test_seeded_table_contains_base_cases():
-    table = KnownFactorTable.seeded()
-    assert table.lookup(3, 6) == (3, 3, 3)
-    assert table.lookup(3, 7) == (6, 6)
-    assert table.lookup(3, 9) == (18,)
-    assert table.lookup(4, 8) == (16,)
-    assert table.lookup(4, 9) == (20,)
-    assert table.lookup(5, 10) == (25,)
-    assert table.lookup(7, 14) == (49,)
-    # duality fold
-    assert table.lookup(4, 7) == (6, 6)
-    assert table.lookup(6, 9) == (18,)
+    table = seeded_table()
+    assert table[(3, 6)] == ((3, 3, 3), "base: cube of the 3x3 companion determinant")
+    assert table[(3, 7)][0] == (6, 6)
+    assert table[(3, 9)][0] == (18,)
+    assert table[(4, 8)][0] == (16,)
+    assert table[(4, 9)][0] == (20,)
+    assert table[(5, 10)][0] == (25,)
+    assert table[(7, 14)][0] == (49,)
+    # duality fold, through the base record ensure reports
+    assert ensure(table, 4, 7)["factors"] == [6, 6]
+    assert ensure(table, 6, 9)["factors"] == [18]
 
 
 def test_coarsenings():
-    cs = coarsenings(FactorPattern((2, 1, 1), "test"))
+    cs = coarsenings(pattern(2, 1, 1))
     assert (1, 1, 2) in cs
     assert (4,) in cs
     assert (2, 2) in cs
     assert (1, 3) in cs
     assert all(sum(c) == 4 for c in cs)
-    with pytest.raises(ValueError):
-        FactorPattern((2, 0), "test")
 
 
 def test_irreducible_verdict_intersects_patterns():
     # (3, 8): only feasible degree is 15 = total, so the empty pattern set
     # already forces irreducibility
     v = irreducible_verdict(3, 8, [])
-    assert v.irreducible is True
-    assert v.feasible == (15,)
+    assert v["irreducible"] is True
+    assert v["feasible_degrees"] == [15]
     # (3, 6) not forced without patterns: degrees 3, 6, 9 all feasible
     v = irreducible_verdict(3, 6, [])
-    assert v.irreducible is False
-    assert (3, 3, 3) in v.candidates and (9,) in v.candidates
-    d = v.to_json_dict()
-    assert d["k"] == 3 and "feasible_degrees" in d
-    # a pattern with the wrong total is rejected outright
-    with pytest.raises(ValueError):
-        irreducible_verdict(3, 8, [FactorPattern((7, 9), "test")])
+    assert v["irreducible"] is False
+    assert [3, 3, 3] in v["candidates"] and [9] in v["candidates"]
+    assert list(v) == ["k", "N", "irreducible", "candidates", "patterns", "feasible_degrees"]
+    # a pattern with the wrong total, or a degree that is not positive, is
+    # rejected outright
+    with pytest.raises(ValueError, match=r"pattern \(7, 9\) sums to 16, expected 15"):
+        irreducible_verdict(3, 8, [pattern(7, 9)])
+    with pytest.raises(ValueError, match=r"factor degrees must be positive: \(0, 15\)"):
+        irreducible_verdict(3, 8, [pattern(15, 0)])
     # InconsistentPatterns is the (defensive) empty-intersection signal and
     # remains an ordinary ValueError to callers
     assert issubclass(InconsistentPatterns, ValueError)
     # a pattern that rules everything but the full degree out
-    v = irreducible_verdict(3, 8, [FactorPattern((7, 8), "test")])
-    assert v.irreducible is True
+    v = irreducible_verdict(3, 8, [pattern(7, 8)])
+    assert v["irreducible"] is True
 
 
 def test_ensure_base_and_formula_cases():
-    table = KnownFactorTable.seeded()
+    table = seeded_table()
     rec = ensure(table, 3, 6)
-    assert rec.status == "base" and rec.factors == (3, 3, 3)
+    assert rec["status"] == "base" and rec["factors"] == [3, 3, 3]
     rec = ensure(table, 2, 7)
-    assert rec.status == "zero"  # odd N, skew pairing: determinant vanishes
+    assert rec["status"] == "zero"  # odd N, skew pairing: determinant vanishes
     rec = ensure(table, 2, 8)
-    assert rec.status == "formula"
-    assert rec.factors == (3, 3, 3, 3)
+    assert rec["status"] == "formula"
+    assert rec["factors"] == [3, 3, 3, 3]
 
 
 def test_ensure_derives_3_11():
-    table = KnownFactorTable.seeded()
+    table = seeded_table()
     rec = ensure(table, 3, 11)
-    assert rec.status in ("irreducible", "undecided") or rec.factors is not None
-    assert rec.verdict is not None
-    assert rec.verdict.irreducible is not None  # decided one way or the other
+    assert rec["status"] in ("irreducible", "undecided") or rec["factors"] is not None
+    assert rec["verdict"] is not None
+    assert rec["verdict"]["irreducible"] is not None  # decided one way or the other
     # the verdict's factor multiset must be one of the feasible splittings
     feas = feasible_degrees(3, 11)
-    if rec.factors is not None:
-        assert all(d in feas.degrees for d in rec.factors) or rec.factors == (feas.total,)
+    if rec["factors"] is not None:
+        assert all(d in feas for d in rec["factors"]) or rec["factors"] == [3 * 8]
+    # the derived entry is now in the table, and a second ensure reads it
+    assert table[(3, 11)] == ((24,), "induction")
+    assert ensure(table, 3, 11) == {"k": 3, "N": 11, "status": "base", "factors": [24], "note": "induction"}
 
 
 @pytest.mark.parametrize("k,N_max", [(3, 14), (4, 12)])
@@ -110,22 +116,22 @@ def test_run_schedule_decides_every_case(k, N_max):
     records = run_schedule(k, N_max)
     assert records
     for rec in records:
-        assert rec.status != "undecided", (rec.k, rec.N, rec.note)
-        d = rec.to_json_dict()
-        assert d["status"] == rec.status
+        assert rec["status"] != "undecided", (rec["k"], rec["N"], rec["note"])
+        assert list(rec)[:5] == ["k", "N", "status", "factors", "note"]
 
 
 def test_run_schedule_5_11_uses_two_patterns():
     records = run_schedule(5, 11)
-    rec = next(r for r in records if (r.k, r.N) == (5, 11))
-    assert rec.status != "undecided"
+    rec = next(r for r in records if (r["k"], r["N"]) == (5, 11))
+    assert rec["status"] != "undecided"
 
 
 def test_pattern_sources_exist_for_embeddable_shapes():
-    table = KnownFactorTable.seeded()
+    table = seeded_table()
     pats = pattern_sources(table, 3, 12)
     assert pats  # at least one product specialization applies
     for p in pats:
-        assert p.total() == 3 * 9
+        assert sum(p["degrees"]) == 3 * 9
+        assert p["degrees"] == sorted(p["degrees"])
     # the (3,6)+(3,9) pair embedding is among them
-    assert any(p.degrees == (3, 3, 3, 18) for p in pats)
+    assert {"degrees": [3, 3, 3, 18], "provenance": "pair (3,6)+(3,9)"} in pats
