@@ -11,10 +11,12 @@ coefficients, or prime fields — never floats.
 Modules
 -------
 multiindex      strictly increasing index tuples, signs, node index sets
-ring            MultiPoly, prime table, mod-p interpolation and r-th roots
+ring            MultiPoly, its multiply and exact division on packed
+                monomials, prime table, mod-p interpolation and r-th roots
 linalg          one integer echelon kernel on sparse primitive rows (rank
                 and span equality over Q); integer Bareiss
-                determinants over Z and Q; Bareiss on polynomial entries;
+                determinants over Z and Q; Bareiss on polynomial entries
+                packed once into int-keyed monomials;
                 one bit-packed elimination for rank and determinant mod p
 exterior        coefficient arrays, chart points, translation by
                 Cauchy-Binet minors of the point, and the gradient and

@@ -148,10 +148,26 @@ def coefficient_names(k: int, N: int) -> list[str]:
     ]
 
 
+#: Most variables ``symbolic_coefficient_array`` builds.  Each variable's
+#: exponent vector is a dense tuple as long as the count, so memory grows
+#: as its square: the symbolic (8,30) Hessian has 6,468 variables and peaks
+#: at about 340 MB, 8,000 variables come to about 512 MB of exponent tuples,
+#: and (10,40) would need 19,575 variables and about 3 GB.
+SYMBOLIC_VARIABLE_CAP = 8000
+
+
 def symbolic_coefficient_array(k: int, N: int) -> ExteriorArray:
     """ExteriorArray whose degree-2 replacement coefficients are fresh
-    variables, one per (p < p', t < t'); everything else zero."""
+    variables, one per (p < p', t < t'); everything else zero.
+
+    ValueError, before anything is built, when C(k,2) * C(N-k,2) exceeds
+    ``SYMBOLIC_VARIABLE_CAP``.
+    """
     n = comb(k, 2) * comb(N - k, 2)
+    if n > SYMBOLIC_VARIABLE_CAP:
+        raise ValueError(
+            f"symbolic ({k},{N}) needs {n} variables, over the cap of {SYMBOLIC_VARIABLE_CAP}"
+        )
     coeffs: dict[tuple[int, ...], MultiPoly] = {}
     v = 0
     for p in range(1, k + 1):

@@ -2,6 +2,8 @@
 
 Matrices are plain lists of lists.  Entries may be ints, Fractions, or
 MultiPoly values; every routine here is fraction-free or otherwise exact.
+The polynomial determinant eliminates on packed monomials, one int per
+exponent vector (see :mod:`.ring`), and unpacks only its result.
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a slot wide enough for (p-1) + ncols*(p-1)**2,
@@ -15,58 +17,55 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .ring import MultiPoly, Scalar, _exquo_scalar, scalar_mod
-
-
-def _exquo(a, b):
-    """Exact division a / b in the entry domain."""
-    if isinstance(a, MultiPoly):
-        return a.exact_divide(b)
-    if isinstance(b, MultiPoly):
-        if a == 0:
-            return MultiPoly.zero(b.nvars)
-        raise ArithmeticError("scalar divided by polynomial")
-    return _exquo_scalar(a, b)
-
-
-def _pivot_weight(e) -> int:
-    """Pivot preference: fewer terms / smaller magnitude keeps swell down."""
-    if isinstance(e, MultiPoly):
-        return len(e.terms)
-    if isinstance(e, Fraction):
-        return abs(e.numerator) + e.denominator
-    return abs(e)
+from .ring import (
+    MultiPoly,
+    Scalar,
+    _degree,
+    _divide,
+    _field_width,
+    _guard_bits,
+    _mul,
+    _pack,
+    _unpack,
+    scalar_mod,
+)
 
 
 def det_bareiss(m: Sequence[Sequence]):
     """Fraction-free determinant (Bareiss) with full pivoting.
 
-    Works over any integral domain whose elements support *, -, and exact
-    division; ``det_exact_generic`` uses it for MultiPoly entries.  Row and
-    column swaps are tracked in the sign, so zero diagonals are harmless.
+    Entries are ints, Fractions or MultiPolys of one arity;
+    ``det_exact_generic`` uses it for MultiPoly entries.  Each entry is
+    packed once into ``{monomial int: coefficient}`` (see :mod:`.ring`),
+    with fields wide enough for degree 2 * side * (largest entry degree),
+    which bounds every numerator before its exact division.  The pivot is
+    the nonzero entry of the trailing block with the fewest terms (for
+    scalar entries, the smallest magnitude), first in row-major order; row
+    and column swaps are tracked in the sign, so zero diagonals are
+    harmless.  A cell whose two cross products both vanish stays zero
+    without an update.  Only the result is unpacked: a MultiPoly if any
+    entry is one, else an int or a Fraction; a 1 x 1 determinant is its
+    entry.
     """
-    a = [list(row) for row in m]
-    n = len(a)
+    n = len(m)
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
+    if n == 1:
+        return m[0][0]
+    polys = [e for row in m for e in row if isinstance(e, MultiPoly)]
+    nvars = polys[0].nvars if polys else 0
+    if any(e.nvars != nvars for e in polys):
+        raise ValueError("determinant of polynomials of different arities")
+    w = _field_width(2 * n * max((_degree(e.terms) for e in polys), default=0))
+    one = (0,) * nvars
+    a = [[_pack(e.terms if isinstance(e, MultiPoly) else {one: e} if e else {}, w) for e in row] for row in m]
+    weight = len if polys else lambda t: _pivot_weight(t[0])
+    guard = _guard_bits(nvars, w)
+    sign, prev = 1, {0: 1}
     for r in range(n - 1):
-        # full pivot search over the trailing block
-        best = None
-        for i in range(r, n):
-            for j in range(r, n):
-                e = a[i][j]
-                if isinstance(e, MultiPoly):
-                    if e.is_zero():
-                        continue
-                elif e == 0:
-                    continue
-                w = _pivot_weight(e)
-                if best is None or w < best[0]:
-                    best = (w, i, j)
+        best = min(((weight(a[i][j]), i, j) for i in range(r, n) for j in range(r, n) if a[i][j]), default=None)
         if best is None:
-            return 0 * a[0][0] if isinstance(a[0][0], MultiPoly) else 0
+            return MultiPoly.zero(nvars) if polys else 0
         _, pi, pj = best
         if pi != r:
             a[pi], a[r] = a[r], a[pi]
@@ -75,14 +74,30 @@ def det_bareiss(m: Sequence[Sequence]):
             for row in a:
                 row[pj], row[r] = row[r], row[pj]
             sign = -sign
-        pivot = a[r][r]
-        for i in range(r + 1, n):
+        top = a[r]
+        pivot = top[r]
+        for row in a[r + 1 :]:
+            left = {e: -c for e, c in row[r].items()}
             for j in range(r + 1, n):
-                num = pivot * a[i][j] - a[i][r] * a[r][j]
-                a[i][j] = _exquo(num, prev)
+                x, y = row[j], top[j]
+                if left and y:
+                    row[j] = _divide(_mul(left, y, _mul(pivot, x) if x else None), prev, guard)
+                elif x:
+                    row[j] = _divide(_mul(pivot, x), prev, guard)
         prev = pivot
-    last = a[n - 1][n - 1]
-    return last if sign == 1 else -last
+    last = {e: -c for e, c in a[-1][-1].items()} if sign < 0 else a[-1][-1]
+    if polys:
+        out = MultiPoly(nvars)
+        out.terms = _unpack(last, nvars, w)
+        return out
+    return last.get(0, 0)
+
+
+def _pivot_weight(e: Scalar) -> int:
+    """Pivot preference among scalars: smaller magnitude keeps swell down."""
+    if isinstance(e, Fraction):
+        return abs(e.numerator) + e.denominator
+    return abs(e)
 
 
 def _det_integer(m: Sequence[Sequence[Scalar]]):

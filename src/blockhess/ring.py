@@ -7,11 +7,21 @@ explicitly).  On top of that sit a sparse multivariate polynomial type
 univariate polynomials mod p, kept as coefficient lists (used for line
 restrictions).
 
-``MultiPoly.exact_divide`` is the quotient step of fraction-free
-elimination.  It keeps one remainder dict, updated in place, and takes
-its leading terms from a graded-lex max-heap, in the spirit of Monagan and
-Pearce, "Sparse polynomial division using a heap" (J. Symb. Comput. 46,
-2011); a constant divisor divides coefficient-wise.
+Polynomial products and exact quotients run on packed exponent vectors
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): a monomial is one int holding a
+field per variable, x0 highest, under a top field holding the total
+degree.  A field is ``w`` bits wide, ``w`` one more than the bit length of
+the largest total degree the computation can reach, and its top bit is a
+guard that stays clear.  So int order is graded-lex order, a monomial
+product is one ``+``, and a quotient exponent is ``(r | G) - d`` for the
+mask G of guard bits: a cleared guard bit marks an exponent of d that
+exceeds r's, so the division is not exact.  ``MultiPoly.__mul__``,
+``MultiPoly.exact_divide`` and ``linalg.det_bareiss`` share the private
+``_mul`` and ``_divide`` below; the division keeps one remainder dict,
+updated in place, and takes its leading terms from a max-heap, as in
+Monagan and Pearce, "Sparse polynomial division using a heap" (J. Symb.
+Comput. 46, 2011).
 
 No floating point anywhere; every result in this module is exact.
 """
@@ -20,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import add, neg, sub
 
 Scalar = int | Fraction
 
@@ -158,12 +167,6 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], Scalar]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             if self.nvars != other.nvars:
@@ -261,15 +264,9 @@ class MultiPoly:
             out.terms = {e: c * other for e, c in self.terms.items()}
             return out
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Scalar] = {}
-        get = acc.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + c1 * c2
+        w = _field_width(_degree(self.terms) + _degree(other.terms))
         out = MultiPoly(self.nvars)
-        out.terms = {e: c for e, c in acc.items() if c != 0}
+        out.terms = _unpack(_mul(_pack(self.terms, w), _pack(other.terms, w)), self.nvars, w)
         return out
 
     __rmul__ = __mul__
@@ -323,51 +320,119 @@ class MultiPoly:
     def exact_divide(self, divisor: "MultiPoly | Scalar") -> "MultiPoly":
         """Exact division; raises ArithmeticError if the division leaves a remainder.
 
-        Leading-term elimination under graded lex on one remainder dict,
-        updated in place.  The remainder's leading terms come off a max-heap
-        keyed ``(-total degree, negated exponents)``; an exponent popped as
-        leading is never created again, because every later update lies
-        below it, so a stale heap entry is one no longer in the remainder.
-        Each quotient term costs one update per non-leading divisor term.
-        A constant divisor divides coefficient-wise.  A quotient
-        coefficient is an int exactly when it is integral.
+        The library no longer calls it: ``linalg.det_bareiss`` divides on
+        packed terms directly.  ``perfbench/tracer.py`` wraps it by name.
+        A quotient coefficient is an int exactly when it is integral.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return MultiPoly.zero(self.nvars)
-        d_exp, d_coef = divisor.leading()
+        w = _field_width(max(_degree(self.terms), _degree(divisor.terms)))
+        guard = _guard_bits(self.nvars, w)
         out = MultiPoly(self.nvars)
-        if not any(d_exp):
-            out.terms = {e: _exquo_scalar(c, d_coef) for e, c in self.terms.items()}
-            return out
-        from heapq import heapify, heappop, heappush
-
-        tail = [(e, c) for e, c in divisor.terms.items() if e != d_exp]
-        rem = dict(self.terms)
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
-        heapify(heap)
-        quotient = out.terms
-        while heap:
-            r_exp = heappop(heap)[2]
-            r_coef = rem.pop(r_exp, None)
-            if r_coef is None:
-                continue
-            q_exp = tuple(map(sub, r_exp, d_exp))
-            if min(q_exp) < 0:
-                raise ArithmeticError("exact_divide: not divisible")
-            q_coef = quotient[q_exp] = _exquo_scalar(r_coef, d_coef)
-            for e, c in tail:
-                exp = tuple(map(add, q_exp, e))
-                s = rem.get(exp, 0) - q_coef * c
-                if s == 0:
-                    del rem[exp]
-                    continue
-                if exp not in rem:
-                    heappush(heap, (-sum(exp), tuple(map(neg, exp)), exp))
-                rem[exp] = s
+        out.terms = _unpack(_divide(_pack(self.terms, w), _pack(divisor.terms, w), guard), self.nvars, w)
         return out
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: {packed exponent int: nonzero coefficient}
+
+
+def _degree(terms: dict[tuple[int, ...], Scalar]) -> int:
+    """Largest total degree of the terms (0 for none)."""
+    return max(map(sum, terms), default=0)
+
+
+def _field_width(degree: int) -> int:
+    """Bits per field for monomials of total degree <= ``degree``: its bit
+    length plus the guard bit above."""
+    return degree.bit_length() + 1
+
+
+def _guard_bits(nvars: int, w: int) -> int:
+    """The top bit of each of the nvars + 1 fields of width ``w``."""
+    return ((1 << (nvars + 1) * w) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _pack(terms: dict[tuple[int, ...], Scalar], w: int) -> dict[int, Scalar]:
+    """Each exponent tuple as one int: total degree on top, then x0 .. x_last."""
+    out = {}
+    for exp, c in terms.items():
+        m = sum(exp)
+        for e in exp:
+            m = m << w | e
+        out[m] = c
+    return out
+
+
+def _unpack(terms: dict[int, Scalar], nvars: int, w: int) -> dict[tuple[int, ...], Scalar]:
+    """Back to exponent tuples of length ``nvars``; the degree field is dropped."""
+    mask = (1 << w) - 1
+    shifts = range((nvars - 1) * w, -1, -w)
+    return {tuple([m >> s & mask for s in shifts]): c for m, c in terms.items()}
+
+
+def _mul(f: dict[int, Scalar], g: dict[int, Scalar], acc: dict[int, Scalar] | None = None) -> dict[int, Scalar]:
+    """f * g, added into ``acc`` (consumed) when given, zero sums dropped."""
+    acc = {} if acc is None else acc
+    get = acc.get
+    right = g.items()
+    for e1, c1 in f.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _divide(f: dict[int, Scalar], d: dict[int, Scalar], guard: int) -> dict[int, Scalar]:
+    """f / d for a nonzero d; ArithmeticError if the division leaves a remainder.
+
+    Leading-term elimination on one remainder dict, updated in place.  The
+    remainder's leading terms come off a max-heap of negated monomials; a
+    monomial popped as leading is never created again, because every later
+    update lies below it, so a stale heap entry is one no longer in the
+    remainder.  Each quotient term costs one update per non-leading divisor
+    term.  A one-term divisor, a constant included, divides term by term.
+    """
+    lead = max(d)
+    lc = d[lead]
+    if len(d) == 1:
+        quotient = {}
+        for r, c in f.items():
+            q = (r | guard) - lead
+            if q & guard != guard:
+                raise ArithmeticError("exact_divide: not divisible")
+            quotient[q ^ guard] = _exquo_scalar(c, lc)
+        return quotient
+    from heapq import heapify, heappop, heappush
+
+    tail = [(e, c) for e, c in d.items() if e != lead]
+    rem = dict(f)
+    get = rem.get
+    heap = [-e for e in rem]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        r = -heappop(heap)
+        rc = rem.pop(r, None)
+        if rc is None:
+            continue
+        q = (r | guard) - lead
+        if q & guard != guard:
+            raise ArithmeticError("exact_divide: not divisible")
+        q ^= guard
+        qc = quotient[q] = _exquo_scalar(rc, lc)
+        for e, c in tail:
+            e += q
+            s = get(e)
+            if s is None:
+                heappush(heap, -e)
+                rem[e] = -qc * c
+            elif s == qc * c:
+                del rem[e]
+            else:
+                rem[e] = s - qc * c
+    return quotient
 
 
 def _exquo_scalar(a: Scalar, b: Scalar) -> Scalar:

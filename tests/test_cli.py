@@ -13,6 +13,7 @@ from blockhess.cli import main, split_rng
 from blockhess.exterior import ExteriorArray
 from blockhess.hessian import identity_h36
 from blockhess.multiindex import enumerate_indices
+from blockhess.ring import MultiPoly
 from exterior_oracle import array_to_json_dict
 
 
@@ -74,6 +75,26 @@ def test_bad_invocations_exit_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hessian", "--k", "10", "--N", "40"),
+        ("duality", "--k", "10", "--N", "40", "--symbolic"),
+    ],
+)
+def test_symbolic_shapes_over_the_variable_cap_exit_2_before_allocating(capsys, monkeypatch, argv):
+    # (10,40) needs 19,575 variables; building even one of them means the
+    # guard came too late, so the variable constructor refuses outright
+    def refuse(*args):
+        raise AssertionError("a symbolic variable was built past the cap")
+
+    monkeypatch.setattr(MultiPoly, "variable", staticmethod(refuse))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "19575 variables" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize(

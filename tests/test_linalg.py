@@ -19,6 +19,7 @@ from blockhess.ring import WORD_PRIMES, MultiPoly, prime_for_trial, scalar_mod
 
 import linalg_oracle as oracle
 from linalg_oracle import adjugate, det_cofactor, mat_mul
+from ring_oracle import evaluate
 
 
 def rand_matrix(rng, n, lo=-6, hi=6):
@@ -54,18 +55,59 @@ def test_det_exact_generic_on_polynomials():
     assert det_cofactor(M) == d
 
 
-_poly_entries = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
-    max_size=3,
-).map(lambda d: MultiPoly(2, d))
+_poly_coeffs = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from((3, 4)).flatmap(lambda n: st.lists(st.lists(_poly_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_det_bareiss_on_polynomials_matches_cofactor_oracle(M):
-    # zero entries (empty dicts) force pivot swaps; each quotient is an exact_divide
-    assert det_bareiss(M) == det_cofactor(M)
+@st.composite
+def poly_matrices(draw):
+    """Square polynomial matrices in 1 to 10 variables, sometimes with a zero
+    row.  Each nonzero entry has total degree exactly ``degree`` and up to
+    three lower terms, so the numerators of the last Bareiss steps have
+    degree 2 * (side - 1) * degree; for each (side, degree) drawn here that
+    sets the top value bit of the packed fields, which are sized for
+    2 * side * degree."""
+    n, degree = draw(st.sampled_from(((3, 1), (3, 2), (4, 3))))
+    nvars = draw(st.integers(1, 10))
+
+    def monomial(total):
+        exp = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), min_size=total, max_size=total)):
+            exp[i] += 1
+        return tuple(exp)
+
+    def entry():
+        if draw(st.integers(0, 4)) == 0:
+            return MultiPoly.zero(nvars)
+        terms = {monomial(draw(st.integers(0, degree - 1))): draw(_poly_coeffs) for _ in range(draw(st.integers(0, 3)))}
+        terms[monomial(degree)] = draw(_poly_coeffs.filter(bool))
+        return MultiPoly(nvars, terms)
+
+    M = [[entry() for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 5)) == 0:
+        M[draw(st.integers(0, n - 1))] = [MultiPoly.zero(nvars)] * n
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices(), st.randoms(use_true_random=False))
+def test_det_bareiss_on_polynomials_matches_cofactor_oracle(M, rng):
+    # zero entries force pivot swaps; each quotient is an exact division on
+    # packed monomials, and the cofactor route shares only MultiPoly's multiply
+    d = det_bareiss(M)
+    assert d == det_cofactor(M)
+    # the value at an integer point, from a determinant of ints alone
+    point = [rng.randint(-3, 3) for _ in range(d.nvars)]
+    assert evaluate(d, point) == det_cofactor([[evaluate(e, point) for e in row] for row in M])
+
+
+def test_det_bareiss_on_polynomials_normalizes_coefficients_and_zero():
+    x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    half = Fraction(1, 2)
+    d = det_bareiss([[x * half, y], [y, x * 2]])
+    assert d == x * x - y * y
+    assert {type(c) for c in d.terms.values()} == {int}
+    assert det_bareiss([[x, y], [x, y]]) == MultiPoly.zero(2)
+    assert det_bareiss([[x, 0], [0, 0]]) == MultiPoly.zero(2)
 
 
 def test_det_mod_matches_exact():

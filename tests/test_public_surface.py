@@ -24,9 +24,10 @@ PACKAGE = ROOT / "src" / "blockhess"
 SEARCHED = ("src", "scripts", "perfbench")
 
 # Kept without a library caller: the reference translation in
-# tests/exterior_oracle.py needs them, and perfbench/tracer.py wraps
-# ``translate`` by name.
-ALLOWED = {"MultiPoly.translate", "MultiPoly.substitute"}
+# tests/exterior_oracle.py needs ``translate`` and ``substitute``, and
+# perfbench/tracer.py wraps ``translate`` and ``exact_divide`` by name
+# (``linalg.det_bareiss`` divides on packed monomials directly).
+ALLOWED = {"MultiPoly.translate", "MultiPoly.substitute", "MultiPoly.exact_divide"}
 
 
 def _public_definitions() -> dict[str, tuple[str, bool]]:

@@ -105,7 +105,7 @@ def test_exact_divide_by_a_constant_is_coefficient_wise(f, c):
         assert {e: type(v) for e, v in q.terms.items()} == {e: type(v) for e, v in expected.terms.items()}
 
 
-@given(polys(), nonzero_polys.filter(lambda g: any(g.leading()[0])))
+@given(polys(), nonzero_polys.filter(lambda g: any(map(any, g.terms))))
 @settings(max_examples=60, deadline=None)
 def test_exact_divide_rejects_a_remainder(f, g):
     # f*g + 1 = q*g would make (q - f)*g = 1, impossible for non-constant g
@@ -123,6 +123,23 @@ def test_exact_divide_guards():
             x.exact_divide(zero)
     assert MultiPoly.zero(2).exact_divide(x + y).is_zero()
     assert (x * x - y * y).exact_divide(x - y) == x + y
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_exact_divide_rejects_one_negative_exponent(j):
+    # f's total degree and every exponent but x_j's reach the divisor's, so
+    # only the guard bit of x_j's packed field reports the remainder
+    xs = [MultiPoly.variable(i, 4) for i in range(4)]
+    f = MultiPoly.const(4, 1)
+    for i, x in enumerate(xs):
+        if i != j:
+            f = f * x * x
+    divisor = xs[0] * xs[1] * xs[2] * xs[3]
+    with pytest.raises(ArithmeticError):
+        f.exact_divide(divisor)
+    with pytest.raises(ArithmeticError):
+        (f + divisor).exact_divide(divisor)
+    assert (f * divisor).exact_divide(divisor) == f
 
 
 @pytest.mark.parametrize("trial", range(8))
