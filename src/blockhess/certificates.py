@@ -533,9 +533,9 @@ def blocks_from_hessian(H: HessianMatrix) -> Blocks:
     for p in range(1, H.k + 1):
         for q in range(p + 1, H.k + 1):
             rows = H.block(p, q)
-            # From a list: tuple(<generator>) reserves 10 slots and then
-            # shrinks, so freed rows pile up on a smaller size's free list.
-            out[f"A{p}{q}"] = tuple(tuple([int(e) for e in row]) for row in rows)
+            # From lists: tuple(<generator>) reserves 10 slots and then
+            # shrinks, so freed tuples pile up on a smaller size's free list.
+            out[f"A{p}{q}"] = tuple([tuple([int(e) for e in row]) for row in rows])
     return out
 
 

@@ -20,22 +20,30 @@ import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter, lt
+from operator import lt
 
 from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign, star
 from .ring import Scalar, scalar_from_string
 
 
 def _all_valid_tuples(keys, k: int, N: int) -> bool:
-    """Are all keys plain tuples passing ``is_valid_index``?  C-level passes, no key copies."""
-    return (
-        {tuple} == set(map(type, keys))
-        and {k} == set(map(len, keys))
-        and {int, bool}.issuperset(map(type, itertools.chain.from_iterable(keys)))
-        and all(all(map(lt, map(itemgetter(j), keys), map(itemgetter(j + 1), keys))) for j in range(k - 1))
-        and 1 <= min(map(itemgetter(0), keys))
-        and max(map(itemgetter(k - 1), keys)) <= N
-    )
+    """Are all keys plain tuples passing ``is_valid_index``?  C-level passes
+    over the key columns, no key copies: a strict ``zip`` rejects keys of
+    unequal lengths, and any entry that is not an int or a bool (a float, a
+    Fraction, ...) makes the sum of all entries a non-int or raises TypeError."""
+    if {tuple} != set(map(type, keys)):
+        return False
+    try:
+        cols = list(zip(*keys, strict=True))
+        return (
+            len(cols) == k
+            and type(sum(map(sum, cols))) is int
+            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and 1 <= min(cols[0])
+            and max(cols[-1]) <= N
+        )
+    except (TypeError, ValueError):
+        return False
 
 
 class ExteriorArray:
@@ -55,7 +63,7 @@ class ExteriorArray:
         self.N = N
         self.coeffs: dict[MultiIndex, Scalar] = {}
         if coeffs and _all_valid_tuples(coeffs.keys(), k, N):
-            self.coeffs = {I: c for I, c in coeffs.items() if c != 0}
+            self.coeffs = dict(coeffs) if 0 not in coeffs.values() else {I: c for I, c in coeffs.items() if c != 0}
         elif coeffs:
             for I, c in coeffs.items():
                 I = tuple(I)

@@ -18,7 +18,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import lru_cache
+from itertools import repeat
 from math import comb
+from operator import neg
 
 from . import linalg
 from .exterior import ExteriorArray
@@ -96,8 +99,10 @@ class HessianMatrix:
 # assembly
 
 
-def assemble(A: ExteriorArray) -> HessianMatrix:
-    """Second partials of the dehomogenized form at the chart origin.
+@lru_cache(maxsize=16)
+def _assembly_plan(k: int, N: int) -> tuple[tuple[MultiIndex, ...], tuple[tuple[int, ...], ...]]:
+    """The coefficient keys ``assemble`` reads at shape (k, N), and for each
+    cell of the Hessian its index into values + negated values + [zero].
 
     Entry ((p,t), (p',t')) is the coefficient symbol with t at position p
     and t' at position p': ``A.get`` of If with those two entries rewritten.
@@ -105,15 +110,13 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     and t < t' that symbol is sign * a_{rest + (t, t')}, where rest is If
     without p and p': sorting moves t past the k - p - 1 entries of rest
     after it and t' past the k - p', so sign = (-1)^(2k - p - p' - 1), and
-    swapping t and t' flips it.  Each coefficient is read once and written to
-    its four cells; a missing key gives int 0, as ``ExteriorArray.get`` does.
+    swapping t and t' flips it.  Each key is read once and indexed from its
+    four cells.  A plan holds side^2 indices, hence the bounded cache.
     """
-    k, N = A.k, A.N
     w = N - k
-    side = k * w
-    zero = _zero_of(A.coeffs.values())
-    H = HessianMatrix(k, N, [[zero] * side for _ in range(side)])
-    rows, get = H.rows, A.coeffs.get
+    n = comb(k, 2) * comb(w, 2)
+    keys: list[MultiIndex] = []
+    rows = [[2 * n] * (k * w) for _ in range(k * w)]
     for p in range(1, k + 1):
         for pp in range(p + 1, k + 1):
             rest = tuple([i for i in range(1, k + 1) if i != p and i != pp])
@@ -121,20 +124,31 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
             r, rr = (p - 1) * w, (pp - 1) * w
             for u in range(w):
                 for v in range(u + 1, w):
-                    c = get(rest + (k + 1 + u, k + 1 + v), 0)
-                    pos, neg = (-c, c) if odd else (c, -c)
-                    rows[r + u][rr + v] = rows[rr + v][r + u] = pos
-                    rows[r + v][rr + u] = rows[rr + u][r + v] = neg
+                    i = len(keys)
+                    keys.append(rest + (k + 1 + u, k + 1 + v))
+                    plus, minus = (i + n, i) if odd else (i, i + n)
+                    rows[r + u][rr + v] = rows[rr + v][r + u] = plus
+                    rows[r + v][rr + u] = rows[rr + u][r + v] = minus
+    return tuple(keys), tuple(map(tuple, rows))
+
+
+def assemble(A: ExteriorArray) -> HessianMatrix:
+    """Second partials of the dehomogenized form at the chart origin, laid
+    out by ``_assembly_plan``; a missing key gives int 0, as ``ExteriorArray.get`` does."""
+    keys, plan = _assembly_plan(A.k, A.N)
+    vals = list(map(A.coeffs.get, keys, repeat(0)))
+    cells = [*vals, *map(neg, vals), _zero_of(A.coeffs.values())]
+    H = HessianMatrix.__new__(HessianMatrix)  # the rows are fresh and square: skip __init__'s copy
+    H.k, H.N, H.rows = A.k, A.N, [list(map(cells.__getitem__, row)) for row in plan]
     return H
 
 
 def _zero_of(entries) -> int | MultiPoly:
     """The zero of the entries' ring: MultiPoly's on the first polynomial
     entry's variables, else int 0."""
-    for e in entries:
-        if isinstance(e, MultiPoly):
-            return MultiPoly.zero(e.nvars)
-    return 0
+    if not any(issubclass(t, MultiPoly) for t in set(map(type, entries))):
+        return 0
+    return MultiPoly.zero(next(filter(MultiPoly.__instancecheck__, entries)).nvars)
 
 
 def coefficient_names(k: int, N: int) -> list[str]:

@@ -63,14 +63,17 @@ class KeyTuple(tuple):
 
 
 def array_keys(k, N):
-    """Valid keys and near misses: float entries that hash equal to a valid
-    key, True for 1, tuple subclasses, wrong lengths, unsorted or repeated
-    entries, entries out of range, and keys that are not tuples at all."""
+    """Valid keys and near misses: float or Fraction entries that hash equal
+    to a valid key, one float in the last position, True for 1, tuple
+    subclasses, wrong lengths, unsorted or repeated entries, entries out of
+    range, and keys that are not tuples at all."""
     valid = st.lists(st.integers(1, N), min_size=k, max_size=k, unique=True).map(sorted).map(tuple)
     entry = st.one_of(st.integers(-1, N + 1), st.booleans())
     return st.one_of(
         valid,
         valid.map(lambda I: tuple(map(float, I))),
+        valid.map(lambda I: tuple(map(Fraction, I))),
+        valid.map(lambda I: I[:-1] + (float(I[-1]),)),
         valid.map(lambda I: tuple(True if v == 1 else v for v in I)),
         valid.map(KeyTuple),
         valid.map(lambda I: (0,) + I[1:]),

@@ -254,23 +254,30 @@ def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
         rank_exact(M)
 
 
-@pytest.mark.parametrize("k, N", [(1, 4), (2, 5), (4, 8), (5, 9), (6, 8), (6, 7)])
-@pytest.mark.parametrize("kind", ["int", "fraction", "symbolic"])
+@pytest.mark.parametrize("k, N", [(1, 4), (2, 5), (3, 9), (4, 8), (5, 9), (6, 8), (6, 7), (7, 14)])
+@pytest.mark.parametrize("kind", ["int", "fraction", "symbolic", "poly-off-keys"])
 def test_assemble_matches_positional_get(k, N, kind):
     """Every cell, with its type, against the positional coefficient symbol;
-    the shapes cover both parities of the closed-form sign and w = 1, 2."""
+    the shapes cover both parities of the closed-form sign and w = 1, 2.
+    "poly-off-keys" has int coefficients and one MultiPoly at If, which no
+    cell reads, so only the structural zeros are MultiPoly zeros."""
     rng = random.Random(k * 100 + N)
     if kind == "symbolic":
         A = symbolic_coefficient_array(k, N)
     else:
-        A = ExteriorArray(k, N, {
-            I: rng.randint(-3, 3) if kind == "int" else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        coeffs = {
+            I: rng.randint(-3, 3) if kind != "fraction" else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             for I in enumerate_indices(k, N)
             if rng.random() < 0.6
-        })
+        }
+        if kind == "poly-off-keys":
+            coeffs[first_index(k, N)] = MultiPoly.variable(1, 2)
+        A = ExteriorArray(k, N, coeffs)
     H = assemble(A)
     nvars = len(coefficient_names(k, N))
     zero = MultiPoly.zero(nvars) if kind == "symbolic" and nvars else 0
+    if kind == "poly-off-keys":
+        zero = MultiPoly.zero(2)
     for p in range(1, k + 1):
         for pp in range(1, k + 1):
             block = H.block(p, pp)
