@@ -24,6 +24,7 @@ from pathlib import Path
 from .exterior import ExteriorArray
 from .hessian import (
     HessianMatrix,
+    _assembly_plan,
     assemble,
     block_row_rank,
     det_exact,
@@ -31,7 +32,7 @@ from .hessian import (
     rank_exact,
     specialize_embed,
 )
-from .multiindex import enumerate_indices, sort_with_sign
+from .multiindex import enumerate_indices
 from .node_cusp import NodeConditionError, verify_node_pair_k3
 
 KINDS = ("corank1", "invertible", "nodepair")
@@ -498,7 +499,7 @@ def array_from_blocks(k: int, N: int, blocks: Mapping[str, tuple[tuple[int, ...]
     expected = {f"A{p}{q}" for p in range(1, k + 1) for q in range(p + 1, k + 1)}
     if set(blocks) != expected:
         raise ValueError(f"block names {sorted(blocks)} do not match {sorted(expected)}")
-    coeffs: dict[tuple[int, ...], int] = {}
+    upper: list[int] = []
     for p in range(1, k + 1):
         for q in range(p + 1, k + 1):
             rows = blocks[f"A{p}{q}"]
@@ -510,14 +511,10 @@ def array_from_blocks(k: int, N: int, blocks: Mapping[str, tuple[tuple[int, ...]
                 for v in range(u + 1, m + 1):
                     if rows[u - 1][v - 1] != -rows[v - 1][u - 1]:
                         raise ValueError(f"block A{p}{q} is not skew at ({u}, {v})")
-                    c = rows[u - 1][v - 1]
-                    if c:
-                        raw = list(range(1, k + 1))
-                        raw[p - 1] = k + u
-                        raw[q - 1] = k + v
-                        I, s = sort_with_sign(raw, N)
-                        coeffs[I] = s * c
-    return ExteriorArray(k, N, coeffs)
+                    upper.append(rows[u - 1][v - 1])
+    # the plan runs over the same (p < q, u < v) slots in the same order
+    keys, signs, _ = _assembly_plan(k, N)
+    return ExteriorArray(k, N, {I: s * c for I, s, c in zip(keys, signs, upper) if c})
 
 
 def to_array(cert: Certificate) -> ExteriorArray:
@@ -551,9 +548,6 @@ def payload_checksum(cert: Certificate) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(body.encode("ascii")).hexdigest()
-
-
-CHECKSUMS: dict[str, str] = {cid: payload_checksum(_REGISTRY[cid]) for cid in CERTIFICATE_IDS}
 
 
 def to_json_dict(cert: Certificate) -> dict:
@@ -703,9 +697,6 @@ def verify(cert: Certificate | str, completion_seed: int = 0) -> dict:
 # diagonal outright.  Every built matrix is re-verified before a record is
 # issued, so the rules themselves carry no trusted status.
 
-EMBEDDED_CORANK1 = {(3, 9), (3, 10), (3, 11), (4, 8), (4, 9), (5, 10)}
-
-
 def full_rank_hessian(k: int, n: int, seed: int = 0) -> HessianMatrix:
     """A (k, n) coefficient matrix of full rank, deterministic per seed.
 
@@ -754,8 +745,8 @@ def build_corank1(k: int, N: int, seed: int = 0) -> Certificate:
         raise ValueError("corank-1 records with full block rows need k >= 3")
     if k >= 10:
         raise ValueError("block names Apq use single digits; k must be below 10")
-    if (k, N) in EMBEDDED_CORANK1:
-        return load(f"corank-{k}-{N}")
+    if f"corank-{k}-{N}" in _REGISTRY:
+        return _REGISTRY[f"corank-{k}-{N}"]
     if k == 3 and N >= 12:
         H = specialize_embed(full_rank_hessian(3, 6, seed), to_hessian(build_corank1(3, N - 3, seed)))
     elif k == 4 and N >= 10:

@@ -369,7 +369,7 @@ def _cmd_node(args) -> Handled:
 
 
 def _cmd_verify_certificates(args) -> Handled:
-    from .certificates import CERTIFICATE_IDS, certificate_from_json_dict, load, payload_checksum
+    from .certificates import CERTIFICATE_IDS, certificate_from_json_dict, load
     from .certificates import verify as verify_certificate
 
     if args.input:
@@ -379,12 +379,11 @@ def _cmd_verify_certificates(args) -> Handled:
     else:
         certs = [load(cid) for cid in CERTIFICATE_IDS]
     records = [verify_certificate(c, completion_seed=args.seed) for c in certs]
-    used = {c.id: payload_checksum(c) for c in certs}
+    used = {r["id"]: r["checksum"] for r in records}
     return records, all(r["pass"] for r in records), used
 
 
 def _cmd_verify_node(args) -> Handled:
-    from .certificates import CHECKSUMS
     from .certificates import verify as verify_certificate
 
     if not args.id:
@@ -393,7 +392,7 @@ def _cmd_verify_node(args) -> Handled:
     if cert.kind != "nodepair":
         raise CliInputError(f"{cert.id} has kind {cert.kind!r}, not nodepair")
     rec = verify_certificate(cert, completion_seed=args.seed)
-    return [rec], bool(rec["pass"]), {cert.id: CHECKSUMS[cert.id]}
+    return [rec], bool(rec["pass"]), {rec["id"]: rec["checksum"]}
 
 
 def _cmd_identity_h36(args) -> Handled:

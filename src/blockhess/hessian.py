@@ -25,7 +25,7 @@ from operator import neg
 
 from . import linalg
 from .exterior import ExteriorArray
-from .multiindex import MultiIndex, enumerate_indices, first_index, sort_with_sign
+from .multiindex import MultiIndex, enumerate_indices
 from .ring import (
     WORD_PRIMES,
     MultiPoly,
@@ -100,9 +100,12 @@ class HessianMatrix:
 
 
 @lru_cache(maxsize=16)
-def _assembly_plan(k: int, N: int) -> tuple[tuple[MultiIndex, ...], tuple[tuple[int, ...], ...]]:
-    """The coefficient keys ``assemble`` reads at shape (k, N), and for each
-    cell of the Hessian its index into values + negated values + [zero].
+def _assembly_plan(
+    k: int, N: int
+) -> tuple[tuple[MultiIndex, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The coefficient keys ``assemble`` reads at shape (k, N), each key's
+    sign, and for each cell of the Hessian its index into values + negated
+    values + [zero].
 
     Entry ((p,t), (p',t')) is the coefficient symbol with t at position p
     and t' at position p': ``A.get`` of If with those two entries rewritten.
@@ -110,12 +113,14 @@ def _assembly_plan(k: int, N: int) -> tuple[tuple[MultiIndex, ...], tuple[tuple[
     and t < t' that symbol is sign * a_{rest + (t, t')}, where rest is If
     without p and p': sorting moves t past the k - p - 1 entries of rest
     after it and t' past the k - p', so sign = (-1)^(2k - p - p' - 1), and
-    swapping t and t' flips it.  Each key is read once and indexed from its
-    four cells.  A plan holds side^2 indices, hence the bounded cache.
+    swapping t and t' flips it.  Keys and signs run over (p < p', t < t') in
+    that order; each key is read once and indexed from its four cells.  A
+    plan holds side^2 indices, hence the bounded cache.
     """
     w = N - k
     n = comb(k, 2) * comb(w, 2)
     keys: list[MultiIndex] = []
+    signs: list[int] = []
     rows = [[2 * n] * (k * w) for _ in range(k * w)]
     for p in range(1, k + 1):
         for pp in range(p + 1, k + 1):
@@ -126,16 +131,17 @@ def _assembly_plan(k: int, N: int) -> tuple[tuple[MultiIndex, ...], tuple[tuple[
                 for v in range(u + 1, w):
                     i = len(keys)
                     keys.append(rest + (k + 1 + u, k + 1 + v))
+                    signs.append(-1 if odd else 1)
                     plus, minus = (i + n, i) if odd else (i, i + n)
                     rows[r + u][rr + v] = rows[rr + v][r + u] = plus
                     rows[r + v][rr + u] = rows[rr + u][r + v] = minus
-    return tuple(keys), tuple(map(tuple, rows))
+    return tuple(keys), tuple(signs), tuple(map(tuple, rows))
 
 
 def assemble(A: ExteriorArray) -> HessianMatrix:
     """Second partials of the dehomogenized form at the chart origin, laid
     out by ``_assembly_plan``; a missing key gives int 0, as ``ExteriorArray.get`` does."""
-    keys, plan = _assembly_plan(A.k, A.N)
+    keys, _, plan = _assembly_plan(A.k, A.N)
     vals = list(map(A.coeffs.get, keys, repeat(0)))
     cells = [*vals, *map(neg, vals), _zero_of(A.coeffs.values())]
     H = HessianMatrix.__new__(HessianMatrix)  # the rows are fresh and square: skip __init__'s copy
@@ -182,22 +188,9 @@ def symbolic_coefficient_array(k: int, N: int) -> ExteriorArray:
         raise ValueError(
             f"symbolic ({k},{N}) needs {n} variables, over the cap of {SYMBOLIC_VARIABLE_CAP}"
         )
-    coeffs: dict[tuple[int, ...], MultiPoly] = {}
-    v = 0
-    for p in range(1, k + 1):
-        for pp in range(p + 1, k + 1):
-            for t in range(k + 1, N + 1):
-                for tt in range(t + 1, N + 1):
-                    raw = list(first_index(k, N))
-                    raw[p - 1] = t
-                    raw[pp - 1] = tt
-                    idx, sign = sort_with_sign(raw, N)
-                    # positional symbol = sign * a_idx, so a_idx = sign * var
-                    coeffs[idx] = sign * MultiPoly.variable(v, n)
-                    v += 1
-    if v != n:
-        raise AssertionError("variable count mismatch")
-    return ExteriorArray(k, N, coeffs)
+    keys, signs, _ = _assembly_plan(k, N)
+    # positional symbol = sign * a_key, so a_key = sign * var
+    return ExteriorArray(k, N, {I: s * MultiPoly.variable(v, n) for v, (I, s) in enumerate(zip(keys, signs))})
 
 
 def assemble_symbolic(k: int, N: int) -> HessianMatrix:

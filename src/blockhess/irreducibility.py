@@ -236,14 +236,14 @@ def ensure(table: dict, k: int, N: int) -> dict:
     return _record(kc, Nc, "undecided", None, "candidates remain", verdict)
 
 
-def run_schedule(k: int, N_max: int, table: dict | None = None) -> list[dict]:
-    """Records for (k, N) over N = 2k .. N_max, extending the table as it goes.
+def run_schedule(k: int, N_max: int) -> list[dict]:
+    """Records for (k, N) over N = 2k .. N_max, extending a fresh
+    ``seeded_table()`` as it goes.
 
     Raises ValueError when the range is empty (N_max < 2k): a schedule
     that decides nothing must not read as a pass.
     """
     if N_max < 2 * k:
         raise ValueError(f"empty schedule: N_max = {N_max} < 2k = {2 * k}")
-    if table is None:
-        table = seeded_table()
+    table = seeded_table()
     return [ensure(table, k, N) for N in range(2 * k, N_max + 1)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable
-from operator import lt
+from operator import gt, lt
 
 MultiIndex = tuple[int, ...]
 
@@ -50,11 +50,7 @@ def sort_with_sign(values: Iterable[int], N: int | None = None) -> SignedIndex:
     if len(set(seq)) != len(seq):
         return SignedIndex(tuple(sorted(seq)), 0)
     # Counting inversions pair-by-pair is O(n^2) but n = k <= 7 throughout.
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
+    inversions = sum(itertools.starmap(gt, itertools.combinations(seq, 2)))
     return SignedIndex(tuple(sorted(seq)), -1 if inversions % 2 else 1)
 
 

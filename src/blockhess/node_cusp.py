@@ -38,7 +38,7 @@ import itertools
 from fractions import Fraction
 
 from .exterior import ChartPoint, ExteriorArray, _star_vanishes, is_critical
-from .hessian import HessianMatrix, assemble, det_exact
+from .hessian import assemble, det_exact
 from .linalg import rank_fraction, span_equal
 from .multiindex import (
     MultiIndex,
@@ -162,18 +162,13 @@ def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearF
     """
     form: LinearForm = {}
     for choice in itertools.product(*rows):
-        cols = [c for c, _ in choice]
-        I = tuple(sorted(cols))
-        if len(set(I)) < k:
+        I, s = sort_with_sign([c for c, _ in choice])
+        if not s:
             continue
         if I in form:
             raise AssertionError(f"minor on columns {I} has a second term")
-        form[I] = (sum(e for _, e in choice), _perm_sign(cols))
+        form[I] = (sum(e for _, e in choice), s)
     return form
-
-
-def _perm_sign(images: list[int]) -> int:
-    return -1 if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 else 1
 
 
 def _normalized(form: LinearForm) -> LinearForm:
@@ -351,63 +346,12 @@ class NodeConditionError(ValueError):
     """A structural node condition failed; the message says which and where."""
 
 
-def _signed_match(
-    lhs: list[Fraction], rhs: list[Fraction]
-) -> tuple[bool, str]:
-    """Do two vectors agree up to one global sign?  Returns (ok, sign) with
-    sign in {"+1", "-1", "zero"}."""
-    if len(lhs) != len(rhs):
-        return False, "length"
-    sign = 0
-    for a, b in zip(lhs, rhs):
-        if (a == 0) != (b == 0):
-            return False, "support"
-        if a == 0:
-            continue
-        s = 1 if a == b else (-1 if a == -b else 0)
-        if s == 0:
-            return False, "ratio"
-        if sign == 0:
-            sign = s
-        elif sign != s:
-            return False, "mixed"
-    return True, {0: "zero", 1: "+1", -1: "-1"}[sign]
-
-
-def _row_column_check(
-    H1: HessianMatrix,
-    Ablocks: dict[tuple[int, int], list[list[Fraction]]],
-    bpair: tuple[int, int],
-    row: int,
-    ablock: tuple[int, int],
-    N: int,
-) -> tuple[bool, str, str]:
-    """Compare row ``row`` of B_{bpair} against the within-block column of
-    A_{ablock} determined by the missing last-block element, shifted by 3.
-
-    Returns (ok, sign, detail-on-failure).
-    """
-    i, j = bpair
-    missing = ({1, 2, 3} - {i, j}).pop()  # dual position not in the pair
-    ell = N - 3 + missing  # the corresponding basis vector in Il
-    col = ell - 3  # within-block column index of the A block
-    B = H1.block(i, j)
-    A = Ablocks[ablock]
-    m = N - 3
-    lhs = [B[row - 1][v - 1] for v in range(4, m + 1)]
-    rhs = [A[w - 1][col - 1] for w in range(1, m - 3 + 1)]
-    head = [B[row - 1][v - 1] for v in range(1, 4)]
-    tail = [A[w - 1][col - 1] for w in range(m - 2, m + 1)]
-    if any(head):
-        return False, "", f"B{i}{j} row {row} columns 1..3 not zero"
-    if any(tail):
-        return False, "", f"A{ablock[0]}{ablock[1]} column {col} rows {m-2}..{m} not zero"
-    ok, sign = _signed_match(lhs, rhs)
-    if not ok:
-        return False, "", (
-            f"B{i}{j} row {row} vs A{ablock[0]}{ablock[1]} column {col} mismatch ({sign})"
-        )
-    return True, sign, ""
+def _sign_of_match(lhs: list, rhs: list) -> str | None:
+    """The sign relating two vectors: "+1" or "-1" when lhs is rhs or its
+    negative and nonzero, "zero" when both vanish, ``None`` otherwise."""
+    if lhs == rhs:
+        return "+1" if any(lhs) else "zero"
+    return "-1" if lhs == [-x for x in rhs] else None
 
 
 def _free_node_indices(k: int, N: int) -> list[MultiIndex]:
@@ -428,9 +372,15 @@ def verify_node_pair_k3(A: ExteriorArray, completion_seed: int = 0) -> dict:
     completed second Hessian with both determinants nonzero.
 
     Structural failures raise :class:`NodeConditionError` naming the
-    condition and location.  Condition (iv) is checked in two readings
-    (the derived block A12 and the literally printed block A23); only the
-    derived reading is required to hold, both outcomes are reported.
+    condition and location.  Condition (i) is checked once, in coefficient
+    form, by :func:`generic_node_membership`.  That covers its matrix forms:
+    each cell of the last 3x3 of an A block holds a coefficient with two
+    indices in Il, each cell of the first 3x3 of a B block one with two in
+    If, so both lie in a star that must vanish, and the completion fills
+    only indices with no entry in If.  Conditions (ii)-(iv) compare a B row
+    with an A column up to one sign.  Condition (iv) is checked in two
+    readings (the derived block A12 and the literally printed block A23);
+    only the derived reading is required to hold, both outcomes are reported.
     """
     import random
 
@@ -443,17 +393,8 @@ def verify_node_pair_k3(A: ExteriorArray, completion_seed: int = 0) -> dict:
         raise NodeConditionError("condition (i): a coefficient meeting an end block in >= k-1 entries is nonzero")
 
     H0 = assemble(A)
-    m = N - 3
-    Ablocks = {(i, j): H0.block(i, j) for i, j in ((1, 2), (1, 3), (2, 3))}
-
-    # Condition (i), matrix form: last 3x3 of each A block zero.
-    for (i, j), blk in Ablocks.items():
-        for u in range(m - 3, m):
-            for v in range(m - 3, m):
-                if blk[u][v] != 0:
-                    raise NodeConditionError(
-                        f"condition (i): A{i}{j}[{u + 1}][{v + 1}] = {blk[u][v]} in the last 3x3 block"
-                    )
+    pairs = ((1, 2), (1, 3), (2, 3))
+    Ablocks = {(i, j): H0.block(i, j) for i, j in pairs}
 
     free = _free_node_indices(k, N)
     report: dict = {
@@ -488,41 +429,27 @@ def verify_node_pair_k3(A: ExteriorArray, completion_seed: int = 0) -> dict:
     report["completion_seed"] = seed_used
     report["det_H1"] = int(det_H1)
     assert H1 is not None
-
-    # Condition (i), dual side: first 3x3 of each B block zero.
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        B = H1.block(i, j)
-        for u in range(3):
-            for v in range(3):
-                if B[u][v] != 0:
-                    raise NodeConditionError(
-                        f"condition (i): B{i}{j}[{u + 1}][{v + 1}] = {B[u][v]} in the first 3x3 block"
-                    )
     report["condition_i"] = "holds"
 
-    # Conditions (ii)-(iv): B rows against A columns.
-    for label, row, ablock in (("condition_ii", 1, (2, 3)), ("condition_iii", 2, (1, 3))):
-        checks = {}
-        for bpair in ((1, 2), (1, 3), (2, 3)):
-            ok, sign, detail = _row_column_check(H1, Ablocks, bpair, row, ablock, N)
-            if not ok:
-                raise NodeConditionError(f"{label}: {detail}")
-            checks[f"B{bpair[0]}{bpair[1]}"] = sign
-        report[label] = {"block": f"A{ablock[0]}{ablock[1]}", "signs": checks}
+    def signs(row: int, ablock: tuple[int, int], label: str | None) -> dict[str, str | None]:
+        """Row ``row`` of each B_ij from column 4 on, against the top N-6
+        rows of the A column of the Il element missing from {i, j}."""
+        out = {}
+        for i, j in pairs:
+            col = N - i - j  # within-block column N-3+missing-3, missing = 6-i-j
+            sign = _sign_of_match(H1.block(i, j)[row - 1][3:], [r[col - 1] for r in Ablocks[ablock][: N - 6]])
+            if sign is None and label is not None:
+                raise NodeConditionError(
+                    f"{label}: B{i}{j} row {row} vs A{ablock[0]}{ablock[1]} column {col} mismatch"
+                )
+            out[f"B{i}{j}"] = sign
+        return out
 
-    derived = {}
-    for bpair in ((1, 2), (1, 3), (2, 3)):
-        ok, sign, detail = _row_column_check(H1, Ablocks, bpair, 3, (1, 2), N)
-        if not ok:
-            raise NodeConditionError(f"condition (iv) [derived A12]: {detail}")
-        derived[f"B{bpair[0]}{bpair[1]}"] = sign
-    literal_holds = all(
-        _row_column_check(H1, Ablocks, bpair, 3, (2, 3), N)[0]
-        for bpair in ((1, 2), (1, 3), (2, 3))
-    )
+    for label, row, ablock in (("condition_ii", 1, (2, 3)), ("condition_iii", 2, (1, 3))):
+        report[label] = {"block": f"A{ablock[0]}{ablock[1]}", "signs": signs(row, ablock, label)}
     report["condition_iv"] = {
-        "derived": {"block": "A12", "signs": derived},
-        "literal_A23_holds": literal_holds,
+        "derived": {"block": "A12", "signs": signs(3, (1, 2), "condition (iv) [derived A12]")},
+        "literal_A23_holds": None not in signs(3, (2, 3), None).values(),
     }
 
     report["pass"] = det_H0 != 0 and det_H1 != 0

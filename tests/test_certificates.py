@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+import hessian_oracle
 from blockhess.certificates import (
     CERTIFICATE_IDS,
-    CHECKSUMS,
     Certificate,
     array_from_blocks,
     blocks_from_hessian,
@@ -63,7 +63,6 @@ def test_registry_lists_ten_records():
 
 
 def test_checksums_frozen():
-    assert CHECKSUMS == FROZEN_CHECKSUMS
     for cid in CERTIFICATE_IDS:
         assert payload_checksum(load(cid)) == FROZEN_CHECKSUMS[cid]
 
@@ -170,6 +169,20 @@ def test_array_from_blocks_validates_structure():
     partial.pop("A34")
     with pytest.raises(ValueError):
         array_from_blocks(4, 8, partial)
+
+
+@pytest.mark.parametrize("cid", CERTIFICATE_IDS)
+def test_array_from_blocks_matches_sorted_sign_oracle(cid):
+    cert = load(cid)
+    A, ref = to_array(cert), hessian_oracle.array_from_blocks(cert.k, cert.N, cert.blocks)
+    assert list(A.coeffs.items()) == list(ref.coeffs.items())
+
+
+@pytest.mark.parametrize("k,N", [(3, 12), (4, 10), (5, 11), (6, 12), (7, 16)])
+def test_built_array_matches_sorted_sign_oracle(k, N):
+    cert = build_corank1(k, N)
+    A, ref = to_array(cert), hessian_oracle.array_from_blocks(k, N, cert.blocks)
+    assert list(A.coeffs.items()) == list(ref.coeffs.items())
 
 
 def test_blocks_round_trip_through_hessian():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exterior_oracle
+import hessian_oracle
 from blockhess import linalg
 from blockhess.cli import main
 from blockhess.exterior import ChartPoint, ExteriorArray, act_translation
@@ -152,6 +153,25 @@ def test_symbolic_coefficient_array_has_one_variable_per_block_slot():
     assert len(nz) == 9
     H = assemble(A)
     assert H.is_structurally_valid()
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_symbolic_coefficient_array_matches_sorted_sign_oracle(k):
+    # keys, signs, variable numbering and insertion order, from the plan
+    # against each slot's key sorted with sign
+    for N in range(k + 2, 2 * k + 5):
+        A, ref = symbolic_coefficient_array(k, N), hessian_oracle.symbolic_coefficient_array(k, N)
+        assert list(A.coeffs.items()) == list(ref.coeffs.items()), (k, N)
+
+
+def test_symbolic_cap_is_checked_before_the_plan():
+    from blockhess.hessian import SYMBOLIC_VARIABLE_CAP, _assembly_plan
+
+    before = _assembly_plan.cache_info()
+    with pytest.raises(ValueError, match=f"over the cap of {SYMBOLIC_VARIABLE_CAP}"):
+        symbolic_coefficient_array(2, 200)  # C(198, 2) = 19,503 variables
+    after = _assembly_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 @given(st.integers(0, 2**32))

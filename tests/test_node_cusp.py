@@ -1,7 +1,9 @@
 """Degenerating frames, defining linear forms, their T -> 0 limits, and the
 two-point tangency verification."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -293,6 +295,85 @@ def test_verify_node_pair_frozen_report():
         "signs": {"B12": "+1", "B13": "-1", "B23": "+1"},
     }
     assert report["condition_iv"]["literal_A23_holds"] is False
+
+
+# sha256 of json.dumps(report, sort_keys=True) for each node certificate and
+# completion seed, recorded before condition (i) was reduced to its
+# coefficient form and the sign classifier to equal-or-negated
+PINNED_NODE_REPORTS = {
+    ("node-3-9", 0): "1f022794aea067c9a0a56881b52379c28ac535d9bf2b6bd9c1d45d1595f07a9c",
+    ("node-3-9", 1): "f45fbfbcc3700785256e42463997adecbddadf1a7aa59f8acee717551ebadeb8",
+    ("node-3-9", 7): "426e960854bed6fdf0812cc87fa451bcb5f3774779d0f75d1582fa97139cad7c",
+    ("node-3-10", 0): "1b57d7e0078c3977f1f568c5f5079bb34757a6e43c4b15751dde8580dd692745",
+    ("node-3-10", 1): "827de7a0a47ce0bf9a6e33b84da611df7ec98f5296ebb5f381f1ff13a9e21e72",
+    ("node-3-10", 7): "61ef52ef175acb1e72c19d47b986ff3513f0b02b448b78b3d640d74b488d642f",
+    ("node-3-11", 0): "90dce8730bdc99bdbb9a03bf7d2a45a52ba4d2f61ead84b50ea225bc6f91bfc7",
+    ("node-3-11", 1): "55c9285e96c447290580adcf20676a8e5594a09e69d49e2c1ed085e6308392b5",
+    ("node-3-11", 7): "defd81d226be6f89065941cc1854ffb4025b33878aa9bb54e6e346d9cc5f46ae",
+}
+
+
+@pytest.mark.parametrize("cid,seed", sorted(PINNED_NODE_REPORTS))
+def test_verify_node_pair_reports_pinned(cid, seed):
+    report = verify_node_pair_k3(to_array(load(cid)), completion_seed=seed)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_NODE_REPORTS[cid, seed]
+
+
+# the same digests for seeded arrays with both stars zero, drawn below at
+# densities 1, 0.3 or 0.1, so that 10 of the 12 reports hold a "zero" sign;
+# recorded with the same code as PINNED_NODE_REPORTS
+PINNED_RANDOM_REPORTS = {
+    (9, 0): "dbaf92675c4e455906f0e5d7390d37446c1c2c9b6a2428ab13c5164a41b2484b",
+    (9, 1): "5fca79e2bffb2fc6d3511d700a57d859e6392895d6aca01c6dbdf109841c6e98",
+    (9, 2): "a0c61a16c1908ce30b7c3a449658022588a9ea0c7b6705cc3ce1d30e9537300a",
+    (10, 0): "0d6648324c276fc09baa280c22afe96a25063934f965bc467f2116f91702f933",
+    (10, 1): "3316503aab89463a5360e41c18d2ce8b79067067d7681e52ca7ac8acc95fe606",
+    (10, 2): "d523379dba561e65476a817c5d4315a154b54d61ffd8db631cf99f123a399e67",
+    (11, 0): "52fb9f0e3061246c36eb0a9639438ecdf79bf0fc11e22bb01594cb73c317a073",
+    (11, 1): "9921a0033e609acdd31826c7366130319d007e3188135c44027c8c4ce2e4d0dc",
+    (11, 2): "c074ac8c799c3cf10e080ad322cf21fbd4c468b579c81f95d43b684c328cefd1",
+    (12, 0): "2acb13a107227c896532bf1dd86739ee9c00a2da2e9fd4c22616e28b301b75b5",
+    (12, 1): "62ecb3ab068d313e42341228d99bcc4eba215f8b856f2fcc034df87ae72330c3",
+    (12, 2): "9da3fdd61586eda684118d5d2f2c2532787ed4283478244903a38ede3a772031",
+}
+
+
+@pytest.mark.parametrize("N,seed", sorted(PINNED_RANDOM_REPORTS))
+def test_verify_node_pair_holds_on_arrays_with_both_stars_zero(N, seed):
+    # generic_node_membership is all of condition (i): its matrix forms
+    # follow from it, and conditions (ii)-(iv) compare the same coefficients
+    # read from two layouts, so no array with both stars zero fails them
+    from blockhess.hessian import assemble, assemble_dual
+
+    rng = random.Random(f"node-pair:{N}:{seed}")
+    If, Il = first_index(3, N), last_index(3, N)
+    stars = star(If, N) | star(Il, N)
+    density = rng.choice((0.1, 0.3, 1.0))
+    coeffs = {I: rng.randint(-2, 2) for I in enumerate_indices(3, N) if I not in stars and rng.random() < density}
+    report = verify_node_pair_k3(ExteriorArray(3, N, coeffs), seed)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_RANDOM_REPORTS[N, seed]
+    # the last 3x3 of each A block, and the first 3x3 of each B block after
+    # filling every index with no entry in If (a superset of the completion)
+    fill = {I: rng.randint(-2, 2) for I in enumerate_indices(3, N) if not set(I) & set(If)}
+    H0, H1 = assemble(ExteriorArray(3, N, coeffs)), assemble_dual(ExteriorArray(3, N, {**coeffs, **fill}))
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        assert not any(e for row in H0.block(i, j)[-3:] for e in row[-3:])
+        assert not any(e for row in H1.block(i, j)[:3] for e in row[:3])
+    for center in (If, Il):
+        spoiled = {**coeffs, rng.choice(sorted(star(center, N))): rng.choice((-2, -1, 1, 2))}
+        with pytest.raises(NodeConditionError, match=r"condition \(i\)"):
+            verify_node_pair_k3(ExteriorArray(3, N, spoiled), seed)
+
+
+def test_verify_node_pair_on_the_zero_array():
+    # every compared row and column vanishes, so both readings of (iv) hold
+    report = verify_node_pair_k3(ExteriorArray(3, 9, {}), 0)
+    zero = {"B12": "zero", "B13": "zero", "B23": "zero"}
+    assert report["condition_ii"]["signs"] == report["condition_iii"]["signs"] == zero
+    assert report["condition_iv"] == {"derived": {"block": "A12", "signs": zero}, "literal_A23_holds": True}
+    assert (report["det_H0"], report["completion_seed"], report["pass"]) == (0, None, False)
 
 
 def test_verify_node_pair_seed_changes_completion_only():
