@@ -6,8 +6,9 @@ The polynomial determinant eliminates on packed monomials, one int per
 exponent vector (see :mod:`.ring`), and unpacks only its result.
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
-single integers, each column a slot wide enough for (p-1) + ncols*(p-1)**2,
-so that row operations run in C and no slot carries into the next.
+single integers, each column a byte-rounded slot of e + bitlen(2**e // p) bits
+with 2**e > (p-1) + ncols*(p-1)**2, so that row operations and the Barrett
+reduction of each pivot row run in C and no slot carries into the next.
 The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 """
 
@@ -141,20 +142,25 @@ def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
     pivots on the first row nonzero mod p in the leading slot and adds a
     multiple of it to every other row in one big-integer operation; a column
     with no pivot is dropped on its own.  Slots are reduced only when read,
-    so each holds at most (p-1) + ncols*(p-1)**2 < 2**bits and no carry
-    crosses into the next.  The signed product is the determinant when the
-    rank is full.
+    so each holds at most (p-1) + ncols*(p-1)**2 < 2**ebits.  The rest X of the
+    pivot row is reduced whole (Barrett, mu = 2**ebits // p): a slot holds
+    ebits + bitlen(mu) bits, so each x*mu fits, and q = x*mu >> ebits, masked
+    to its slot, lies in [x//p - 1, x//p]; bit c = bitlen(2p) of x - p*q +
+    2**c - p marks where one more p comes off.  Every row then gains
+    f * x < p**2 per slot, so no carry crosses into the next.  The signed
+    product is the determinant when the rank is full.
     """
     ncols = len(m[0]) if m else 0
-    nbytes = ((p - 1) + ncols * (p - 1) ** 2).bit_length() // 8 + 1
-    bits, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-
-    def pack(row: list[int]) -> int:
-        return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in row]), "little")
-
-    a = [pack([e % p if type(e) is int else scalar_mod(e, p) for e in row]) for row in m]
+    ebits = ((p - 1) + ncols * (p - 1) ** 2).bit_length()
+    mu, c = (1 << ebits) // p, (2 * p).bit_length()
+    nbytes = (ebits + mu.bit_length() + 7) // 8
+    bits, mask, size = 8 * nbytes, (1 << 8 * nbytes) - 1, ncols * nbytes
+    ones = ((1 << bits * ncols) - 1) // mask  # 1 in every slot
+    qmask, K = ones * ((1 << bits - ebits) - 1), ones * ((1 << c) - p)
+    buf = b"".join([(e % p if type(e) is int else scalar_mod(e, p)).to_bytes(nbytes, "little") for row in m for e in row])
+    a = [int.from_bytes(buf[i * size : (i + 1) * size], "little") for i in range(len(m))]
     rank, det = 0, 1
-    for width in range(ncols - 1, -1, -1):
+    for _ in range(ncols):
         i = next((i for i, r in enumerate(a) if (r & mask) % p), None)
         if i is None:
             a = [r >> bits for r in a]
@@ -165,10 +171,11 @@ def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
         det = (-det if i % 2 else det) * piv % p
         rank += 1
         scale = p - pow(piv, -1, p)
-        raw = (top >> bits).to_bytes(width * nbytes, "little")
-        T = pack([int.from_bytes(raw[j : j + nbytes], "little") * scale % p for j in range(0, len(raw), nbytes)])
-        # each slot gains f * y < p**2; the shift drops the leading column
-        a = [(r >> bits) + (r & mask) % p * T for r in a]
+        X = top >> bits
+        X -= p * ((X * mu >> ebits) & qmask)
+        X -= p * ((X + K >> c) & ones)
+        # each slot gains f * x < p**2; the shift drops the leading column
+        a = [(r >> bits) + (r & mask) * scale % p * X for r in a]
     return rank, det
 
 

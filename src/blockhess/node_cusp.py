@@ -151,7 +151,7 @@ def chart_point_at(spec: NodePointSpec) -> ChartPoint:
 # Defining forms at x(J, T) and their T -> 0 limits
 
 
-def _form_for_rows(rows: list[list[tuple[int, int]]], k: int, N: int) -> LinearForm:
+def _form_for_rows(rows: list[list[tuple[int, int]]]) -> LinearForm:
     """The k x k minors of a frame whose rows hold (column, T-exponent) unit
     entries, as a form on the C(N, k) multiindices.
 
@@ -263,13 +263,13 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
         t1, t2 = (p for p in range(1, k + 1) if p not in node.in_first)
         special = {(t1, pairing[t2]), (t2, pairing[t1]), (t1, t1), (t2, t2)}
 
-    moving = [_normalized(_form_for_rows(rows, k, N))]
+    moving = [_normalized(_form_for_rows(rows))]
     labels = ["F"]
     replaced = [False]
     for p, t in _moving_selection(node):
         replaced_rows = list(rows)
         replaced_rows[p - 1] = [(t, 0)]
-        form = _normalized(_form_for_rows(replaced_rows, k, N))
+        form = _normalized(_form_for_rows(replaced_rows))
         labels.append(f"d[{p},{t}]")
         replaced.append((p, t) in special)
         if replaced[-1]:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockhess.hessian import det_exact
+from blockhess.exterior import ExteriorArray
+from blockhess.hessian import assemble, det_exact
 from blockhess.linalg import (
     det_bareiss,
     det_exact_generic,
@@ -270,7 +271,8 @@ P64 = 18446744073709551557
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrix_pairs(mod_scalars), st.sampled_from([2, 3, 7, WORD_PRIMES[0], P64]))
+# 1,000,003 and 2**61 - 1 give Barrett factors mu = 2**e // p of other lengths
+@given(matrix_pairs(mod_scalars), st.sampled_from([2, 3, 7, 1_000_003, WORD_PRIMES[0], 2**61 - 1, P64]))
 def test_mod_p_kernel_matches_dense_oracle(pair, p):
     M, _, width = pair
     assert rank_mod(M, p) == oracle.rank_mod(M, p)
@@ -288,10 +290,62 @@ def test_mod_p_kernel_matches_dense_oracle(pair, p):
 def test_mod_p_kernel_carry_bound_on_wide_matrices(rows, cols, p):
     """M[i][j] = -1 - min(i, j) mod p.  Step t pivots on row t without a swap;
     there every remaining row has leading entry p - 1 and the pivot row is
-    all p - 1, so every multiplier and every entry of the scaled pivot row
+    all p - 1, so every multiplier and every entry of the reduced pivot row
     is p - 1, and each step adds the largest product (p-1)**2 to every slot
     that the packed kernel leaves unreduced."""
     M = [[(-1 - min(i, j)) % p for j in range(cols)] for i in range(rows)]
     assert rank_mod(M, p) == oracle.rank_mod(M, p) == min(rows, cols)
     if rows == cols:
         assert det_mod(M, p) == oracle.det_mod(M, p) == (-1) ** rows % p
+
+
+def undershooting_matrix(p, n):
+    """M = L * U over GF(p), L all ones on and below the diagonal and U unit
+    upper triangular: det M = 1, step t pivots on row t, and every multiplier
+    is p - 1.  Above the diagonal, column j holds the residues that give the
+    unreduced slot x of each pivot row the largest Barrett remainder
+    x - p * (x * mu >> e), which lies in [p, 2p) when the quotient falls one
+    short.  Kept unreduced, such remainders grow the slots until x * mu
+    carries into the next slot."""
+    e = ((p - 1) + n * (p - 1) ** 2).bit_length()
+    mu = (1 << e) // p
+    cols = []
+    for j in range(n):
+        acc, col = 0, []
+        for _ in range(j):
+            rems = [x - p * (x * mu >> e) for x in range((p - 1) * acc, (p - 1) * acc + p)]
+            col.append(max(range(p), key=rems.__getitem__))
+            acc += rems[col[-1]]
+        cols.append(col + [((col[-1] if col else 0) + 1) % p] * (n - j))
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("p, n", [(263, 15), (1231, 22)])
+def test_mod_p_kernel_reduces_the_pivot_row_fully(p, n):
+    M = undershooting_matrix(p, n)
+    assert oracle.det_mod(M, p) == 1
+    assert det_mod(M, p) == 1 and rank_mod(M, p) == n
+
+
+@pytest.mark.parametrize("p", [WORD_PRIMES[0], P64])
+@pytest.mark.parametrize("k, N, zero", [(3, 6, False), (3, 7, False), (4, 8, True), (3, 9, False), (5, 10, False), (7, 14, False)])
+def test_mod_p_kernel_on_assembled_hessians(k, N, zero, p):
+    """The Hessians the line workloads eliminate, with (4,8)'s A34 block
+    zeroed (indices meeting {1,2,3,4} in {3,4}), against the dense oracle:
+    the full matrix, a rank-deficient one with a row sum appended and a
+    wide half."""
+    rng = random.Random(f"{k}-{N}-{zero}-{p}")
+    support = [I for I in enumerate_indices(k, N) if not (zero and set(I) & {1, 2, 3, 4} == {3, 4})]
+    H = assemble(ExteriorArray(k, N, {I: rng.randrange(-p, p) for I in support})).rows
+    assert det_mod(H, p) == oracle.det_mod(H, p)
+    i, j = rng.sample(range(len(H)), 2)
+    for M in (H, H + [[x + y for x, y in zip(H[i], H[j])]], H[: len(H) // 2]):
+        assert rank_mod(M, p) == oracle.rank_mod(M, p)
+
+
+@pytest.mark.parametrize("p", [2, WORD_PRIMES[0], P64])
+def test_mod_p_kernel_on_empty_matrices(p):
+    assert rank_mod([], p) == 0 and det_mod([], p) == 1
+    assert rank_mod([[]], p) == rank_mod([[], [], []], p) == 0
+    with pytest.raises(ValueError):
+        det_mod([[]], p)

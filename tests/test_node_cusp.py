@@ -157,7 +157,7 @@ def test_form_value_exponents_follow_replacement_parity():
     from blockhess.node_cusp import _form_for_rows, _normalized, _pair_rows
 
     node = NodeIndexSet(4, 10, (2, 3, 8, 9))
-    F_raw = _form_for_rows(_pair_rows(NodePointSpec(node, None)), 4, 10)
+    F_raw = _form_for_rows(_pair_rows(NodePointSpec(node, None)))
     IJ = set(node.J)
     for P, want in [((), 0), ((1,), -1), ((2,), 1), ((3,), 1), ((4,), -1), ((1, 2), 0)]:
         I, _s = node_cusp_oracle.replace(set(P), node)
@@ -182,14 +182,14 @@ def test_moving_forms_match_gradient_numerically():
             spec = NodePointSpec(node, t)
             X = chart_point_at(spec)
             rows = _pair_rows(spec)
-            F_raw = _form_for_rows(rows, k, N)
+            F_raw = _form_for_rows(rows)
             assert _form_apply(_form_eval_at_T(F_raw, t), A) == exterior_oracle.evaluate_form(A, X)
             grad = gradient(act_translation(A, X))
             for p in range(1, k + 1):
                 for tt in range(k + 1, N + 1):
                     rrows = list(rows)
                     rrows[p - 1] = [(tt, 0)]
-                    praw = _form_for_rows(rrows, k, N)
+                    praw = _form_for_rows(rrows)
                     got = _form_apply(_form_eval_at_T(praw, t), A) if praw else Fraction(0)
                     assert got == grad[p - 1][tt - k - 1], (node.J, p, tt)
 
@@ -205,7 +205,7 @@ def test_form_for_rows_matches_first_row_expansion():
             rows = _pair_rows(NodePointSpec(node, None))
             frames = [rows] + [rows[: p - 1] + [[(t, 0)]] + rows[p:] for p, t in _moving_selection(node)]
             for frame in frames:
-                assert _form_for_rows(frame, k, N) == node_cusp_oracle.form_for_rows(frame, k, N), (node.J, frame)
+                assert _form_for_rows(frame) == node_cusp_oracle.form_for_rows(frame, k, N), (node.J, frame)
 
 
 def test_sparse_minor_raises_on_a_second_term():
@@ -214,7 +214,7 @@ def test_sparse_minor_raises_on_a_second_term():
     from blockhess.node_cusp import _form_for_rows
 
     with pytest.raises(AssertionError, match="second term"):
-        _form_for_rows([[(1, 0), (2, 1)], [(1, 0), (2, 0)]], 2, 2)
+        _form_for_rows([[(1, 0), (2, 1)], [(1, 0), (2, 0)]])
 
 
 # ---------------------------------------------------------------------------
