@@ -562,10 +562,8 @@ def to_json_dict(cert: Certificate) -> dict:
     }
 
 
-def export_certificate(cert: Certificate | str, path) -> None:
+def export_certificate(cert: Certificate, path) -> None:
     """Write the canonical JSON form (byte-stable for equal certificates)."""
-    if isinstance(cert, str):
-        cert = load(cert)
     text = json.dumps(to_json_dict(cert), sort_keys=True, separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="ascii")
 

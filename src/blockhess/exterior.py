@@ -80,10 +80,6 @@ class ExteriorArray:
         c = self.coeffs.get(idx, 0)
         return c if sign == 1 else -c
 
-    def items(self):
-        """Nonzero entries in lexicographic key order."""
-        return sorted(self.coeffs.items())
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ExteriorArray)

@@ -59,30 +59,17 @@ class HessianMatrix:
         r0, c0 = (i - 1) * w, (j - 1) * w
         return [row[c0 : c0 + w] for row in self.rows[r0 : r0 + w]]
 
-    def structure_errors(self) -> list[str]:
-        """Violations of the expected shape: symmetry, zero diagonal blocks,
-        skew off-diagonal blocks.  Empty list means structurally valid."""
-        errs = []
-        n = self.side
-        w = self.N - self.k
-        for i in range(n):
-            for j in range(n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    errs.append(f"not symmetric at ({i},{j})")
-                blk_i, blk_j = i // w, j // w
-                if blk_i == blk_j and self.rows[i][j] != 0:
-                    errs.append(f"diagonal block {blk_i + 1} nonzero at ({i},{j})")
-        for bi in range(1, self.k + 1):
-            for bj in range(bi + 1, self.k + 1):
-                blk = self.block(bi, bj)
-                for u in range(w):
-                    for v in range(w):
-                        if blk[u][v] != -blk[v][u]:
-                            errs.append(f"block ({bi},{bj}) not skew at ({u},{v})")
-        return errs
-
     def is_structurally_valid(self) -> bool:
-        return not self.structure_errors()
+        """Symmetric, zero on the diagonal blocks and skew on the others, read
+        off one triangle.  Zero is ``== 0``, not falsy: a zero MultiPoly is truthy."""
+        R, w = self.rows, self.N - self.k
+        n = len(R)
+        return all(
+            R[i][j] == R[j][i]
+            and (R[i][j] == 0 if i // w == j // w else R[i][j] == -R[i - i % w + j % w][j - j % w + i % w])
+            for i in range(n)
+            for j in range(i, n)
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -248,8 +235,6 @@ def rank_exact(M) -> int:
     eliminates, so no denominator can vanish mod p and skip the check.
     """
     rows = _rows_of(M)
-    if not rows:
-        return 0
     r = linalg.rank_fraction(rows)
     rp = linalg.rank_mod(linalg.primitive_rows(rows), WORD_PRIMES[0])
     if rp > r:
@@ -349,26 +334,13 @@ def identity_h36(trials: int = 20, seed: int = 0, include_symbolic: bool = True)
 # duality reordering
 
 
-def duality_permutation(k: int, N: int) -> list[int]:
-    """Row/column order that regroups the (k, N) layout as an (N-k, N) one.
-
-    Position r of the result holds the old 1-based index; entry (p, t) moves
-    so that labels are regrouped by t first: [1, (N-k)+1, 2(N-k)+1, ...],
-    then [2, (N-k)+2, ...], and so on.
-    """
-    w = N - k
-    return [j + (p - 1) * w for j in range(1, w + 1) for p in range(1, k + 1)]
-
-
-def apply_permutation(M, perm: Sequence[int]) -> list[list]:
-    """Reorder rows and columns by the same 1-based permutation."""
-    rows = _rows_of(M)
-    return [[rows[pi - 1][pj - 1] for pj in perm] for pi in perm]
-
-
 def dualize_layout(H: HessianMatrix) -> HessianMatrix:
-    """Apply the duality reordering and relabel as an (N-k, N) Hessian."""
-    return HessianMatrix(H.N - H.k, H.N, apply_permutation(H, duality_permutation(H.k, H.N)))
+    """Regroup rows and columns by chart column first, relabelled as an (N-k, N)
+    Hessian: 0-based label (p, t) at row p*w + t, w = N-k, moves to row t*k + p.
+    One order on rows and columns keeps the determinant and the rank."""
+    k, w = H.k, H.N - H.k
+    order = [p * w + t for t in range(w) for p in range(k)]
+    return HessianMatrix(w, H.N, [[H.rows[i][j] for j in order] for i in order])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Exact linear algebra kernels.
+"""Exact linear algebra kernels, one per domain and job.
 
-Matrices are plain lists of lists.  Entries may be ints, Fractions, or
-MultiPoly values; every routine here is fraction-free or otherwise exact.
-The polynomial determinant eliminates on packed monomials, one int per
-exponent vector (see :mod:`.ring`), and unpacks only its result.
+Matrices are plain lists of lists of ints, Fractions or MultiPolys, and
+every routine here is exact.  Determinants over Z and Q run integer Bareiss
+on rows cleared of denominators; ``det_bareiss`` takes only matrices with a
+MultiPoly entry and eliminates on packed monomials (see :mod:`.ring`).
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a byte-rounded slot of e + bitlen(2**e // p) bits
@@ -33,40 +33,33 @@ from .ring import (
 
 
 def det_bareiss(m: Sequence[Sequence]):
-    """Fraction-free determinant (Bareiss) with full pivoting.
+    """Fraction-free determinant (Bareiss) of a matrix with a MultiPoly entry.
 
-    Entries are ints, Fractions or MultiPolys of one arity;
-    ``det_exact_generic`` uses it for MultiPoly entries.  Each entry is
-    packed once into ``{monomial int: coefficient}`` (see :mod:`.ring`),
-    with fields wide enough for degree 2 * side * (largest entry degree),
+    The MultiPolys share one arity; int and Fraction entries are constants.
+    Each entry is packed once into ``{monomial int: coefficient}`` (see
+    :mod:`.ring`), with fields for degree 2 * side * (largest entry degree),
     which bounds every numerator before its exact division.  The pivot is
-    the nonzero entry of the trailing block with the fewest terms (for
-    scalar entries, the smallest magnitude), first in row-major order; row
-    and column swaps are tracked in the sign, so zero diagonals are
-    harmless.  A cell whose two cross products both vanish stays zero
-    without an update.  Only the result is unpacked: a MultiPoly if any
-    entry is one, else an int or a Fraction; a 1 x 1 determinant is its
-    entry.
+    the nonzero entry of the trailing block with the fewest terms, first in
+    row-major order; each row or column swap flips the sign.  A cell whose
+    two cross products both vanish stays zero.  Only the result is unpacked,
+    as a MultiPoly; a 1 x 1 determinant is its entry.
     """
     n = len(m)
-    if n == 0:
-        return 1
     if n == 1:
         return m[0][0]
     polys = [e for row in m for e in row if isinstance(e, MultiPoly)]
-    nvars = polys[0].nvars if polys else 0
+    nvars = polys[0].nvars
     if any(e.nvars != nvars for e in polys):
         raise ValueError("determinant of polynomials of different arities")
-    w = _field_width(2 * n * max((_degree(e.terms) for e in polys), default=0))
+    w = _field_width(2 * n * max(_degree(e.terms) for e in polys))
     one = (0,) * nvars
     a = [[_pack(e.terms if isinstance(e, MultiPoly) else {one: e} if e else {}, w) for e in row] for row in m]
-    weight = len if polys else lambda t: _pivot_weight(t[0])
     guard = _guard_bits(nvars, w)
     sign, prev = 1, {0: 1}
     for r in range(n - 1):
-        best = min(((weight(a[i][j]), i, j) for i in range(r, n) for j in range(r, n) if a[i][j]), default=None)
+        best = min(((len(a[i][j]), i, j) for i in range(r, n) for j in range(r, n) if a[i][j]), default=None)
         if best is None:
-            return MultiPoly.zero(nvars) if polys else 0
+            return MultiPoly.zero(nvars)
         _, pi, pj = best
         if pi != r:
             a[pi], a[r] = a[r], a[pi]
@@ -86,19 +79,9 @@ def det_bareiss(m: Sequence[Sequence]):
                 elif x:
                     row[j] = _divide(_mul(pivot, x), prev, guard)
         prev = pivot
-    last = {e: -c for e, c in a[-1][-1].items()} if sign < 0 else a[-1][-1]
-    if polys:
-        out = MultiPoly(nvars)
-        out.terms = _unpack(last, nvars, w)
-        return out
-    return last.get(0, 0)
-
-
-def _pivot_weight(e: Scalar) -> int:
-    """Pivot preference among scalars: smaller magnitude keeps swell down."""
-    if isinstance(e, Fraction):
-        return abs(e.numerator) + e.denominator
-    return abs(e)
+    out = MultiPoly(nvars)
+    out.terms = _unpack({e: -c for e, c in a[-1][-1].items()} if sign < 0 else a[-1][-1], nvars, w)
+    return out
 
 
 def _det_integer(m: Sequence[Sequence[Scalar]]):
@@ -148,9 +131,12 @@ def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
     to its slot, lies in [x//p - 1, x//p]; bit c = bitlen(2p) of x - p*q +
     2**c - p marks where one more p comes off.  Every row then gains
     f * x < p**2 per slot, so no carry crosses into the next.  The signed
-    product is the determinant when the rank is full.
+    product is the determinant when the rank is full.  Rows of unequal
+    length raise ValueError.
     """
     ncols = len(m[0]) if m else 0
+    if len(set(map(len, m))) > 1:
+        raise ValueError("matrix rows of unequal length")
     ebits = ((p - 1) + ncols * (p - 1) ** 2).bit_length()
     mu, c = (1 << ebits) // p, (2 * p).bit_length()
     nbytes = (ebits + mu.bit_length() + 7) // 8
@@ -187,7 +173,7 @@ def rank_mod(m: Sequence[Sequence[Scalar]], p: int) -> int:
 def det_mod(m: Sequence[Sequence[Scalar]], p: int) -> int:
     """Determinant over GF(p), in [0, p)."""
     n = len(m)
-    if any(len(row) != n for row in m):
+    if m and len(m[0]) != n:  # the kernel checks the other rows against the first
         raise ValueError("determinant of a non-square matrix")
     rank, det = _echelon_mod(m, p)
     return det if rank == n else 0

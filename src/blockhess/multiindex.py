@@ -14,33 +14,23 @@ and the sign bookkeeping of sorting tuples that may arrive out of order.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from collections.abc import Iterable
 from operator import gt, lt
 
 MultiIndex = tuple[int, ...]
 
 
-class SignedIndex(namedtuple("SignedIndex", ["index", "sign"])):
-    """A sorted multiindex together with the sign of the sort.
-
-    ``sign`` is (-1)**tau where tau is the number of transpositions used
-    to sort the originating tuple, or 0 if the tuple had a repeated entry
-    (the corresponding alternating coordinate vanishes).
-    """
-
-    __slots__ = ()
-
-
-def sort_with_sign(values: Iterable[int], N: int | None = None) -> SignedIndex:
-    """Sort ``values`` and report the permutation sign.
+def sort_with_sign(values: Iterable[int], N: int | None = None) -> tuple[MultiIndex, int]:
+    """(sorted ``values``, sign): the sign is (-1)**tau for tau transpositions
+    that sort ``values``, or 0 if an entry repeats (the alternating
+    coordinate vanishes).
 
     >>> sort_with_sign((2, 1, 3))
-    SignedIndex(index=(1, 2, 3), sign=-1)
-    >>> sort_with_sign((1, 2, 3)).sign
-    1
-    >>> sort_with_sign((4, 1, 4)).sign
-    0
+    ((1, 2, 3), -1)
+    >>> sort_with_sign((1, 2, 3))
+    ((1, 2, 3), 1)
+    >>> sort_with_sign((4, 1, 4))
+    ((1, 4, 4), 0)
     """
     seq = tuple(values)
     if N is not None:
@@ -48,10 +38,10 @@ def sort_with_sign(values: Iterable[int], N: int | None = None) -> SignedIndex:
             if not 1 <= v <= N:
                 raise ValueError(f"entry {v} out of range [1, {N}]")
     if len(set(seq)) != len(seq):
-        return SignedIndex(tuple(sorted(seq)), 0)
+        return tuple(sorted(seq)), 0
     # Counting inversions pair-by-pair is O(n^2) but n = k <= 7 throughout.
     inversions = sum(itertools.starmap(gt, itertools.combinations(seq, 2)))
-    return SignedIndex(tuple(sorted(seq)), -1 if inversions % 2 else 1)
+    return tuple(sorted(seq)), -1 if inversions % 2 else 1
 
 
 def enumerate_indices(k: int, N: int) -> list[MultiIndex]:

@@ -75,7 +75,7 @@ def evaluate_form(A, X):
     """F(A, X) = sum_I a_I eta_I([Id_k | X])."""
     rows = frame(X)
     total = 0
-    for I, c in A.items():
+    for I, c in sorted(A.coeffs.items()):
         total = total + c * frame_minor(rows, I)
     return total
 
@@ -92,7 +92,7 @@ def dehomogenized_polynomial(A):
     k, N = A.k, A.N
     n = k * (N - k)
     terms = {}
-    for I, c in A.items():
+    for I, c in sorted(A.coeffs.items()):
         # minor of [Id | X] with columns I: identity columns pin their rows,
         # the remaining rows P are matched to the X-columns T in all ways.
         # Each (I, matching) gives its own monomial, so no two terms collide.
@@ -165,7 +165,7 @@ def act_gl(A, g):
     coeffs = {}
     for J in enumerate_indices(k, N):
         total = 0
-        for I, c in A.items():
+        for I, c in sorted(A.coeffs.items()):
             total = total + c * det_cofactor([[g[i - 1][j - 1] for j in J] for i in I])
         if total != 0:
             coeffs[J] = total
@@ -255,4 +255,4 @@ def chart_minors_fraction(X: ChartPoint):
 
 def array_to_json_dict(A: ExteriorArray) -> dict:
     """``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``, entries in key order."""
-    return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": scalar_to_string(c)} for I, c in A.items()]}
+    return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": scalar_to_string(c)} for I, c in sorted(A.coeffs.items())]}

@@ -1,10 +1,14 @@
-"""Reference routes for the (p < p', t < t') slot keys in the tests; nothing
-in the library calls them.
+"""Reference routes for the tests; nothing in the library calls them.
 
-Both functions rebuild each slot's sorted key and sign with
-``sort_with_sign``, which is what ``blockhess.hessian.symbolic_coefficient_array``
-and ``blockhess.certificates.array_from_blocks`` did before they read keys
-and signs from the assembly plan.  They share no code with that plan.
+``symbolic_coefficient_array`` and ``array_from_blocks`` rebuild each
+(p < p', t < t') slot's sorted key and sign with ``sort_with_sign``, which
+is what ``blockhess.hessian.symbolic_coefficient_array`` and
+``blockhess.certificates.array_from_blocks`` did before they read keys and
+signs from the assembly plan.  They share no code with that plan.
+
+``duality_permutation`` and ``apply_permutation`` state the duality
+regrouping as a 1-based permutation, as ``blockhess.hessian`` did before
+``dualize_layout`` took over the order.
 """
 
 from blockhess.exterior import ExteriorArray
@@ -50,3 +54,19 @@ def array_from_blocks(k, N, blocks):
                         I, s = sort_with_sign(raw, N)
                         coeffs[I] = s * c
     return ExteriorArray(k, N, coeffs)
+
+
+def duality_permutation(k, N):
+    """Row/column order that regroups the (k, N) layout as an (N-k, N) one.
+
+    Position r of the result holds the old 1-based index; entry (p, t) moves
+    so that labels are regrouped by t first: [1, (N-k)+1, 2(N-k)+1, ...],
+    then [2, (N-k)+2, ...], and so on.
+    """
+    w = N - k
+    return [j + (p - 1) * w for j in range(1, w + 1) for p in range(1, k + 1)]
+
+
+def apply_permutation(rows, perm):
+    """Reorder rows and columns by the same 1-based permutation."""
+    return [[rows[pi - 1][pj - 1] for pj in perm] for pi in perm]

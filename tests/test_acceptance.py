@@ -315,7 +315,7 @@ def test_criterion_12_zeroed_block_perfect_square():
 
     def zeroed(A):
         coeffs = {}
-        for I, c in A.items():
+        for I, c in sorted(A.coeffs.items()):
             s = set(I)
             # indices using both row positions 3 and 4 feed the A34 block:
             # they meet {1,2,3,4} exactly in {3,4}

@@ -21,7 +21,6 @@ from blockhess.cli import main
 from blockhess.exterior import ChartPoint, ExteriorArray, act_translation
 from blockhess.hessian import (
     HessianMatrix,
-    apply_permutation,
     assemble,
     assemble_dual,
     assemble_symbolic,
@@ -30,7 +29,6 @@ from blockhess.hessian import (
     det_exact,
     det_mod,
     dualize_layout,
-    duality_permutation,
     position_split_embed,
     rank_exact,
     specialize_embed,
@@ -91,7 +89,6 @@ def test_structure_zero_diagonal_skew_off_diagonal():
     A = rand_array(rng, 3, 7)
     H = assemble(A)
     assert H.is_structurally_valid()
-    assert H.structure_errors() == []
     m = 4
     for p in range(1, 4):
         B = H.block(p, p)
@@ -105,9 +102,29 @@ def test_structure_zero_diagonal_skew_off_diagonal():
             # which for a skew block is the negative
             assert all(C[u][v] == B[v][u] == -B[u][v] for u in range(m) for v in range(m))
 
-    broken = [list(r) for r in H.rows]
-    broken[0][0] = 1
-    assert HessianMatrix(3, 7, broken).structure_errors()
+
+@pytest.mark.parametrize("kind", ["asymmetric", "diagonal-block", "not-skew", "symbolic-diagonal"])
+def test_structure_check_rejects_each_broken_shape(kind):
+    # each edit breaks one of the three properties and keeps the other two
+    if kind == "symbolic-diagonal":
+        H = assemble_symbolic(3, 6)
+    else:
+        H = assemble(rand_array(random.Random(2), 3, 7))
+    assert H.is_structurally_valid()
+    R = [list(r) for r in H.rows]
+    # with N-k = 4, cell (0, 5) is slot (0, 1) of block (1, 2); (1, 4) is its
+    # skew partner and (5, 0) its mirror
+    if kind == "asymmetric":  # block (1, 2) stays skew, but (2, 1) no longer mirrors it
+        R[0][5] += 1
+        R[1][4] -= 1
+    elif kind == "diagonal-block":  # symmetric, nonzero in block (1, 1)
+        R[0][1] = R[1][0] = 1
+    elif kind == "not-skew":  # symmetric, but block (1, 2) is not skew
+        R[0][5] += 1
+        R[5][0] += 1
+    else:  # MultiPoly zeros (truthy) must read as zero above, and a variable as nonzero here
+        R[0][0] = MultiPoly.variable(0, 9)
+    assert not HessianMatrix(H.k, H.N, R).is_structurally_valid()
 
 
 def test_index_label_entry_block_consistency():
@@ -149,7 +166,7 @@ def test_symbolic_coefficient_array_has_one_variable_per_block_slot():
     A = symbolic_coefficient_array(3, 6)
     names = coefficient_names(3, 6)
     assert len(names) == 9  # C(3,2) * C(3,2)
-    nz = [c for _, c in A.items() if not c.is_zero()]
+    nz = [c for c in A.coeffs.values() if not c.is_zero()]
     assert len(nz) == 9
     H = assemble(A)
     assert H.is_structurally_valid()
@@ -194,13 +211,14 @@ def test_assemble_dual_is_swap_then_assemble():
 
 def test_duality_permutation_regroups_and_preserves_det():
     k, N = 3, 7
-    perm = duality_permutation(k, N)
+    perm = hessian_oracle.duality_permutation(k, N)
     assert sorted(perm) == list(range(1, k * (N - k) + 1))
     rng = random.Random(17)
     for _ in range(5):
         H = assemble(rand_array(rng, k, N))
         Hd = dualize_layout(H)
         assert Hd.k == N - k and Hd.N == N
+        assert Hd.rows == hessian_oracle.apply_permutation(H.rows, perm)
         assert Hd.is_structurally_valid()
         assert det_exact(Hd) == det_exact(H)  # symmetric permutation: sign^2 = 1
         assert rank_exact(Hd) == rank_exact(H)
@@ -226,7 +244,7 @@ def test_specialize_embed_layout_and_multiplicativity():
         assert E.is_structurally_valid()
         assert det_exact(E) == det_exact(H1) * det_exact(H2)
         # conjugating by the grouping permutation shows blockdiag(H1, H2)
-        G = apply_permutation(E, _grouping_permutation(k, a, b))
+        G = hessian_oracle.apply_permutation(E.rows, _grouping_permutation(k, a, b))
         n1 = k * (a - k)
         assert [row[:n1] for row in G[:n1]] == H1.rows
         assert [row[n1:] for row in G[n1:]] == H2.rows
