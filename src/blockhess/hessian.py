@@ -229,14 +229,17 @@ def det_mod(M, p: int) -> int:
 
 
 def rank_exact(M) -> int:
-    """Exact rank over Q, cross-checked against a mod-p lower bound.
-
-    The mod-p rank is taken of the primitive integer rows the Q kernel
-    eliminates, so no denominator can vanish mod p and skip the check.
+    """Exact rank over Q.  A full GF(p) rank r = min(rows, cols) of the
+    primitive integer rows is the Q rank: an r x r minor nonzero mod p is a
+    nonzero integer, and no rank exceeds r.  Every other case runs the exact
+    echelon over Q, cross-checked against that mod-p lower bound; the rows
+    are cleared of denominators, so none can vanish mod p.
     """
     rows = _rows_of(M)
-    r = linalg.rank_fraction(rows)
     rp = linalg.rank_mod(linalg.primitive_rows(rows), WORD_PRIMES[0])
+    if rp == min(len(rows), len(rows[0]) if rows else 0):
+        return rp
+    r = linalg.rank_fraction(rows)
     if rp > r:
         raise AssertionError(f"mod-p rank {rp} exceeds exact rank {r}")
     return r

@@ -220,6 +220,17 @@ def _eliminate(row: dict, piv: dict, c) -> dict:
     return _content_free(out)
 
 
+def _insert(basis: dict, row: dict) -> bool:
+    """Reduce the primitive ``row`` against ``basis`` and add a nonzero rest; True if added."""
+    while row:
+        c = min(row)
+        if c not in basis:
+            basis[c] = row
+            return True
+        row = _eliminate(row, basis[c], c)
+    return False
+
+
 def _echelon(m: Sequence[Row]) -> dict:
     """Echelon basis of the row space of ``m`` over Q, keyed by leading column.
 
@@ -228,13 +239,7 @@ def _echelon(m: Sequence[Row]) -> dict:
     """
     basis: dict = {}
     for row in m:
-        r = _primitive(row)
-        while r:
-            c = min(r)
-            if c not in basis:
-                basis[c] = r
-                break
-            r = _eliminate(r, basis[c], c)
+        _insert(basis, _primitive(row))
     return basis
 
 
@@ -244,6 +249,11 @@ def rank_fraction(m: Sequence[Row]) -> int:
 
 
 def span_equal(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> bool:
-    """Do two row families span the same subspace of Q^n?"""
-    ra = rank_fraction(rows_a)
-    return rank_fraction(rows_b) == ra and rank_fraction([*rows_a, *rows_b]) == ra
+    """Do two row families span the same subspace of Q^n?
+
+    A full GF(p) rank certifies a rank, not a span, so each family is
+    echeloned exactly, once.  The spans are equal when the two bases have
+    the same size and every basis row of b reduces to zero against a's.
+    """
+    a, b = _echelon(rows_a), _echelon(rows_b)
+    return len(a) == len(b) and not any(_insert(a, r) for r in b.values())

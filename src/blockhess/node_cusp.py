@@ -334,7 +334,9 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
 
 def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k: int, N: int) -> bool:
     """Exact row-reduction comparison of two spans of coefficient forms on
-    the C(N, k) multiindices, each form a sparse row."""
+    the C(N, k) multiindices, each form a sparse row.  A full GF(p) rank
+    certifies only a rank (``hessian.rank_exact``), so each family is
+    echeloned exactly over Q, once, and b's basis reduced against a's."""
     return span_equal(forms_a, forms_b)
 
 

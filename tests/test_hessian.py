@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import exterior_oracle
 import hessian_oracle
+import linalg_oracle
 from blockhess import linalg
 from blockhess.cli import main
 from blockhess.exterior import ChartPoint, ExteriorArray, act_translation
@@ -285,11 +286,65 @@ def test_rank_helpers_and_adjugate_check():
 
 def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
     # 1/p has no residue mod p; the check must still run, on cleared rows.
-    M = [[Fraction(1, WORD_PRIMES[0]), 0], [0, 1]]
+    # The rank is not full, so the GF(p) rank certifies nothing and the Q
+    # route, with its cross-check, runs.
+    M = [[Fraction(1, WORD_PRIMES[0]), 0, 0], [0, 1, 0], [0, 0, 0]]
     assert rank_exact(M) == 2
     monkeypatch.setattr(linalg, "rank_fraction", lambda rows: 1)
     with pytest.raises(AssertionError, match="mod-p rank 2 exceeds exact rank 1"):
         rank_exact(M)
+
+
+def test_full_mod_p_rank_needs_no_q_elimination(monkeypatch):
+    p = WORD_PRIMES[0]
+    H = assemble(rand_array(random.Random(41), 3, 7))  # rank 12, as above
+    zero = [[0, 0, 0], [0, 0, 0]]
+    assert rank_exact(zero) == 0
+
+    def no_q(rows):
+        raise AssertionError("the Q echelon ran")
+
+    monkeypatch.setattr(linalg, "rank_fraction", no_q)
+    cases = [
+        (H, 12),  # square, int
+        (H.rows[:4], 4),  # wide: a block row
+        ([list(c) for c in zip(*H.rows[:4])], 4),  # tall: its transpose
+        ([[Fraction(1, p), 0, 0], [0, Fraction(2, 3), 1], [0, 1, 0]], 3),
+        ([[Fraction(1, 2), Fraction(1, 3), 0, 7], [0, Fraction(5, p), 1, 1]], 2),
+        ([[Fraction(1, p)], [Fraction(-3, 4)], [0]], 1),
+        ([], 0),
+        ([[]], 0),
+        ([[], []], 0),
+    ]
+    for M, r in cases:
+        assert rank_exact(M) == r
+    with pytest.raises(AssertionError, match="the Q echelon ran"):
+        rank_exact(zero)  # not full rank: the Q route
+
+
+# Factor entries: one draw in four an exact zero; Fractions include 1/p.
+factor_ints = st.one_of(st.just(0), st.integers(-4, 4))
+factor_fractions = st.one_of(
+    factor_ints, st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3, 12, WORD_PRIMES[0]]))
+)
+
+
+@st.composite
+def factored_matrices(draw):
+    """An r x c matrix, 1 <= r, c <= 6, of ints or of Fractions, drawn as a
+    product through an inner dimension that is often narrower, so that the
+    rank is often not full."""
+    entries = draw(st.sampled_from([factor_ints, factor_fractions]))
+    rows, inner, cols = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    A = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    B = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    return linalg_oracle.mat_mul(A, B) if inner else [[0] * cols for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factored_matrices())
+def test_rank_exact_matches_fraction_oracle(M):
+    assert rank_exact(M) == linalg_oracle.rank_fraction(M)
 
 
 @pytest.mark.parametrize("k, N", [(1, 4), (2, 5), (3, 9), (4, 8), (5, 9), (6, 8), (6, 7), (7, 14)])

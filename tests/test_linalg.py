@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockhess.exterior import ExteriorArray
@@ -224,6 +224,56 @@ def test_integer_kernel_matches_fraction_oracle(pair):
         d, ref = det_exact_generic(M), det_cofactor(M)
         assert d == ref
         assert type(d) is (int if Fraction(ref).denominator == 1 else Fraction)
+
+
+@st.composite
+def span_cases(draw):
+    """(a, b, cols) for span_equal, one of six kinds: two products through the
+    same inner dimension (equal rank, spans often different), b = C * a with
+    fewer rows than a (inside span(a), often of lower rank), the same with
+    a and b swapped, repeated rows, an empty family, and rows as mappings
+    keyed by column, with explicit zeros."""
+    kind = draw(st.sampled_from(["equal-rank", "b-inside", "a-inside", "repeated", "empty", "mapping"]))
+    cols, inner = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def mat(r, c):
+        return [[draw(scalars) for _ in range(c)] for _ in range(r)]
+
+    a = mat_mul(mat(draw(st.integers(1, 6)), inner), mat(inner, cols))
+    if kind == "equal-rank":
+        b = mat_mul(mat(len(a), inner), mat(inner, cols))
+    elif kind in ("b-inside", "a-inside"):
+        b = mat_mul(mat(draw(st.integers(1, max(1, len(a) - 1))), len(a)), a)
+        if kind == "a-inside":
+            a, b = b, a
+    elif kind == "repeated":
+        a += draw(st.lists(st.sampled_from(a), min_size=1, max_size=3))
+        b = mat_mul(mat(draw(st.integers(1, 6)), len(a)), a)
+        b += draw(st.lists(st.sampled_from(b), min_size=1, max_size=3))
+    elif kind == "empty":
+        a, b = draw(st.sampled_from([([], []), ([], a), (a, []), ([], [[0] * cols])]))
+    else:
+        b = mat_mul(mat(draw(st.integers(1, 6)), len(a)), a)
+        a, b = ([dict(enumerate(r)) for r in rows] for rows in (a, b))
+    return a, b, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(span_cases())
+@example(([[1, 0]], [[0, 1]], 2))  # equal rank, different spans
+@example(([[1, 0], [0, 1]], [[1, 1]], 2))  # b inside span(a), lower rank
+@example(([[2, 2]], [[1, 0], [0, 1]], 2))  # a inside span(b)
+@example(([[1, 2], [1, 2], [2, 4]], [[Fraction(1, 2), 1]], 2))  # repeated rows
+@example(([], [[0, 0]], 2))
+@example(([[0, 1]], [], 2))
+@example(([{0: 1, 1: 0}], [{1: 0, 0: Fraction(3)}], 2))  # mappings
+def test_span_equal_matches_fraction_oracle(case):
+    a, b, cols = case
+
+    def dense(rows):
+        return [[r.get(j, 0) for j in range(cols)] if isinstance(r, dict) else r for r in rows]
+
+    assert span_equal(a, b) == oracle.span_equal(dense(a), dense(b))
 
 
 @st.composite
