@@ -75,11 +75,11 @@ def _load_json(path: str, parse, what: str):
 
 
 def _point_entry(e):
-    """One chart-point entry, exactly: a JSON number, or a string holding an
-    integer, ``"a/b"``, or a decimal with an optional exponent, read as
-    ``Fraction(str(e))`` reads it.  The exponent is read before anything is
-    expanded: neither the numerator nor the denominator may have more digits
-    than ``int`` reads from a string (``sys.get_int_max_str_digits()``)."""
+    """One chart-point entry or ``node --T`` value, exactly: a JSON number,
+    or a string holding an integer, ``"a/b"``, or a decimal with an optional
+    exponent, read as ``Fraction(str(e))`` reads it.  The exponent is read
+    before anything is expanded: neither numerator nor denominator may have
+    more digits than ``int`` reads from a string (``sys.get_int_max_str_digits()``)."""
     from fractions import Fraction
 
     text = str(e)
@@ -139,10 +139,8 @@ def _parse_J(text: str) -> tuple[int, ...]:
 
 
 def _parse_T(text: str):
-    from fractions import Fraction
-
     try:
-        return Fraction(text)
+        return _point_entry(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"cannot parse T value {text!r}: {exc}") from exc
 
@@ -304,16 +302,9 @@ def _cmd_duality(args) -> Handled:
     return records, passed, None
 
 
-def _render_linear_form(form) -> dict[str, str]:
-    from .node_cusp import render_monomial
-
-    return {",".join(map(str, I)): render_monomial(m) for I, m in sorted(form.items())}
-
-
-def _render_rational_form(form) -> dict[str, str]:
-    from .ring import scalar_to_string
-
-    return {",".join(map(str, I)): scalar_to_string(c) for I, c in sorted(form.items())}
+def _render_form(form, render) -> dict[str, str]:
+    """A form keyed by multiindex, each coefficient as ``render`` prints it."""
+    return {",".join(map(str, I)): render(c) for I, c in sorted(form.items())}
 
 
 def _cmd_node(args) -> Handled:
@@ -321,12 +312,12 @@ def _cmd_node(args) -> Handled:
     from .node_cusp import (
         NodePointSpec,
         build_x_J_T,
-        chart_point_at,
         defining_forms_at,
         extra_equations,
         limit_T0,
         render_monomial,
     )
+    from .ring import scalar_to_string
 
     k, N = _need_kN(args)
     if args.J is None:
@@ -335,12 +326,12 @@ def _cmd_node(args) -> Handled:
         raise CliInputError("--symbolic and --T are mutually exclusive")
     node = NodeIndexSet(k, N, _parse_J(args.J))
     if args.T is not None:
-        spec = NodePointSpec(node, _parse_T(args.T))
+        frame = build_x_J_T(NodePointSpec(node, _parse_T(args.T)))
         rec = {
             "J": list(node.J),
             "T": args.T,
-            "frame_rows": _render_rows(build_x_J_T(spec)),
-            "chart_point": _render_rows(chart_point_at(spec).X),
+            "frame_rows": _render_rows(frame),
+            "chart_point": _render_rows(row[k:] for row in frame),
             "meet_first": len(node.in_first),
         }
         return [rec], True, None
@@ -350,21 +341,18 @@ def _cmd_node(args) -> Handled:
         "J": list(node.J),
         "meet_first": len(node.in_first),
         "frame_rows": [[render_monomial(e) for e in row] for row in build_x_J_T(spec)],
-        "base_forms": [_render_linear_form(f) for f in forms.base],
-        "moving_forms": [
-            {"label": lab, "replaced": rep, "form": _render_linear_form(f)}
-            for lab, rep, f in zip(forms.moving_labels, forms.replaced, forms.moving)
-        ],
+        "base_forms": [_render_form(f, render_monomial) for f in forms["base_forms"]],
+        "moving_forms": [{**m, "form": _render_form(m["form"], render_monomial)} for m in forms["moving_forms"]],
     }
     if len(node.in_first) == k - 2:
-        rec["extra_equations"] = [_render_rational_form(f) for f in extra_equations(node)]
+        rec["extra_equations"] = [_render_form(f, scalar_to_string) for f in extra_equations(node)]
     if not args.limits:
         return [rec], True, None
     try:
         lims = limit_T0(forms)
     except ValueError as exc:  # dependent limits: a finding, not bad input
         return [rec, {"limits_independent": False, "error": str(exc)}], False, None
-    limits = {"limits_independent": True, "count": len(lims), "limits": [_render_rational_form(f) for f in lims]}
+    limits = {"limits_independent": True, "count": len(lims), "limits": [_render_form(f, scalar_to_string) for f in lims]}
     return [rec, limits], True, None
 
 

@@ -9,15 +9,17 @@ never sufficient; the irreducibility engine uses them purely as a filter.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 
 def feasible_degrees(k: int, N: int) -> tuple[int, ...]:
     """All d in [1, k(N-k)] with k | (k-2)d and (N-k) | 2d; the total
     degree of the determinant is k(N-k).
 
-    For k = 3 this is exactly: 3 | d, (N-3) | 2d, d <= 3(N-3).
+    For k = 3 this is exactly: 3 | d, (N-3) | 2d, d <= 3(N-3).  The two
+    conditions say k / gcd(k, k-2) | d and (N-k) / gcd(N-k, 2) | d.
     """
     if k < 2 or N <= k:
         raise ValueError(f"need k >= 2 and N > k, got ({k},{N})")
-    return tuple(
-        d for d in range(1, k * (N - k) + 1) if ((k - 2) * d) % k == 0 and (2 * d) % (N - k) == 0
-    )
+    step = lcm(k // gcd(k, k - 2), (N - k) // gcd(N - k, 2))
+    return tuple(range(step, k * (N - k) + 1, step))

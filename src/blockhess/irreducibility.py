@@ -228,6 +228,11 @@ def ensure(table: dict, k: int, N: int) -> dict:
     known = table.get((kc, Nc))
     if known:
         return _record(kc, Nc, "base", known[0], known[1])
+    # the smaller N first, so pattern_sources finds them in the table
+    # instead of deriving them one stack frame deeper per N
+    for n in range(2 * kc, Nc):
+        if (kc, n) not in table:
+            ensure(table, kc, n)
     verdict = irreducible_verdict(kc, Nc, pattern_sources(table, kc, Nc))
     if verdict["irreducible"]:
         total = kc * (Nc - kc)

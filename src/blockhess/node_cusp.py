@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exterior import ChartPoint, ExteriorArray, _star_vanishes, is_critical
+from .exterior import ExteriorArray, _star_vanishes, is_critical
 from .hessian import assemble, det_exact
 from .linalg import rank_fraction, span_equal
 from .multiindex import (
@@ -138,15 +138,6 @@ def build_x_J_T(spec: NodePointSpec) -> tuple[tuple[object, ...], ...]:
     return tuple(tuple(row) for row in dense)
 
 
-def chart_point_at(spec: NodePointSpec) -> ChartPoint:
-    """The same point as a chart point (numeric T only)."""
-    if spec.T is None:
-        raise ValueError("chart point requires numeric T")
-    rows = build_x_J_T(spec)
-    k, N = spec.J.k, spec.J.N
-    return ChartPoint.from_rows(k, N, [row[k:] for row in rows])
-
-
 # ---------------------------------------------------------------------------
 # Defining forms at x(J, T) and their T -> 0 limits
 
@@ -182,40 +173,7 @@ def _normalized(form: LinearForm) -> LinearForm:
     return {I: (e - low, s) for I, (e, s) in form.items()}
 
 
-class DefiningForms:
-    """The full linear system cutting out double tangency along x(J, T).
-
-    ``base`` lists the T-independent coordinate forms of tangency at the
-    first coordinate point (the star of If); ``moving`` lists the form of F
-    itself at x(J, T) followed by the selected partial derivatives, each
-    normalized so that T = 0 is a regular value.  ``moving_labels`` names
-    the forms; ``replaced`` flags the four forms that went through the
-    subtract-and-divide step of the |If∩J| = k-2 case.
-    """
-
-    __slots__ = ("base", "moving", "moving_labels", "replaced")
-
-    def __init__(
-        self,
-        base: tuple[LinearForm, ...],
-        moving: tuple[LinearForm, ...],
-        moving_labels: tuple[str, ...],
-        replaced: tuple[bool, ...] = (),
-    ):
-        for f in moving:
-            if min(e for e, _ in f.values()) < 0:
-                raise AssertionError("negative T power survived normalization")
-        self.base = base
-        self.moving = moving
-        self.moving_labels = moving_labels
-        self.replaced = replaced
-
-    @property
-    def forms(self) -> tuple[LinearForm, ...]:
-        return self.base + self.moving
-
-
-def _base_forms(k: int, N: int) -> tuple[LinearForm, ...]:
+def _base_forms(k: int, N: int) -> list[LinearForm]:
     If = first_index(k, N)
     forms: list[LinearForm] = [{If: (0, 1)}]
     for p in range(1, k + 1):
@@ -224,7 +182,7 @@ def _base_forms(k: int, N: int) -> tuple[LinearForm, ...]:
             values[p - 1] = t
             I, s = sort_with_sign(values, N)
             forms.append({I: (0, s)})
-    return tuple(forms)
+    return forms
 
 
 def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int]]:
@@ -237,15 +195,19 @@ def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int]]:
     return slots + [(p, p) for p in f_out]
 
 
-def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
-    """F and its selected partials at x(J, T), T-normalized.
+def defining_forms_at(spec: NodePointSpec) -> dict:
+    """The linear system cutting out double tangency along x(J, T), as
+    ``{"base_forms": [...], "moving_forms": [{"label", "replaced", "form"}]}``:
+    the T-independent forms of tangency at the first coordinate point (the
+    star of If), then F and its selected partials at x(J, T), each
+    T-normalized so that T = 0 is a regular value.
 
     Requires k >= 3 and |If ∩ J| <= k-2.  In the k-2 case the four forms whose T = 0
     value would duplicate coordinates already present in the base system
     (the two cross partials at (t, alpha') and (t', alpha) and the two
     diagonal partials at (t, t) and (t', t')) are replaced by
     (form - constant part) / T, which is exactly the subtract-and-divide
-    step producing the four additional equations.
+    step producing the four additional equations; ``replaced`` flags them.
     """
     node = spec.J
     k, N = node.k, node.N
@@ -263,37 +225,34 @@ def defining_forms_at(spec: NodePointSpec) -> DefiningForms:
         t1, t2 = (p for p in range(1, k + 1) if p not in node.in_first)
         special = {(t1, pairing[t2]), (t2, pairing[t1]), (t1, t1), (t2, t2)}
 
-    moving = [_normalized(_form_for_rows(rows))]
-    labels = ["F"]
-    replaced = [False]
+    moving = [{"label": "F", "replaced": False, "form": _normalized(_form_for_rows(rows))}]
     for p, t in _moving_selection(node):
         replaced_rows = list(rows)
         replaced_rows[p - 1] = [(t, 0)]
+        label = f"d[{p},{t}]"
         form = _normalized(_form_for_rows(replaced_rows))
-        labels.append(f"d[{p},{t}]")
-        replaced.append((p, t) in special)
-        if replaced[-1]:
+        replaced = (p, t) in special
+        if replaced:
             # (form - constant part) / T, on monomial coefficients
             form = {I: (e - 1, s) for I, (e, s) in form.items() if e}
             if not form:
-                raise AssertionError(f"special form {labels[-1]} vanished after stripping")
-        moving.append(form)
-
-    return DefiningForms(
-        base=_base_forms(k, N),
-        moving=tuple(moving),
-        moving_labels=tuple(labels),
-        replaced=tuple(replaced),
-    )
+                raise AssertionError(f"special form {label} vanished after stripping")
+        moving.append({"label": label, "replaced": replaced, "form": form})
+    return {"base_forms": _base_forms(k, N), "moving_forms": moving}
 
 
-def limit_T0(forms: DefiningForms) -> list[RationalForm]:
-    """Evaluate every form at T = 0 and check linear independence.
+def limit_T0(forms: dict) -> list[RationalForm]:
+    """Evaluate every form of a :func:`defining_forms_at` record at T = 0
+    and check linear independence.
 
-    Dependence signals a wrong normalization (or an inadmissible J) and is
-    raised, never swallowed.
+    A negative T power left by the normalization raises AssertionError
+    before T = 0 would drop it; dependence signals a wrong normalization
+    (or an inadmissible J) and is raised, never swallowed.
     """
-    limits: list[RationalForm] = [{I: Fraction(s) for I, (e, s) in f.items() if not e} for f in forms.forms]
+    flat = forms["base_forms"] + [m["form"] for m in forms["moving_forms"]]
+    if any(e < 0 for f in flat for e, _ in f.values()):
+        raise AssertionError("negative T power survived normalization")
+    limits: list[RationalForm] = [{I: Fraction(s) for I, (e, s) in f.items() if not e} for f in flat]
     r = rank_fraction(limits)
     if r != len(limits):
         raise ValueError(

@@ -241,17 +241,7 @@ class MultiPoly:
         return out
 
     def __sub__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) - c
-            if s == 0:
-                del terms[exp]
-            else:
-                terms[exp] = s
-        out = MultiPoly(self.nvars)
-        out.terms = terms
-        return out
+        return self + -self._coerce(other)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self

@@ -6,10 +6,19 @@ multiindices along its first row, recursively, which is what
 ``blockhess.node_cusp._form_for_rows`` did before it enumerated the at most
 2**k row choices instead.  It is slow and shares no code with that routine.
 ``replace`` names the multiindex r(P) that the frame reaches by swapping
-the rows in P onto their paired columns.
+the rows in P onto their paired columns.  ``chart_point_at`` is x(J, T) at
+a numeric T as a chart point.
 """
 
+from blockhess.exterior import ChartPoint
 from blockhess.multiindex import enumerate_indices, first_index, replacement_pairing, sort_with_sign
+from blockhess.node_cusp import build_x_J_T
+
+
+def chart_point_at(spec):
+    """The frame of x(J, T) past its identity columns, as a chart point."""
+    k, N = spec.J.k, spec.J.N
+    return ChartPoint.from_rows(k, N, [row[k:] for row in build_x_J_T(spec)])
 
 
 def replace(P, node):

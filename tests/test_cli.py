@@ -337,6 +337,24 @@ def test_node_numeric_point(capsys):
     assert len(rec["chart_point"]) == 3
 
 
+def test_node_chart_point_is_the_frame_past_k(capsys):
+    code, out, _ = invoke(capsys, "node", "--k", "4", "--N", "9", "--J", "1,7,8,9", "--T", "3/4")
+    assert code == 0
+    rec = json.loads(out.splitlines()[1])
+    assert rec["chart_point"] == [row[4:] for row in rec["frame_rows"]]
+    assert [row[:4] for row in rec["frame_rows"]] == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert {e for row in rec["chart_point"] for e in row} == {0, "3/4", "4/3"}
+
+
+def test_node_T_past_the_digit_limit_exits_2(capsys):
+    # T is read as a chart-point entry is, digit guard included
+    code, out, err = invoke(capsys, "node", "--k", "3", "--N", "7", "--J", "5,6,7", "--T", "1e5000")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        "cannot parse T value '1e5000': chart-point entry '1e5000' has more than 4300 digits"
+    )
+
+
 def test_identity_h36_function_and_command(capsys):
     rep = identity_h36(trials=2, seed=5)
     assert rep["pass"] is True

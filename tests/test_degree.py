@@ -32,7 +32,7 @@ def test_feasible_degrees_satisfy_divisibility(k, N):
 
 
 def test_brute_force_agreement():
-    for k, N in [(2, 6), (3, 9), (4, 9), (5, 11), (6, 13)]:
+    for k, N in ((k, N) for k in range(2, 30) for N in range(k + 1, 120)):
         expect = tuple(
             d
             for d in range(1, k * (N - k) + 1)
@@ -47,3 +47,13 @@ def test_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
         feasible_degrees(3, 3)
 
+
+
+def test_huge_N_lists_the_few_multiples_of_one_step():
+    # feasible degrees are multiples of lcm(k / gcd(k, k-2), (N-k) / gcd(N-k, 2)),
+    # at most 2k of them, so N is not walked
+    N = 10**12
+    assert feasible_degrees(3, N) == (3 * (N - 3),)
+    step = (N - 4) // 2
+    assert feasible_degrees(4, N) == tuple(range(step, 4 * (N - 4) + 1, step))
+    assert len(feasible_degrees(4, N)) == 8

@@ -111,6 +111,15 @@ def test_ensure_derives_3_11():
     assert ensure(table, 3, 11) == {"k": 3, "N": 11, "status": "base", "factors": [24], "note": "induction"}
 
 
+def test_ensure_depth_does_not_grow_with_N():
+    # the smaller N are derived first; deriving each one a stack frame
+    # deeper than the last raised RecursionError here
+    table = seeded_table()
+    rec = ensure(table, 3, 700)
+    assert (rec["status"], rec["factors"]) == ("irreducible", [3 * 697])
+    assert all((3, n) in table for n in range(6, 701))
+
+
 @pytest.mark.parametrize("k,N_max", [(3, 14), (4, 12)])
 def test_run_schedule_decides_every_case(k, N_max):
     records = run_schedule(k, N_max)

@@ -23,11 +23,9 @@ from blockhess.multiindex import (
     star,
 )
 from blockhess.node_cusp import (
-    DefiningForms,
     NodeConditionError,
     NodePointSpec,
     build_x_J_T,
-    chart_point_at,
     cusp_membership,
     defining_forms_at,
     extra_equations,
@@ -141,16 +139,6 @@ def test_frame_symbolic_matches_numeric():
         NodePointSpec(node, Fraction(0))
 
 
-def test_chart_point_at_strips_identity_columns():
-    node = NodeIndexSet(3, 7, (2, 3, 6))
-    X = chart_point_at(NodePointSpec(node, Fraction(2)))
-    assert X.k == 3 and X.N == 7
-    rows = build_x_J_T(NodePointSpec(node, Fraction(2)))
-    assert [list(r[3:]) for r in rows] == [list(r) for r in X.X]
-    with pytest.raises(ValueError):
-        chart_point_at(NodePointSpec(node, None))
-
-
 def test_form_value_exponents_follow_replacement_parity():
     # the chart-form coefficient at the replaced index r(P) scales as
     # T^{|J cap P| - |Jbar cap P|} relative to r(emptyset)
@@ -180,7 +168,7 @@ def test_moving_forms_match_gradient_numerically():
         assert any(len(node.in_first) == k - 2 for node in nodes)
         for node in nodes:
             spec = NodePointSpec(node, t)
-            X = chart_point_at(spec)
+            X = node_cusp_oracle.chart_point_at(spec)
             rows = _pair_rows(spec)
             F_raw = _form_for_rows(rows)
             assert _form_apply(_form_eval_at_T(F_raw, t), A) == exterior_oracle.evaluate_form(A, X)
@@ -235,9 +223,10 @@ def test_sparse_minor_raises_on_a_second_term():
 def test_limits_span_both_stars_when_meet_is_small(k, N, J):
     node = NodeIndexSet(k, N, J)
     forms = defining_forms_at(NodePointSpec(node, None))
-    assert len(forms.moving) == k * (N - k) + 1
-    assert isinstance(forms, DefiningForms)
-    assert not any(forms.replaced)  # no k-2 replacement needed here
+    assert list(forms) == ["base_forms", "moving_forms"]
+    assert len(forms["moving_forms"]) == k * (N - k) + 1
+    assert forms["moving_forms"][0]["label"] == "F"
+    assert not any(m["replaced"] for m in forms["moving_forms"])  # no k-2 replacement needed here
     lims = limit_T0(forms)
     assert len(lims) == 2 * (k * (N - k) + 1)
     assert forms_span_equal(lims, star_forms(k, N, [first_index(k, N), J]), k, N)
@@ -249,7 +238,7 @@ def test_limits_span_with_extras_at_meet_k_minus_2():
     assert len(extras) == 4
     assert all(len(f) == 2 for f in extras)  # two-term sums
     forms = defining_forms_at(NodePointSpec(node, None))
-    assert sum(forms.replaced) == 4
+    assert sum(m["replaced"] for m in forms["moving_forms"]) == 4
     lims = limit_T0(forms)
     # the limits are Fractions, as the benchmark digests record them
     assert all(type(c) is Fraction for f in lims for c in f.values())
@@ -258,8 +247,12 @@ def test_limits_span_with_extras_at_meet_k_minus_2():
 
 
 def test_defining_forms_reject_a_negative_power():
+    # limit_T0 takes T = 0, where a T^-1 term would otherwise be dropped
+    forms = {"base_forms": [], "moving_forms": [{"label": "F", "replaced": False, "form": {(1, 2, 3): (0, 1)}}]}
+    assert limit_T0(forms) == [{(1, 2, 3): 1}]
+    forms["moving_forms"][0]["form"][(1, 2, 4)] = (-1, -1)
     with pytest.raises(AssertionError, match="negative T power"):
-        DefiningForms(base=(), moving=({(1, 2, 3): (0, 1), (1, 2, 4): (-1, -1)},), moving_labels=("F",))
+        limit_T0(forms)
 
 
 def test_defining_forms_rejects_large_meet():
