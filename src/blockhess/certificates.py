@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import hashlib
 import random
-from collections.abc import Mapping
+import types
 from pathlib import Path
 
 from .exterior import ExteriorArray
@@ -26,10 +26,9 @@ from .hessian import (
     HessianMatrix,
     _assembly_plan,
     assemble,
-    block_row_rank,
     det_exact,
     position_split_embed,
-    rank_exact,
+    rank_report,
     specialize_embed,
 )
 from .multiindex import enumerate_indices
@@ -40,34 +39,16 @@ KINDS = ("corank1", "invertible", "nodepair")
 Blocks = dict[str, tuple[tuple[int, ...], ...]]
 
 
-class Certificate:
-    """One embedded (or imported, or built) witness record."""
-
-    __slots__ = ("id", "kind", "k", "N", "blocks", "claim", "catalog")
-
-    def __init__(self, id: str, kind: str, k: int, N: int, blocks: Blocks, claim: str, catalog: int):
-        self.id = id
-        self.kind = kind
-        self.k = k
-        self.N = N
-        self.blocks = blocks
-        self.claim = claim
-        self.catalog = catalog
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+class Certificate(types.SimpleNamespace):
+    """One embedded (or imported, or built) witness record: ``id``, ``kind``,
+    ``k``, ``N``, ``blocks`` (upper blocks by name, rows as int tuples),
+    ``claim`` and ``catalog``.  Two records are equal when every field is."""
 
 
 # ---------------------------------------------------------------------------
 # payload data
 #
 # Upper blocks only, row-major, exactly as fixed at transcription time.
-
-
-def _freeze(raw: Mapping[str, list[list[int]]]) -> Blocks:
-    return {name: tuple(tuple(int(e) for e in row) for row in rows) for name, rows in sorted(raw.items())}
 
 
 _CORANK_CLAIM = "assembled {side}x{side} matrix has corank 1 while every block row keeps full rank {m}"
@@ -456,36 +437,12 @@ def _claim_for(kind: str, k: int, N: int) -> str:
     return _NODE_CLAIM
 
 
-_REGISTRY: dict[str, Certificate] = {
-    cid: Certificate(
-        id=cid,
-        kind=rec["kind"],
-        k=rec["k"],
-        N=rec["N"],
-        blocks=_freeze(rec["blocks"]),
-        claim=_claim_for(rec["kind"], rec["k"], rec["N"]),
-        catalog=rec["catalog"],
-    )
-    for cid, rec in _RAW.items()
-}
-
-CERTIFICATE_IDS: tuple[str, ...] = tuple(_RAW)
-
-
-def load(cert_id: str) -> Certificate:
-    """Return the embedded record for a known id; KeyError otherwise."""
-    try:
-        return _REGISTRY[cert_id]
-    except KeyError:
-        raise KeyError(f"unknown certificate id {cert_id!r}; known: {', '.join(CERTIFICATE_IDS)}") from None
-
-
 # ---------------------------------------------------------------------------
 # payload -> array -> matrix
 
 
-def array_from_blocks(k: int, N: int, blocks: Mapping[str, tuple[tuple[int, ...], ...]]) -> ExteriorArray:
-    """Rebuild the coefficient array determined by upper blocks A_{pq}.
+def to_array(cert: Certificate) -> ExteriorArray:
+    """Rebuild the coefficient array determined by the upper blocks A_{pq}.
 
     Block entry (u, v) is the positional coefficient with rows p, q moved to
     the values k+u, k+v; each sorted index arises from exactly one (p, q, u<v)
@@ -493,6 +450,7 @@ def array_from_blocks(k: int, N: int, blocks: Mapping[str, tuple[tuple[int, ...]
     window in exactly k-2 entries.  Blocks must be skew (the u > v triangle
     is redundant and is cross-checked, not trusted).
     """
+    k, N, blocks = cert.k, cert.N, cert.blocks
     if k >= 10:
         raise ValueError("block names Apq use single digits; k must be below 10")
     m = N - k
@@ -515,10 +473,6 @@ def array_from_blocks(k: int, N: int, blocks: Mapping[str, tuple[tuple[int, ...]
     # the plan runs over the same (p < q, u < v) slots in the same order
     keys, signs, _ = _assembly_plan(k, N)
     return ExteriorArray(k, N, {I: s * c for I, s, c in zip(keys, signs, upper) if c})
-
-
-def to_array(cert: Certificate) -> ExteriorArray:
-    return array_from_blocks(cert.k, cert.N, cert.blocks)
 
 
 def to_hessian(cert: Certificate) -> HessianMatrix:
@@ -608,6 +562,23 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     )
 
 
+# embedded records pass the same validator as imported files
+_REGISTRY: dict[str, Certificate] = {
+    cid: certificate_from_json_dict({**rec, "id": cid, "claim": _claim_for(rec["kind"], rec["k"], rec["N"])})
+    for cid, rec in _RAW.items()
+}
+
+CERTIFICATE_IDS: tuple[str, ...] = tuple(_RAW)
+
+
+def load(cert_id: str) -> Certificate:
+    """Return the embedded record for a known id; KeyError otherwise."""
+    try:
+        return _REGISTRY[cert_id]
+    except KeyError:
+        raise KeyError(f"unknown certificate id {cert_id!r}; known: {', '.join(CERTIFICATE_IDS)}") from None
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -656,11 +627,7 @@ def verify(cert: Certificate | str, completion_seed: int = 0) -> dict:
         report["pass"] = False
         return report
     if cert.kind == "corank1":
-        H = assemble(A)
-        report["side"] = k_side = cert.k * (cert.N - cert.k)
-        report["rank"] = rank_exact(H)
-        report["corank"] = k_side - report["rank"]
-        report["block_row_ranks"] = [block_row_rank(H, i) for i in range(1, cert.k + 1)]
+        report.update(rank_report(assemble(A)))
         report["pass"] = report["corank"] == 1 and all(r == cert.N - cert.k for r in report["block_row_ranks"])
     elif cert.kind == "invertible":
         H = assemble(A)
@@ -757,11 +724,9 @@ def build_corank1(k: int, N: int, seed: int = 0) -> Certificate:
         H = position_split_embed(to_hessian(build_corank1(3, N - k + 3, seed)), full_rank_hessian(k - 3, N - 3, seed))
     else:
         raise ValueError(f"no composition rule reaches (k, N) = ({k}, {N})")
-    side, m = k * (N - k), N - k
-    rank = rank_exact(H)
-    row_ranks = [block_row_rank(H, i) for i in range(1, k + 1)]
-    if rank != side - 1 or any(r != m for r in row_ranks):
-        raise RuntimeError(f"composed ({k}, {N}) matrix has rank {rank} of {side}, block rows {row_ranks}")
+    rep = rank_report(H)
+    if rep["corank"] != 1 or any(r != N - k for r in rep["block_row_ranks"]):
+        raise RuntimeError(f"composed ({k}, {N}) matrix fails its rank report {rep}")
     return Certificate(
         id=f"corank-{k}-{N}",
         kind="corank1",

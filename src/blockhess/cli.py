@@ -215,18 +215,9 @@ def _cmd_det(args) -> Handled:
 
 
 def _cmd_rank(args) -> Handled:
-    from .hessian import block_row_rank, rank_exact
+    from .hessian import rank_report
 
-    A = _load_array(args.input)
-    H = _assemble(A, args.dual)
-    side, rank = H.k * (H.N - H.k), rank_exact(H)
-    rec = {
-        "side": side,
-        "rank": rank,
-        "corank": side - rank,
-        "block_row_ranks": [block_row_rank(H, i) for i in range(1, H.k + 1)],
-    }
-    return [rec], True, None
+    return [rank_report(_assemble(_load_array(args.input), args.dual))], True, None
 
 
 def _cmd_degrees(args) -> Handled:

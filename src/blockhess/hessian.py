@@ -86,6 +86,11 @@ class HessianMatrix:
 # assembly
 
 
+#: Largest Hessian side k(N-k) ``assemble`` lays out.  A plan and its rows hold
+#: side^2 cells: 45 MB at side 1,002, and 299,991^2 at (3, 100000).
+ASSEMBLY_SIDE_CAP = 1024
+
+
 @lru_cache(maxsize=16)
 def _assembly_plan(
     k: int, N: int
@@ -102,9 +107,11 @@ def _assembly_plan(
     after it and t' past the k - p', so sign = (-1)^(2k - p - p' - 1), and
     swapping t and t' flips it.  Keys and signs run over (p < p', t < t') in
     that order; each key is read once and indexed from its four cells.  A
-    plan holds side^2 indices, hence the bounded cache.
+    plan holds side^2 indices, hence the bounded cache and ``ASSEMBLY_SIDE_CAP``.
     """
     w = N - k
+    if k * w > ASSEMBLY_SIDE_CAP:
+        raise ValueError(f"({k},{N}) Hessian has side {k * w}, over the cap of {ASSEMBLY_SIDE_CAP}")
     n = comb(k, 2) * comb(w, 2)
     keys: list[MultiIndex] = []
     signs: list[int] = []
@@ -255,6 +262,12 @@ def block_row_rank(H: HessianMatrix, i: int) -> int:
     w = H.N - H.k
     rows = H.rows[(i - 1) * w : i * w]
     return linalg.rank_fraction(rows)
+
+
+def rank_report(H: HessianMatrix) -> dict:
+    """H's ``{side, rank, corank, block_row_ranks}``: what ``rank`` prints and corank-one records are judged by."""
+    rank, ranks = rank_exact(H), [block_row_rank(H, i) for i in range(1, H.k + 1)]
+    return {"side": H.side, "rank": rank, "corank": H.side - rank, "block_row_ranks": ranks}
 
 
 # ---------------------------------------------------------------------------

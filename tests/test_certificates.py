@@ -9,7 +9,6 @@ import hessian_oracle
 from blockhess.certificates import (
     CERTIFICATE_IDS,
     Certificate,
-    array_from_blocks,
     blocks_from_hessian,
     build_corank1,
     certificate_from_json_dict,
@@ -22,7 +21,9 @@ from blockhess.certificates import (
     to_json_dict,
     verify,
 )
-from blockhess.hessian import block_row_rank, det_exact, rank_exact
+from blockhess.cli import main
+from blockhess.hessian import block_row_rank, det_exact, rank_exact, rank_report
+from exterior_oracle import array_to_json_dict
 
 # sha256 of the canonical payload serialization, frozen at first
 # verification; any later edit to an embedded record must be deliberate
@@ -157,18 +158,18 @@ def test_array_from_blocks_validates_structure():
     bad = {name: [list(r) for r in B] for name, B in cert.blocks.items()}
     bad["A12"][0][0] = 1
     with pytest.raises(ValueError):
-        array_from_blocks(4, 8, bad)
+        to_array(Certificate(k=4, N=8, blocks=bad))
     # skewness enforced per block
     bad = {name: [list(r) for r in B] for name, B in cert.blocks.items()}
     bad["A12"][0][1] = 7
     bad["A12"][1][0] = 7
     with pytest.raises(ValueError, match="skew"):
-        array_from_blocks(4, 8, bad)
+        to_array(Certificate(k=4, N=8, blocks=bad))
     # every upper block must be present
     partial = {name: [list(r) for r in B] for name, B in cert.blocks.items()}
     partial.pop("A34")
     with pytest.raises(ValueError):
-        array_from_blocks(4, 8, partial)
+        to_array(Certificate(k=4, N=8, blocks=partial))
 
 
 @pytest.mark.parametrize("cid", CERTIFICATE_IDS)
@@ -221,6 +222,26 @@ def test_build_corank1_unreachable_shape():
         build_corank1(5, 12)
     with pytest.raises(ValueError):
         build_corank1(2, 8)
+
+
+@pytest.mark.parametrize("cid", sorted(CORANK_RANKS))
+def test_rank_report_is_the_rank_record_and_the_verify_fields(cid, capsys, tmp_path):
+    cert = load(cid)
+    rec = rank_report(to_hessian(cert))
+    assert list(rec) == ["side", "rank", "corank", "block_row_ranks"]
+    report = verify(cert)
+    assert rec == {key: report[key] for key in rec}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(array_to_json_dict(to_array(cert))), encoding="utf-8")
+    assert main(["rank", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == json.dumps(rec, separators=(",", ":"))
+
+
+def test_records_differing_only_in_catalog_are_unequal():
+    cert = load("corank-3-9")
+    other = certificate_from_json_dict({**to_json_dict(cert), "catalog": 0})
+    assert other != cert
+    assert certificate_from_json_dict(to_json_dict(cert)) == cert
 
 
 def test_certificate_dataclass_shape():

@@ -98,6 +98,44 @@ def test_symbolic_shapes_over_the_variable_cap_exit_2_before_allocating(capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("det", "--input", "huge.json"),
+        ("rank", "--input", "huge.json"),
+        ("hessian", "--input", "huge.json"),
+        ("critical", "--input", "huge.json"),
+        ("specialize", "huge.json", "huge.json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_array_past_the_assembly_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch, argv):
+    # 37 bytes of JSON asked for a 299,991^2 Hessian and ended in a MemoryError
+    def refuse(*args):
+        raise AssertionError("a plan was sized past the cap")
+
+    monkeypatch.setattr(hessian, "comb", refuse)
+    (tmp_path / "huge.json").write_text('{"k": 3, "N": 100000, "entries": []}', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err.splitlines()[0]) == {"error": "(3,100000) Hessian has side 299991, over the cap of 1024"}
+
+
+@pytest.mark.parametrize("flag", ["--N", "--N-max"])
+def test_irreducible_past_the_N_cap_exits_2_before_deriving(capsys, monkeypatch, flag):
+    # --N 5000 was still deriving after 20 s
+    from blockhess import irreducibility
+
+    def refuse(*args):
+        raise AssertionError("a verdict was derived past the cap")
+
+    monkeypatch.setattr(irreducibility, "irreducible_verdict", refuse)
+    code, out, err = invoke(capsys, "irreducible", "--k", "3", flag, "5000")
+    assert (code, out) == (2, "")
+    assert json.loads(err.splitlines()[0]) == {"error": "N = 5000 is over the cap of 1000"}
+
+
+@pytest.mark.parametrize(
     "argv,reason",
     [
         (("irreducible", "--k", "3", "--N-max", "2"), "empty schedule"),

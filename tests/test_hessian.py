@@ -192,6 +192,25 @@ def test_symbolic_cap_is_checked_before_the_plan():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_assembly_side_cap_is_checked_before_the_plan(monkeypatch):
+    from blockhess import hessian
+    from blockhess.hessian import ASSEMBLY_SIDE_CAP, _assembly_plan
+
+    # (3, 100000) would lay out 299,991^2 cells; sizing any plan past the
+    # cap means the guard came too late
+    def refuse(*args):
+        raise AssertionError("a plan was sized past the cap")
+
+    monkeypatch.setattr(hessian, "comb", refuse)
+    assert ASSEMBLY_SIDE_CAP == 1024
+    for k, N in ((3, 100000), (4, 261), (2, 515)):
+        with pytest.raises(ValueError, match="over the cap of 1024"):
+            assemble(ExteriorArray(k, N, {}))
+    monkeypatch.undo()
+    assert assemble(ExteriorArray(2, 514, {})).side == 1024
+    _assembly_plan.cache_clear()  # a side-1024 plan holds a million cells
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=12, deadline=None)
 def test_assembled_matrix_is_symmetric(seed):

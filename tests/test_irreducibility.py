@@ -2,8 +2,10 @@
 
 import pytest
 
+from blockhess import irreducibility
 from blockhess.degree import feasible_degrees
 from blockhess.irreducibility import (
+    IRREDUCIBILITY_N_CAP,
     InconsistentPatterns,
     canonical_key,
     coarsenings,
@@ -118,6 +120,27 @@ def test_ensure_depth_does_not_grow_with_N():
     rec = ensure(table, 3, 700)
     assert (rec["status"], rec["factors"]) == ("irreducible", [3 * 697])
     assert all((3, n) in table for n in range(6, 701))
+
+
+def test_N_over_the_cap_is_rejected_before_deriving(monkeypatch):
+    # (3, 5000) ran past 20 s; any verdict past the cap means the guard came too late
+    class Derived(Exception):
+        pass
+
+    def refuse(*args):
+        raise Derived
+
+    monkeypatch.setattr(irreducibility, "irreducible_verdict", refuse)
+    assert IRREDUCIBILITY_N_CAP == 1000
+    for k in (3, 4, 8):
+        with pytest.raises(ValueError, match="over the cap of 1000"):
+            ensure(seeded_table(), k, 1001)
+        with pytest.raises(ValueError, match="over the cap of 1000"):
+            run_schedule(k, 1001)
+        with pytest.raises(Derived):
+            ensure(seeded_table(), k, 1000)
+        with pytest.raises(Derived):
+            run_schedule(k, 1000)
 
 
 @pytest.mark.parametrize("k,N_max", [(3, 14), (4, 12)])
