@@ -572,11 +572,11 @@ CERTIFICATE_IDS: tuple[str, ...] = tuple(_RAW)
 
 
 def load(cert_id: str) -> Certificate:
-    """Return the embedded record for a known id; KeyError otherwise."""
+    """Return the embedded record for a known id; ValueError otherwise."""
     try:
         return _REGISTRY[cert_id]
     except KeyError:
-        raise KeyError(f"unknown certificate id {cert_id!r}; known: {', '.join(CERTIFICATE_IDS)}") from None
+        raise ValueError(f"unknown certificate id {cert_id!r}; known: {', '.join(CERTIFICATE_IDS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +693,9 @@ def full_rank_hessian(k: int, n: int, seed: int = 0) -> HessianMatrix:
 
 
 def _reachable_5(N: int) -> bool:
-    if N == 10:
-        return True
-    if N % 2 == 1 and N >= 11:
-        return True
-    return N >= 13 and _reachable_5(N - 3)
+    """Whether ``build_corank1`` reaches (5, N): 10, every odd N >= 11, and
+    N - 3 reachable for N >= 13, which closes to every N >= 10 but 12."""
+    return N >= 10 and N != 12
 
 
 def build_corank1(k: int, N: int, seed: int = 0) -> Certificate:

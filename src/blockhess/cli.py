@@ -8,7 +8,10 @@ Conventions, fixed across every subcommand:
   reports;
 * stdout carries the report as JSON lines — a meta line (command, version,
   config, checksums of any embedded records used) followed by one line per
-  result — or an indented plain rendering under ``--format text``;
+  result — or an indented plain rendering under ``--format text``.  Each
+  handler returns library values as they are; ``main`` alone renders them,
+  a Fraction as a JSON number when integral and as ``"a/b"`` otherwise
+  (``str`` gives the same digits in text);
 * stderr carries a one-line human summary, plus ``{"error": ...}`` as JSON
   when the invocation itself is bad;
 * exit status: 0 success/pass, 1 a verification ran and failed, 2 input
@@ -40,10 +43,6 @@ from . import __version__
 # a command loads only what it needs and ``import blockhess.cli`` loads none.
 
 
-class CliInputError(ValueError):
-    """A rejected invocation, raised by the CLI itself rather than the library."""
-
-
 # ---------------------------------------------------------------------------
 # deterministic seeding
 
@@ -65,13 +64,13 @@ def _load_json(path: str, parse, what: str):
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"{path} is not {what}: {exc}") from exc
+        raise ValueError(f"{path} is not {what}: {exc}") from exc
 
 
 def _point_entry(e):
@@ -106,43 +105,18 @@ def _load_array(path: str):
     return _load_json(path, ExteriorArray.from_json_dict, "a coefficient array")
 
 
-def _load_certificate(cert_id: str):
-    from .certificates import load
-
-    try:
-        return load(cert_id)
-    except KeyError as exc:
-        raise CliInputError(exc.args[0]) from exc
-
-
-def _render_entry(e, names: list[str] | None = None):
-    from fractions import Fraction
-
-    from .ring import MultiPoly, scalar_to_string
-
-    if isinstance(e, MultiPoly):
-        return e.to_str(names)
-    if isinstance(e, Fraction):
-        return int(e) if e.denominator == 1 else scalar_to_string(e)
-    return e
-
-
-def _render_rows(rows, names: list[str] | None = None) -> list[list]:
-    return [[_render_entry(e, names) for e in row] for row in rows]
-
-
 def _parse_J(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
-        raise CliInputError(f"cannot parse index set {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse index set {text!r}: {exc}") from exc
 
 
 def _parse_T(text: str):
     try:
         return _point_entry(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"cannot parse T value {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse T value {text!r}: {exc}") from exc
 
 
 def _random_array(k: int, N: int, rng, lo: int = -4, hi: int = 4):
@@ -153,16 +127,16 @@ def _random_array(k: int, N: int, rng, lo: int = -4, hi: int = 4):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (records, passed, used_checksums)
+# subcommand handlers: each returns (records, passed); ``main`` prints them
 
-Handled = tuple[list[dict], bool, "dict[str, str] | None"]
+Handled = tuple[list[dict], bool]
 
 
 def _need_kN(args) -> tuple[int, int]:
     if args.k is None or args.N is None:
-        raise CliInputError("--k and --N are required here")
+        raise ValueError("--k and --N are required here")
     if not 1 <= args.k < args.N:
-        raise CliInputError(f"need 1 <= k < N, got k={args.k}, N={args.N}")
+        raise ValueError(f"need 1 <= k < N, got k={args.k}, N={args.N}")
     return args.k, args.N
 
 
@@ -174,6 +148,7 @@ def _assemble(A, dual: bool):
 
 def _cmd_hessian(args) -> Handled:
     from .hessian import coefficient_names, symbolic_coefficient_array
+    from .ring import MultiPoly
 
     if args.input:
         A = _load_array(args.input)
@@ -183,7 +158,7 @@ def _cmd_hessian(args) -> Handled:
         A = symbolic_coefficient_array(k, N)
         names = coefficient_names(k, N)
     else:
-        raise CliInputError("provide --input FILE or --k/--N for the symbolic matrix")
+        raise ValueError("provide --input FILE or --k/--N for the symbolic matrix")
     H = _assemble(A, args.dual)
     rec = {
         "k": H.k,
@@ -191,9 +166,9 @@ def _cmd_hessian(args) -> Handled:
         "side": H.k * (H.N - H.k),
         "dual": bool(args.dual),
         "structure_ok": H.is_structurally_valid(),
-        "rows": _render_rows(H.rows, names),
+        "rows": [[e.to_str(names) if isinstance(e, MultiPoly) else e for e in row] for row in H.rows],
     }
-    return [rec], True, None
+    return [rec], True
 
 
 def _cmd_det(args) -> Handled:
@@ -202,42 +177,39 @@ def _cmd_det(args) -> Handled:
 
     A = _load_array(args.input)
     H = _assemble(A, args.dual)
-    if args.mod is not None:
-        if not (1 < args.mod < 2**64 and is_prime(args.mod)):
-            raise CliInputError(f"--mod needs a prime below 2^64, got {args.mod}")
-        try:
-            rec = {"det": det_mod(H, args.mod), "mod": args.mod}
-        except ZeroDivisionError as exc:  # a denominator that vanishes mod p
-            raise CliInputError(str(exc)) from exc
-    else:
-        rec = {"det": _render_entry(det_exact(H))}
-    return [rec], True, None
+    if args.mod is None:
+        return [{"det": det_exact(H)}], True
+    if not (1 < args.mod < 2**64 and is_prime(args.mod)):
+        raise ValueError(f"--mod needs a prime below 2^64, got {args.mod}")
+    try:
+        return [{"det": det_mod(H, args.mod), "mod": args.mod}], True
+    except ZeroDivisionError as exc:  # a denominator that vanishes mod p
+        raise ValueError(str(exc)) from exc
 
 
 def _cmd_rank(args) -> Handled:
     from .hessian import rank_report
 
-    return [rank_report(_assemble(_load_array(args.input), args.dual))], True, None
+    return [rank_report(_assemble(_load_array(args.input), args.dual))], True
 
 
 def _cmd_degrees(args) -> Handled:
     from .degree import feasible_degrees
 
     k, N = _need_kN(args)
-    return [{"total": k * (N - k), "degrees": list(feasible_degrees(k, N))}], True, None
+    return [{"total": k * (N - k), "degrees": list(feasible_degrees(k, N))}], True
 
 
 def _cmd_irreducible(args) -> Handled:
     from .irreducibility import ensure, run_schedule, seeded_table
 
     if args.k is None:
-        raise CliInputError("--k is required here")
+        raise ValueError("--k is required here")
     if args.N_max is not None:
         records = run_schedule(args.k, args.N_max)
     else:
         records = [ensure(seeded_table(), *_need_kN(args))]
-    passed = all(r["status"] != "undecided" for r in records)
-    return records, passed, None
+    return records, all(r["status"] != "undecided" for r in records)
 
 
 def _cmd_specialize(args) -> Handled:
@@ -252,45 +224,42 @@ def _cmd_specialize(args) -> Handled:
         "a": H1.N,
         "b": H2.N,
         "N": E.N,
-        "det_first": _render_entry(d1),
-        "det_second": _render_entry(d2),
-        "det_embedded": _render_entry(de),
+        "det_first": d1,
+        "det_second": d2,
+        "det_embedded": de,
         "multiplicative": de == d1 * d2,
     }
     if args.full:
-        rec["rows"] = _render_rows(E.rows)
-    return [rec], bool(rec["multiplicative"]), None
+        rec["rows"] = E.rows
+    return [rec], rec["multiplicative"]
 
 
 def _cmd_duality(args) -> Handled:
-    from .hessian import assemble, assemble_symbolic, det_exact, dualize_layout
+    from math import comb
+
+    from .hessian import ASSEMBLY_SIDE_CAP, _assembly_plan, assemble, assemble_symbolic, det_exact, dualize_layout
 
     k, N = _need_kN(args)
     records: list[dict] = []
     passed = True
     if args.symbolic:
-        Hd = dualize_layout(assemble_symbolic(k, N))
-        ok = Hd.is_structurally_valid()
+        ok = dualize_layout(assemble_symbolic(k, N)).is_structurally_valid()
         records.append({"mode": "symbolic", "relabeled_as": [N - k, N], "structure_ok": ok})
         passed &= ok
+    # each trial draws all C(N, k) coefficients: bound the side as det does,
+    # and the draw by the most cells any assembly plan holds, before drawing
+    _assembly_plan(k, N)
+    if comb(N, k) > ASSEMBLY_SIDE_CAP**2:
+        raise ValueError(f"({k},{N}) array has {comb(N, k)} coefficients, over the cap of {ASSEMBLY_SIDE_CAP**2}")
     for i in range(args.trials):
         rng = split_rng(args.seed, f"duality:{k}:{N}:{i}")
         H = assemble(_random_array(k, N, rng))
         Hd = dualize_layout(H)
         d, dd = det_exact(H), det_exact(Hd)
-        ok = Hd.is_structurally_valid() and d == dd
-        records.append(
-            {
-                "mode": "numeric",
-                "trial": i,
-                "structure_ok": Hd.is_structurally_valid(),
-                "det": _render_entry(d),
-                "det_relabeled": _render_entry(dd),
-                "equal": d == dd,
-            }
-        )
-        passed &= ok
-    return records, passed, None
+        ok = Hd.is_structurally_valid()
+        records.append({"mode": "numeric", "trial": i, "structure_ok": ok, "det": d, "det_relabeled": dd, "equal": d == dd})
+        passed &= ok and d == dd
+    return records, passed
 
 
 def _render_form(form, render) -> dict[str, str]:
@@ -300,32 +269,25 @@ def _render_form(form, render) -> dict[str, str]:
 
 def _cmd_node(args) -> Handled:
     from .multiindex import NodeIndexSet
-    from .node_cusp import (
-        NodePointSpec,
-        build_x_J_T,
-        defining_forms_at,
-        extra_equations,
-        limit_T0,
-        render_monomial,
-    )
+    from .node_cusp import NodePointSpec, build_x_J_T, defining_forms_at, extra_equations, limit_T0, render_monomial
     from .ring import scalar_to_string
 
     k, N = _need_kN(args)
     if args.J is None:
-        raise CliInputError("--J is required (comma-separated index set)")
+        raise ValueError("--J is required (comma-separated index set)")
     if args.symbolic and args.T is not None:
-        raise CliInputError("--symbolic and --T are mutually exclusive")
+        raise ValueError("--symbolic and --T are mutually exclusive")
     node = NodeIndexSet(k, N, _parse_J(args.J))
     if args.T is not None:
         frame = build_x_J_T(NodePointSpec(node, _parse_T(args.T)))
         rec = {
             "J": list(node.J),
             "T": args.T,
-            "frame_rows": _render_rows(frame),
-            "chart_point": _render_rows(row[k:] for row in frame),
+            "frame_rows": [list(row) for row in frame],
+            "chart_point": [list(row[k:]) for row in frame],
             "meet_first": len(node.in_first),
         }
-        return [rec], True, None
+        return [rec], True
     spec = NodePointSpec(node, None)
     forms = defining_forms_at(spec)
     rec = {
@@ -338,13 +300,13 @@ def _cmd_node(args) -> Handled:
     if len(node.in_first) == k - 2:
         rec["extra_equations"] = [_render_form(f, scalar_to_string) for f in extra_equations(node)]
     if not args.limits:
-        return [rec], True, None
+        return [rec], True
     try:
         lims = limit_T0(forms)
     except ValueError as exc:  # dependent limits: a finding, not bad input
-        return [rec, {"limits_independent": False, "error": str(exc)}], False, None
+        return [rec, {"limits_independent": False, "error": str(exc)}], False
     limits = {"limits_independent": True, "count": len(lims), "limits": [_render_form(f, scalar_to_string) for f in lims]}
-    return [rec, limits], True, None
+    return [rec, limits], True
 
 
 def _cmd_verify_certificates(args) -> Handled:
@@ -353,32 +315,30 @@ def _cmd_verify_certificates(args) -> Handled:
 
     if args.input:
         certs = [_load_json(args.input, certificate_from_json_dict, "a certificate")]
-    elif args.id:
-        certs = [_load_certificate(args.id)]
     else:
-        certs = [load(cid) for cid in CERTIFICATE_IDS]
+        certs = [load(cid) for cid in ([args.id] if args.id else CERTIFICATE_IDS)]
     records = [verify_certificate(c, completion_seed=args.seed) for c in certs]
-    used = {r["id"]: r["checksum"] for r in records}
-    return records, all(r["pass"] for r in records), used
+    return records, all(r["pass"] for r in records)
 
 
 def _cmd_verify_node(args) -> Handled:
+    from .certificates import load
     from .certificates import verify as verify_certificate
 
     if not args.id:
-        raise CliInputError("--id is required (a nodepair certificate id)")
-    cert = _load_certificate(args.id)
+        raise ValueError("--id is required (a nodepair certificate id)")
+    cert = load(args.id)
     if cert.kind != "nodepair":
-        raise CliInputError(f"{cert.id} has kind {cert.kind!r}, not nodepair")
+        raise ValueError(f"{cert.id} has kind {cert.kind!r}, not nodepair")
     rec = verify_certificate(cert, completion_seed=args.seed)
-    return [rec], bool(rec["pass"]), {rec["id"]: rec["checksum"]}
+    return [rec], rec["pass"]
 
 
 def _cmd_identity_h36(args) -> Handled:
     from .hessian import identity_h36
 
     rec = identity_h36(args.trials, args.seed, include_symbolic=not args.skip_symbolic)
-    return [rec], bool(rec["pass"]), None
+    return [rec], rec["pass"]
 
 
 def _cmd_critical(args) -> Handled:
@@ -395,10 +355,10 @@ def _cmd_critical(args) -> Handled:
         )
         at_zero = all(e == 0 for row in X.X for e in row)
         B = act_translation(A, X)
-    rec = {"k": A.k, "N": A.N, "critical": is_critical(B), "gradient": _render_rows(gradient(B))}
+    rec = {"k": A.k, "N": A.N, "critical": is_critical(B), "gradient": gradient(B)}
     if at_zero:
         rec["cusp_membership"] = cusp_membership(A)
-    return [rec], True, None
+    return [rec], True
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +383,7 @@ _HANDLERS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from exiting on its own
-        raise CliInputError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,10 +467,21 @@ def _config(args) -> dict:
         "format": args.fmt,
     }
     if config["trials"] < 1:
-        raise CliInputError(f"trials must be >= 1, got {config['trials']}")
+        raise ValueError(f"trials must be >= 1, got {config['trials']}")
     if not 0 <= args.seed < 2**64:
-        raise CliInputError("seed must fit in 64 unsigned bits")
+        raise ValueError("seed must fit in 64 unsigned bits")
     return config
+
+
+def _json_value(value):
+    """What JSON has no type for: a Fraction prints as a number when
+    integral and as ``"a/b"`` otherwise.  Any other type is an internal
+    fault, never an input error, so it raises TypeError."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    raise TypeError(f"{type(value).__name__} value in a record has no JSON rendering")
 
 
 def _text_block(rec: dict, indent: str = "") -> list[str]:
@@ -536,15 +507,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _config(args)
-        records, passed, used_checksums = _HANDLERS[args.command](args)
+        records, passed = _HANDLERS[args.command](args)
         meta: dict = {"command": args.command, "version": __version__, "config": config}
-        if used_checksums is not None:
-            meta["certificate_checksums"] = dict(sorted(used_checksums.items()))
+        used = {r["id"]: r["checksum"] for r in records if "id" in r and "checksum" in r}
+        if used:
+            meta["certificate_checksums"] = dict(sorted(used.items()))
         # rendered inside the boundary: an int past the digit limit
         # (sys.get_int_max_str_digits()) is a ValueError here
         if args.fmt == "json":
-            lines = [json.dumps(meta, separators=(",", ":"))]
-            lines += [json.dumps(rec, separators=(",", ":")) for rec in records]
+            lines = [json.dumps(rec, separators=(",", ":"), default=_json_value) for rec in (meta, *records)]
         else:
             lines = []
             for rec in records:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -40,10 +39,10 @@ class HessianMatrix:
 
     __slots__ = ("k", "N", "rows")
 
-    def __init__(self, k: int, N: int, rows: Sequence[Sequence]):
+    def __init__(self, k: int, N: int, rows: list[list]):
+        """Keeps ``rows`` as given, uncopied: pass fresh lists."""
         side = k * (N - k)
-        rows = [list(r) for r in rows]
-        if len(rows) != side or any(len(r) != side for r in rows):
+        if len(rows) != side or any(map(side.__ne__, map(len, rows))):
             raise ValueError(f"matrix must be {side}x{side} for (k,N)=({k},{N})")
         self.k = k
         self.N = N
@@ -138,9 +137,7 @@ def assemble(A: ExteriorArray) -> HessianMatrix:
     keys, _, plan = _assembly_plan(A.k, A.N)
     vals = list(map(A.coeffs.get, keys, repeat(0)))
     cells = [*vals, *map(neg, vals), _zero_of(A.coeffs.values())]
-    H = HessianMatrix.__new__(HessianMatrix)  # the rows are fresh and square: skip __init__'s copy
-    H.k, H.N, H.rows = A.k, A.N, [list(map(cells.__getitem__, row)) for row in plan]
-    return H
+    return HessianMatrix(A.k, A.N, [list(map(cells.__getitem__, row)) for row in plan])
 
 
 def _zero_of(entries) -> int | MultiPoly:

@@ -97,16 +97,28 @@ def generic_node_membership(A: ExteriorArray) -> bool:
 # The x(J, T) family
 
 
+#: Most monomials the defining system at x(J, T) may hold, counted as
+#: k(N-k) + 1 forms of at most 2^k terms each.  Shapes at the cap take about
+#: 3 s and print about 10 MB; (3, 10^5) once printed 47 MB over 12 s.
+NODE_SYSTEM_CAP = 2**19
+
+
 class NodePointSpec:
     """A choice of second-tangency pattern J together with a parameter T.
 
     ``T=None`` means symbolic: downstream computations carry T as a formal
-    variable.  Numeric T must be nonzero.
+    variable.  Numeric T must be nonzero.  A shape whose defining system
+    could hold more than ``NODE_SYSTEM_CAP`` monomials is a ValueError.
     """
 
     __slots__ = ("J", "T")
 
     def __init__(self, J: NodeIndexSet, T: Scalar | None = None):
+        terms = (J.k * (J.N - J.k) + 1) << J.k
+        if terms > NODE_SYSTEM_CAP:
+            raise ValueError(
+                f"the ({J.k},{J.N}) node system holds up to {terms} monomials, over the cap of {NODE_SYSTEM_CAP}"
+            )
         if T is not None and Fraction(T) == 0:
             raise ValueError("T = 0 is not a point of the family; use the T -> 0 limit forms")
         self.J = J

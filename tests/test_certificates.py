@@ -59,7 +59,7 @@ NODE_DETS = {
 def test_registry_lists_ten_records():
     assert len(CERTIFICATE_IDS) == 10
     assert set(FROZEN_CHECKSUMS) == set(CERTIFICATE_IDS)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown certificate id 'corank-9-99'; known: corank-3-9, "):
         load("corank-9-99")
 
 
@@ -215,6 +215,17 @@ def test_build_corank1_produces_verified_records(k, N):
         assert block_row_rank(H, i) == N - k
     # deterministic: rebuilding yields the identical payload
     assert payload_checksum(build_corank1(k, N)) == payload_checksum(cert)
+
+
+def test_five_row_reach_is_the_closed_form_of_its_rule():
+    # the composition rule for k = 5, kept here as a recursion: (5, 10), every
+    # odd N >= 11, and (5, N) from (5, N - 3) for N >= 13
+    from blockhess.certificates import _reachable_5
+
+    reach: dict[int, bool] = {}
+    for N in range(2000):
+        reach[N] = N == 10 or (N % 2 == 1 and N >= 11) or (N >= 13 and reach[N - 3])
+        assert _reachable_5(N) is reach[N], N
 
 
 def test_build_corank1_unreachable_shape():

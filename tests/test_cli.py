@@ -136,6 +136,51 @@ def test_irreducible_past_the_N_cap_exits_2_before_deriving(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "k,N,error",
+    [
+        (3, 3000, "(3,3000) Hessian has side 8991, over the cap of 1024"),
+        (10, 40, "(10,40) array has 847660528 coefficients, over the cap of 1048576"),
+    ],
+    ids=["side", "coefficients"],
+)
+def test_duality_past_the_assembly_caps_exits_2_before_drawing(capsys, monkeypatch, k, N, error):
+    # each trial draws all C(N, k) coefficients; (3, 3000) once drew about
+    # 4.5 billion and ended in a MemoryError
+    from blockhess import cli
+
+    def refuse(*args):
+        raise AssertionError("coefficients were drawn past the cap")
+
+    monkeypatch.setattr(cli, "_random_array", refuse)
+    code, out, err = invoke(capsys, "duality", "--k", str(k), "--N", str(N), "--trials", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err.splitlines()[0]) == {"error": error}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--k", "3", "--N", "100000", "--J", "1,99999,100000"),
+        ("--k", "3", "--N", "100000", "--J", "1,99999,100000", "--T", "2"),
+        ("--k", "3", "--N", "100000", "--J", "1,99999,100000", "--limits"),
+        ("--k", "13", "--N", "26", "--J", "1,2,3,4,5,6,7,8,9,10,11,25,26"),
+    ],
+    ids=["symbolic", "T", "limits", "k13"],
+)
+def test_node_past_the_system_cap_exits_2_before_building(capsys, monkeypatch, argv):
+    # (3, 100000) once printed 47 MB over 12 s, and (13, 26) 16 MB over 4.8 s
+    from blockhess import node_cusp
+
+    def refuse(*args):
+        raise AssertionError("a frame was built past the cap")
+
+    monkeypatch.setattr(node_cusp, "_pair_rows", refuse)
+    code, out, err = invoke(capsys, "node", *argv)
+    assert (code, out) == (2, "")
+    assert "node system holds up to" in json.loads(err.splitlines()[0])["error"]
+
+
+@pytest.mark.parametrize(
     "argv,reason",
     [
         (("irreducible", "--k", "3", "--N-max", "2"), "empty schedule"),
@@ -248,6 +293,15 @@ def test_internal_fault_is_not_an_input_error(capsys, tmp_path, monkeypatch):
         main(["rank", "--input", str(path)])
 
 
+def test_unrenderable_value_is_an_internal_fault(monkeypatch):
+    # main renders Fractions; any other non-JSON value is a bug, not bad input
+    from blockhess import cli
+
+    monkeypatch.setitem(cli._HANDLERS, "degrees", lambda args: ([{"total": object()}], True))
+    with pytest.raises(TypeError, match="object value in a record has no JSON rendering"):
+        main(["degrees", "--k", "3", "--N", "8"])
+
+
 @pytest.mark.parametrize("command", ["verify-certificates", "verify-node"])
 def test_unknown_certificate_id_exits_2(capsys, command):
     from blockhess.certificates import CERTIFICATE_IDS
@@ -290,6 +344,16 @@ def test_det_mod_reduces_rational_entries(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "vanishes mod 2" in json.loads(err.splitlines()[0])["error"]
+
+
+def test_rational_det_renders_as_a_fraction(capsys, tmp_path):
+    # det is (1/3)^4 = 1/81: a string "a/b" in JSON, the same digits in text
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"k": 2, "N": 4, "entries": [{"I": [3, 4], "c": "1/3"}, {"I": [1, 2], "c": "5"}]}))
+    code, out, _ = invoke(capsys, "det", "--input", str(path))
+    assert code == 0 and out.splitlines()[1] == '{"det":"1/81"}'
+    code, out, _ = invoke(capsys, "det", "--input", str(path), "--format", "text")
+    assert code == 0 and out == "det: 1/81\n\n"
 
 
 @pytest.mark.parametrize("mod", ["4", "9", "1", str(2**64 + 13)])

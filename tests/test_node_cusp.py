@@ -255,6 +255,20 @@ def test_defining_forms_reject_a_negative_power():
         limit_T0(forms)
 
 
+def test_node_system_cap_is_checked_in_the_spec():
+    # (3, N) holds up to (3(N-3) + 1) * 2^3 monomials: 524,288, the cap, at N = 21,848
+    from blockhess.node_cusp import NODE_SYSTEM_CAP
+
+    at_cap = NodeIndexSet(3, 21848, (1, 21847, 21848))
+    assert (3 * (21848 - 3) + 1) * 8 == NODE_SYSTEM_CAP
+    for T in (None, 2):
+        assert NodePointSpec(at_cap, T).J is at_cap
+        with pytest.raises(ValueError, match="over the cap of 524288"):
+            NodePointSpec(NodeIndexSet(3, 21849, (1, 21848, 21849)), T)
+    with pytest.raises(ValueError, match=r"the \(13,26\) node system holds up to 1392640 monomials"):
+        NodePointSpec(NodeIndexSet(13, 26, tuple(range(1, 12)) + (25, 26)))
+
+
 def test_defining_forms_rejects_large_meet():
     with pytest.raises(ValueError):
         defining_forms_at(NodePointSpec(NodeIndexSet(3, 7, (1, 2, 7)), None))
