@@ -270,7 +270,6 @@ def _render_form(form, render) -> dict[str, str]:
 def _cmd_node(args) -> Handled:
     from .multiindex import NodeIndexSet
     from .node_cusp import NodePointSpec, build_x_J_T, defining_forms_at, extra_equations, limit_T0, render_monomial
-    from .ring import scalar_to_string
 
     k, N = _need_kN(args)
     if args.J is None:
@@ -298,14 +297,14 @@ def _cmd_node(args) -> Handled:
         "moving_forms": [{**m, "form": _render_form(m["form"], render_monomial)} for m in forms["moving_forms"]],
     }
     if len(node.in_first) == k - 2:
-        rec["extra_equations"] = [_render_form(f, scalar_to_string) for f in extra_equations(node)]
+        rec["extra_equations"] = [_render_form(f, str) for f in extra_equations(node)]
     if not args.limits:
         return [rec], True
     try:
         lims = limit_T0(forms)
     except ValueError as exc:  # dependent limits: a finding, not bad input
         return [rec, {"limits_independent": False, "error": str(exc)}], False
-    limits = {"limits_independent": True, "count": len(lims), "limits": [_render_form(f, scalar_to_string) for f in lims]}
+    limits = {"limits_independent": True, "count": len(lims), "limits": [_render_form(f, str) for f in lims]}
     return [rec, limits], True
 
 

@@ -133,10 +133,12 @@ def _assembly_plan(
 
 def assemble(A: ExteriorArray) -> HessianMatrix:
     """Second partials of the dehomogenized form at the chart origin, laid
-    out by ``_assembly_plan``; a missing key gives int 0, as ``ExteriorArray.get`` does."""
+    out by ``_assembly_plan``; a missing key and a structural zero are both the
+    zero of the entries' ring, so one matrix holds one zero."""
     keys, _, plan = _assembly_plan(A.k, A.N)
-    vals = list(map(A.coeffs.get, keys, repeat(0)))
-    cells = [*vals, *map(neg, vals), _zero_of(A.coeffs.values())]
+    zero = _zero_of(A.coeffs.values())
+    vals = list(map(A.coeffs.get, keys, repeat(zero)))
+    cells = [*vals, *map(neg, vals), zero]
     return HessianMatrix(A.k, A.N, [list(map(cells.__getitem__, row)) for row in plan])
 
 

@@ -94,15 +94,6 @@ def scalar_from_string(s: str) -> Scalar:
     return int(s)
 
 
-def scalar_to_string(x: Scalar) -> str:
-    """Serialize exactly; integers (and integral Fractions) as plain decimals."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 def scalar_mod(x: Scalar, p: int) -> int:
     """Reduce an exact scalar into [0, p)."""
     if isinstance(x, Fraction):
@@ -197,13 +188,13 @@ class MultiPoly:
                 if e
             ]
             if not factors:
-                parts.append(scalar_to_string(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append("*".join(factors))
             elif c == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(scalar_to_string(c) + "*" + "*".join(factors))
+                parts.append(str(c) + "*" + "*".join(factors))
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p

@@ -28,7 +28,7 @@ from bisect import bisect_right
 
 from blockhess.exterior import ChartPoint, ExteriorArray
 from blockhess.multiindex import MultiIndex, enumerate_indices, first_index, is_valid_index, sort_with_sign
-from blockhess.ring import MultiPoly, Scalar, scalar_to_string
+from blockhess.ring import MultiPoly, Scalar
 from linalg_oracle import det_cofactor
 from ring_oracle import evaluate, partial
 
@@ -255,4 +255,4 @@ def chart_minors_fraction(X: ChartPoint):
 
 def array_to_json_dict(A: ExteriorArray) -> dict:
     """``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``, entries in key order."""
-    return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": scalar_to_string(c)} for I, c in sorted(A.coeffs.items())]}
+    return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": str(c)} for I, c in sorted(A.coeffs.items())]}

@@ -372,7 +372,8 @@ def test_assemble_matches_positional_get(k, N, kind):
     """Every cell, with its type, against the positional coefficient symbol;
     the shapes cover both parities of the closed-form sign and w = 1, 2.
     "poly-off-keys" has int coefficients and one MultiPoly at If, which no
-    cell reads, so only the structural zeros are MultiPoly zeros."""
+    cell reads; the structural zeros and the missing keys are then both
+    MultiPoly zeros, so the matrix holds one zero."""
     rng = random.Random(k * 100 + N)
     if kind == "symbolic":
         A = symbolic_coefficient_array(k, N)
@@ -396,7 +397,7 @@ def test_assemble_matches_positional_get(k, N, kind):
             for t in range(k + 1, N + 1):
                 for tt in range(k + 1, N + 1):
                     e = block[t - k - 1][tt - k - 1]
-                    want = zero if p == pp or t == tt else _positional_get(A, (t, tt), (p, pp))
+                    want = zero if p == pp or t == tt else _positional_get(A, (t, tt), (p, pp)) or zero
                     assert e == want and type(e) is type(want), (p, t, pp, tt)
 
 

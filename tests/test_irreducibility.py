@@ -1,5 +1,10 @@
 """Factor-pattern bookkeeping: base table, coarsenings, derivation steps."""
 
+import gc
+import random
+import tracemalloc
+from functools import lru_cache
+
 import pytest
 
 from blockhess import irreducibility
@@ -60,6 +65,84 @@ def test_coarsenings():
     assert (2, 2) in cs
     assert (1, 3) in cs
     assert all(sum(c) == 4 for c in cs)
+
+
+def _set_partitions(items):
+    """Every set partition of ``items``, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    for blocks in _set_partitions(items[1:]):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[items[0], *blocks[i]]] + blocks[i + 1 :]
+        yield [[items[0]], *blocks]
+
+
+def _set_partition_sums(entries):
+    """Sorted block sums of every set partition of the entries' positions."""
+    return {
+        tuple(sorted(sum(entries[j] for j in block) for block in blocks))
+        for blocks in _set_partitions(list(range(len(entries))))
+    }
+
+
+def test_coarsenings_match_set_partitions():
+    rng = random.Random(24)
+    for _ in range(60):
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+        assert coarsenings(pattern(*degrees)) == _set_partition_sums(degrees), degrees
+    assert coarsenings(pattern(2, 2, 2, 2)) == {(8,), (2, 6), (4, 4), (2, 2, 4), (2, 2, 2, 2)}
+    with pytest.raises(ValueError, match="empty pattern"):
+        coarsenings(pattern())
+    with pytest.raises(ValueError, match="13 entries exceeds"):
+        coarsenings(pattern(*[1] * 13))
+
+
+def _partitions_into(total, parts):
+    """All multisets with entries drawn from ``parts`` summing to total."""
+    parts = tuple(sorted(set(parts)))
+
+    @lru_cache(maxsize=None)
+    def rec(remaining, min_idx):
+        if remaining == 0:
+            return frozenset({()})
+        out = set()
+        for i in range(min_idx, len(parts)):
+            p = parts[i]
+            if p > remaining:
+                break
+            for tail in rec(remaining - p, i):
+                out.add(tuple(sorted((p,) + tail)))
+        return frozenset(out)
+
+    return set(rec(total, 0))
+
+
+def test_verdict_without_patterns_is_the_partitions_into_feasible_degrees():
+    # the rectangle filter alone: every multiset of feasible degrees summing
+    # to the total, in (length, value) order
+    for k in range(2, 11):
+        for N in range(k + 1, 31):
+            want = sorted(_partitions_into(k * (N - k), feasible_degrees(k, N)), key=lambda c: (len(c), c))
+            v = irreducible_verdict(k, N, [])
+            assert v["candidates"] == [list(c) for c in want], (k, N)
+            assert v["irreducible"] is (want == [(k * (N - k),)])
+
+
+def test_ensure_keeps_no_memory_between_calls():
+    # a process-wide cache of coarsenings once kept 7 MB after this call and
+    # took irreducible --k 8 --N 1000 to 586 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = ensure(seeded_table(), 4, 200)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec["status"] == "irreducible"
+    assert kept < 1_000_000, kept
 
 
 def test_irreducible_verdict_intersects_patterns():
