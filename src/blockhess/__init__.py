@@ -18,9 +18,9 @@ linalg          one integer echelon kernel on sparse primitive rows (rank
                 determinants over Z and Q; Bareiss on polynomial entries
                 packed once into int-keyed monomials;
                 one bit-packed elimination for rank and determinant mod p
-exterior        coefficient arrays, chart points, translation by
-                Cauchy-Binet minors of the point, and the gradient and
-                criticality read off the translated array
+exterior        coefficient arrays, chart points, translation by the
+                k(N-k) commuting transvections of the point, and the
+                gradient and criticality read off the translated array
 hessian         block matrix assembly, duality relabeling, embeddings,
                 det restricted to a line mod p, the (3,6) cube identity
 degree          admissible factor degrees

@@ -118,6 +118,8 @@ class ChartPoint:
     __slots__ = ("k", "N", "X")
 
     def __init__(self, k: int, N: int, X: tuple[tuple, ...]):
+        if len(X) != k or any(len(r) != N - k for r in X):
+            raise ValueError(f"chart point must be {k}x{N - k}")
         self.k = k
         self.N = N
         self.X = X
@@ -125,8 +127,6 @@ class ChartPoint:
     @classmethod
     def from_rows(cls, k: int, N: int, rows: Sequence[Sequence]) -> "ChartPoint":
         rows = tuple(tuple(r) for r in rows)
-        if len(rows) != k or any(len(r) != N - k for r in rows):
-            raise ValueError(f"chart point must be {k}x{N - k}")
         _require_exact(itertools.chain.from_iterable(rows), "a chart-point entry")
         return cls(k, N, rows)
 
@@ -160,66 +160,75 @@ def is_critical(B: ExteriorArray) -> bool:
 def act_translation(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
     """Translate the array by X: the B with F(B, y) = F(A, X + y).
 
-    [Id_k | y] g = [Id_k | X + y] for g = [[Id_k, X], [0, Id_{N-k}]], so by
-    Cauchy-Binet b_J = sum_I a_I minor(g; rows J, cols I).  With
-    J_lo = J n [1, k] and J_hi = J n [k+1, N], that minor vanishes unless
-    I = (J_lo \\ S) u T u J_hi for some S in J_lo and some |S| columns T
-    above k outside J_hi, and then it is +-det X[S, T].
-    Each nonzero a_I is therefore pushed to the J = (I_lo u S) u (I_hi \\ T),
-    S outside I_lo, T inside I_hi; each minor of X is computed once per call.
+    [Id_k | y] g = [Id_k | X + y] for g = [[Id_k, X], [0, Id_{N-k}]], and g
+    is the product of the k(N-k) transvections Id + x^p_t E_pt, which
+    commute since every product E_pt E_p't' is zero.  By Cauchy-Binet,
+    b_J = sum_I a_I minor(g; rows J, cols I), and the transvection at
+    (p, t) pushes x^p_t a_I to J = I - t + p for each I holding t but not
+    p, with the sign (-1)^(entries of I strictly between p and t).  A path
+    of pushes from I to J is one Leibniz term of det X[S, T].  The
+    transvections run column by column: those of column t read only keys
+    holding t and write only keys without it, so that column's sources are
+    gathered once, and a column no key holds is skipped.
 
     The loop runs on ints, as fraction-free elimination does (Bareiss,
     Math. Comp. 22, 1968).  With D the lcm of the denominators of the a_I
-    and L that of the entries of X, each a_I enters as the int a_I * D and
-    each minor over s <= k rows as the int det X[S, T] * L^k (see
-    ``_ChartMinors``), so every term of b_J carries the scale D * L^k and
-    each coefficient is divided by it once, at the end.
+    and L that of the entries of X, each a_I enters as the int
+    a_I * D * L^|I n [1, k]| and each push multiplies by the int x^p_t * L,
+    so every term of b_J carries the scale D * L^|J n [1, k]| and each
+    coefficient is divided by it once, at the end.
 
     A coefficient is a Fraction when one of its terms with no zero factor
-    has a Fraction factor, and an int otherwise; ``Fraction(n, 1)`` counts
-    as a Fraction.  The coefficients of A and the entries of X must be ints
-    or Fractions, and X must have A's shape; anything else is a ValueError.
-    The polynomial shift of F(A, .) and the same pushes on Fraction
-    arithmetic are the test oracles, in ``tests/exterior_oracle.py``.
+    has a Fraction factor, and an int otherwise: a zero x^p_t pushes
+    nothing, and a push flags J when its source is flagged or x^p_t is a
+    Fraction.  ``Fraction(n, 1)`` counts as a Fraction.  The coefficients
+    of A and the entries of X must be ints or Fractions, and X must have
+    A's k and N; anything else is a ValueError.  The polynomial shift of
+    F(A, .) and a sum over the minors of X on Fraction arithmetic are the
+    test oracles, in ``tests/exterior_oracle.py``.
     """
     k, N = A.k, A.N
     if (X.k, X.N) != (k, N):
-        raise ValueError(f"a ({X.k},{X.N}) chart point cannot translate a ({k},{N}) array")
+        raise ValueError(f"a ({k},{N}) array needs a {k}x{N - k} chart point")
     D = _common_denominator(A.coeffs.values(), "a coefficient")
-    minors = _ChartMinors(X)
-    scale = D * minors[0][0]
+    L = _common_denominator(list(itertools.chain.from_iterable(X.X)), "a chart-point entry")
     # Index sets are bitmasks, bit v for the index v: rows are bits 1..k.
-    row_bits = minors.row_bits
-    row_plans: dict[int, list] = {}
-    column_plans: dict[int, list] = {}
+    row_bits = (1 << k + 1) - 2
+    scales = [D * L**r for r in range(k + 1)]  # by the number of rows
     acc: dict[int, int] = {}
     flagged = set()
     for I, c in A.coeffs.items():
         Im = sum([1 << v for v in I])
-        lo, hi = Im & row_bits, Im & ~row_bits
-        if lo not in row_plans:
-            row_plans[lo] = _row_plan(lo, k)
-        if hi not in column_plans:
-            column_plans[hi] = _column_plan(hi)
-        is_fraction = type(c) is Fraction
-        c = c.numerator * (D // c.denominator)
-        for S_plan, T_plan in zip(row_plans[lo], column_plans[hi]):
-            for Sm, S_odd in S_plan:
-                signed = (-c, c) if S_odd else (c, -c)
-                pushed = Im | Sm
-                for Tm, T_odd in T_plan:
-                    m = minors[Sm | Tm]
-                    if m is None:
-                        continue
-                    J = pushed ^ Tm
-                    acc[J] = acc.get(J, 0) + signed[T_odd] * m[0]
-                    if is_fraction or m[1]:
-                        flagged.add(J)
-    out = sorted(
-        (tuple([v for v in range(1, N + 1) if J >> v & 1]), Fraction(b, scale) if J in flagged else b // scale)
-        for J, b in acc.items()
-        if b
-    )
+        acc[Im] = c.numerator * scales[(Im & row_bits).bit_count()] // c.denominator
+        if type(c) is Fraction:
+            flagged.add(Im)
+    for t in range(k + 1, N + 1):
+        tbit = 1 << t
+        sources = [(Im, c, Im in flagged) for Im, c in acc.items() if Im & tbit]
+        if not sources:
+            continue
+        for p, x in enumerate([row[t - k - 1] for row in X.X], 1):
+            if not x:
+                continue
+            pt, xL, x_fraction = 1 << p | tbit, x.numerator * (L // x.denominator), type(x) is Fraction
+            between = tbit - (2 << p)  # the bits strictly between p and t
+            for Im, c, from_flagged in sources:
+                if Im & pt != tbit:
+                    continue
+                J = Im ^ pt
+                acc[J] = acc.get(J, 0) + (-c * xL if (Im & between).bit_count() & 1 else c * xL)
+                if from_flagged or x_fraction:
+                    flagged.add(J)
+    out = []
+    for J, b in acc.items():
+        if b:
+            scale = scales[(J & row_bits).bit_count()]
+            I, m = [], J  # the set bits of J, lowest first
+            while m:
+                I.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            out.append((tuple(I), Fraction(b, scale) if J in flagged else b // scale))
+    out.sort()
     return ExteriorArray(k, N, dict(out))
 
 
@@ -234,79 +243,3 @@ def _common_denominator(values, what: str) -> int:
     """The lcm of the denominators of ``values``: ints or Fractions only."""
     _require_exact(values, what)
     return lcm(*{v.denominator for v in values})
-
-
-def _row_plan(lo: int, k: int) -> list[list[tuple[int, int]]]:
-    """For each s, the row sets S of size s outside the rows ``lo`` of I, as
-    (mask, parity of the row part of the sign).
-
-    The sign of minor(g; J, I) is that of sorting J with each row S[a]
-    replaced by its column T[a], which passes the rows of I above S[a] and
-    the Tpos[a] - a columns of I_hi \\ T below T[a].  The row part is the
-    sum over a of (rows of I above S[a]) - a; ``_column_plan`` adds sum(Tpos).
-    """
-    free = [p for p in range(1, k + 1) if not lo >> p & 1]
-    above = [(lo >> p + 1).bit_count() for p in free]
-    return [
-        [
-            (sum([1 << free[i] for i in Spos]), (sum([above[i] for i in Spos]) - s * (s - 1) // 2) & 1)
-            for Spos in itertools.combinations(range(len(free)), s)
-        ]
-        for s in range(len(free) + 1)
-    ]
-
-
-def _column_plan(hi: int) -> list[list[tuple[int, int]]]:
-    """For each s, the column sets T of size s inside the columns ``hi`` of
-    I, as (mask, parity of the sum of T's positions in I_hi)."""
-    cols = [1 << v for v in range(hi.bit_length()) if hi >> v & 1]
-    return [
-        [(sum([cols[i] for i in Tpos]), sum(Tpos) & 1) for Tpos in itertools.combinations(range(len(cols)), s)]
-        for s in range(len(cols) + 1)
-    ]
-
-
-class _ChartMinors(dict):
-    """det X[S, T] * L^k as an int, keyed by the bitmask S | T, where L is
-    the lcm of the denominators of X's entries, filled on first lookup by
-    Laplace expansion along the first row of S.
-
-    Each entry is a pair (value, flag), where the flag says whether a term
-    of the expansion with no zero factor has a Fraction factor; it is None
-    when every term has a zero factor.  The key 0 holds (L^k, False).
-    X's entries enter scaled by L, so each Laplace sum carries L^(k+1) and
-    is divided by L exactly: det X[S, T] * L^|S| is an int and |S| <= k.
-    """
-
-    __slots__ = ("L", "rows", "row_bits")
-
-    def __init__(self, X: ChartPoint):
-        k = X.k
-        self.L = L = _common_denominator(list(itertools.chain.from_iterable(X.X)), "a chart-point entry")
-        # rows[p][t]: the entry x^p_t scaled by L and its Fraction flag, None for 0
-        self.rows = [None] + [
-            [None] * (k + 1) + [(x.numerator * (L // x.denominator), type(x) is Fraction) if x else None for x in r]
-            for r in X.X
-        ]
-        self.row_bits = (1 << k + 1) - 2
-        self[0] = (L**k, False)
-
-    def __missing__(self, key: int):
-        first = key & -key
-        rest = key ^ first
-        row = self.rows[first.bit_length() - 1]
-        cols = rest & ~self.row_bits
-        total, fraction, odd = None, False, False
-        while cols:
-            t = cols & -cols
-            cols ^= t
-            x = row[t.bit_length() - 1]
-            sub = self[rest ^ t] if x else None
-            if sub is not None:
-                term = x[0] * sub[0]
-                total = (0 if total is None else total) + (-term if odd else term)
-                fraction = fraction or x[1] or sub[1]
-            odd = not odd
-        entry = None if total is None else (total // self.L, fraction)
-        self[key] = entry
-        return entry

@@ -284,8 +284,8 @@ class MultiPoly:
     def translate(self, point: Sequence[Scalar]) -> "MultiPoly":
         """Compose with the shift x_i -> x_i + point[i] (exact).
 
-        The library no longer calls it: ``exterior.act_translation`` works
-        on minors instead.  It backs the reference translation in
+        The library no longer calls it: ``exterior.act_translation`` pushes
+        coefficients by transvections instead.  It backs the reference translation in
         ``tests/exterior_oracle.py``, and ``perfbench/tracer.py`` wraps it.
         """
         out = self

@@ -12,11 +12,13 @@ F(A, X + y) with ``MultiPoly.translate`` and reads each coefficient back
 off its squarefree monomial.  ``evaluate_form`` sums a_I times the
 cofactor minors of the frame.  ``act_gl`` is the general right action of
 GL_N, one cofactor minor per pair (I, J).  All of them are slow and share
-no code with the Cauchy-Binet kernel in ``blockhess.exterior`` or with
+no code with the transvection kernel in ``blockhess.exterior`` or with
 the block-swap relabel in ``blockhess.hessian.assemble_dual``.
 
-``act_translation_fraction`` is the same Cauchy-Binet pushing as the
-library kernel, but on Fraction arithmetic with no common scale: the
+``act_translation_fraction`` is an independent route to the same array:
+where the library pushes each coefficient through k(N-k) transvections,
+it pushes a_I to each J at once, times the minor det X[S, T] by
+Cauchy-Binet, on Fraction arithmetic with no common scale.  It is the
 reference for the exact value and the exact type of every coefficient.
 
 ``array_to_json_dict`` writes the array-file document that
@@ -197,7 +199,8 @@ def act_translation_fraction(A: ExteriorArray, X: ChartPoint) -> ExteriorArray:
     A coefficient is a Fraction when one of its terms with no zero factor
     has a Fraction factor, and an int otherwise.  Every product and sum is
     taken in int/Fraction arithmetic as it comes, so this is the reference
-    for both the values and the value types of the scaled integer kernel.
+    for both the values and the value types of the library's scaled
+    integer transvections.
     """
     k = A.k
     minor = chart_minors_fraction(X)

@@ -3,7 +3,10 @@
 The load-bearing check is that everything read off the translated array
 (the value, the gradient, criticality) agrees with the expanded chart
 polynomial and the minor expansion in ``tests/exterior_oracle.py``: routes
-that share no code with ``act_translation``.
+that share no code with ``act_translation``, which pushes coefficients by
+transvections.  The Cauchy-Binet sum over the minors of X on Fractions
+pins the exact value and type of every coefficient, on dense arrays and on
+sparse arrays wide enough that most columns hold no key.
 """
 
 import random
@@ -300,7 +303,7 @@ def exact_translation_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(exact_translation_cases())
 def test_act_translation_matches_fraction_kernel_in_value_and_type(case):
-    # the same Cauchy-Binet pushes with every product taken in Fraction
+    # a sum over the minors of X with every product taken in Fraction
     # arithmetic: equal coefficients, in the same order, of the same type
     A, X = case
     B, ref = act_translation(A, X), exterior_oracle.act_translation_fraction(A, X)
@@ -308,13 +311,40 @@ def test_act_translation_matches_fraction_kernel_in_value_and_type(case):
     assert [(J, type(c)) for J, c in B.coeffs.items()] == [(J, type(c)) for J, c in ref.coeffs.items()]
 
 
-@pytest.mark.parametrize("shape", [(3, 8), (2, 7), (3, 6)])
+@pytest.mark.parametrize(
+    "shape",
+    # a point of another (k, N) than the (3, 7) array; then (2, 4) points
+    # built around from_rows with a short row, a long row and a third row,
+    # which ChartPoint itself rejects
+    [(3, 8), (2, 7), (3, 6), (2, 4, ((1,), (0, 1))), (2, 4, ((1, 2, 3), (0, 1))), (2, 4, ((1, 2), (0, 1), (5, 5)))],
+)
 def test_act_translation_rejects_a_point_of_another_shape(shape):
-    k, N = shape
-    A = ExteriorArray(3, 7, {(1, 2, 3): 1, (1, 5, 7): 2})
-    X = ChartPoint.from_rows(k, N, [[1] * (N - k) for _ in range(k)])
-    with pytest.raises(ValueError, match="chart point"):
-        act_translation(A, X)
+    k, N, *rows = shape
+    if rows:
+        with pytest.raises(ValueError, match="chart point"):
+            ChartPoint(k, N, rows[0])
+    else:
+        A = ExteriorArray(3, 7, {(1, 2, 3): 1, (1, 5, 7): 2})
+        X = ChartPoint.from_rows(k, N, [[1] * (N - k) for _ in range(k)])
+        with pytest.raises(ValueError, match="chart point"):
+            act_translation(A, X)
+
+
+@pytest.mark.parametrize("k,N", [(3, 40), (4, 20), (5, 12)])
+def test_act_translation_matches_fraction_kernel_on_sparse_wide_arrays(k, N):
+    # a few keys spread over many columns: most columns hold no key, and
+    # the keys sit far above the low bits of their bitmasks
+    rng = random.Random(f"sparse-wide:{k}:{N}")
+    fractions = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)]
+    for zeros, entries in ((0, fractions), (0.5, fractions), (0.5, fractions + [-2, 1, 3])):
+        for _ in range(4):
+            keys = {tuple(sorted(rng.sample(range(1, N + 1), k))) for _ in range(rng.randint(1, 6))}
+            A = ExteriorArray(k, N, {I: rng.choice((1, -2, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(4))) for I in keys})
+            X = ChartPoint.from_rows(
+                k, N, [[0 if rng.random() < zeros else rng.choice(entries) for _ in range(N - k)] for _ in range(k)]
+            )
+            B, ref = act_translation(A, X), exterior_oracle.act_translation_fraction(A, X)
+            assert [(J, c, type(c)) for J, c in B.coeffs.items()] == [(J, c, type(c)) for J, c in ref.coeffs.items()]
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, MultiPoly.const(2, 1), "1", None])
