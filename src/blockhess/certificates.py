@@ -27,12 +27,14 @@ from .hessian import (
     _assembly_plan,
     assemble,
     det_exact,
+    det_mod,
     position_split_embed,
     rank_report,
     specialize_embed,
 )
 from .multiindex import enumerate_indices
 from .node_cusp import NodeConditionError, verify_node_pair_k3
+from .ring import WORD_PRIMES
 
 KINDS = ("corank1", "invertible", "nodepair")
 
@@ -660,14 +662,19 @@ def verify(cert: Certificate | str, completion_seed: int = 0) -> dict:
 # The same-k rules keep block rows full because each block row of the result
 # is two strips with disjoint column support; the split rule is block
 # diagonal outright.  Every built matrix is re-verified before a record is
-# issued, so the rules themselves carry no trusted status.
+# issued, so the rules themselves carry no trusted status; the re-verification
+# splits the sum into its summands by reading the matrix's own nonzero
+# pattern, never by trusting the rule that built it.
 
 def full_rank_hessian(k: int, n: int, seed: int = 0) -> HessianMatrix:
     """A (k, n) coefficient matrix of full rank, deterministic per seed.
 
     Small shapes have pinned witnesses; others come from a bounded seeded
     search over {-2..2} coefficients.  Nonsingularity is always re-checked
-    before returning, so a bad pin cannot slip through.
+    before returning, so a bad pin cannot slip through: a nonzero
+    determinant mod ``WORD_PRIMES[0]`` proves it, and the exact determinant
+    runs only when that residue is 0, so the search keeps the first
+    nonsingular draw either way.
     """
     m = n - k
     if k == 2:
@@ -684,12 +691,16 @@ def full_rank_hessian(k: int, n: int, seed: int = 0) -> HessianMatrix:
         for _ in range(32):
             coeffs = {I: rng.randint(-2, 2) for I in enumerate_indices(k, n)}
             H = assemble(ExteriorArray(k, n, coeffs))
-            if det_exact(H) != 0:
+            if _nonsingular(H):
                 return H
         raise RuntimeError(f"no full-rank witness for ({k}, {n}) in 32 seeded attempts")
-    if det_exact(H) == 0:  # pragma: no cover - the pins are verified in tests
+    if not _nonsingular(H):  # pragma: no cover - the pins are verified in tests
         raise RuntimeError(f"pinned witness for ({k}, {n}) is singular")
     return H
+
+
+def _nonsingular(H: HessianMatrix) -> bool:
+    return det_mod(H, WORD_PRIMES[0]) != 0 or det_exact(H) != 0
 
 
 def _reachable_5(N: int) -> bool:

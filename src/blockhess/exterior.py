@@ -30,12 +30,15 @@ def _all_valid_tuples(keys, k: int, N: int) -> bool:
     """Are all keys plain tuples passing ``is_valid_index``?  C-level passes
     over the key columns, no key copies: a strict ``zip`` rejects keys of
     unequal lengths, and any entry that is not an int or a bool (a float, a
-    Fraction, ...) makes the sum of all entries a non-int or raises TypeError."""
+    Fraction, ...) makes the sum of all entries a non-int or raises TypeError.
+    A bool entry passes those checks only as True in the first position
+    (False is below 1, and every later entry exceeds the first); such a key
+    raises ValueError."""
     if {tuple} != set(map(type, keys)):
         return False
     try:
         cols = list(zip(*keys, strict=True))
-        return (
+        valid = (
             len(cols) == k
             and type(sum(map(sum, cols))) is int
             and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
@@ -44,6 +47,13 @@ def _all_valid_tuples(keys, k: int, N: int) -> bool:
         )
     except (TypeError, ValueError):
         return False
+    if valid and bool in set(map(type, cols[0])):
+        raise ValueError(_bool_key(next(I for I in keys if type(I[0]) is bool)))
+    return valid
+
+
+def _bool_key(I: tuple) -> str:
+    return f"key {I} holds a bool entry"
 
 
 class ExteriorArray:
@@ -69,6 +79,8 @@ class ExteriorArray:
                 I = tuple(I)
                 if not is_valid_index(I, k, N):
                     raise ValueError(f"key {I} is not a sorted multiindex for (k,N)=({k},{N})")
+                if bool in map(type, I):
+                    raise ValueError(_bool_key(I))
                 if c != 0:
                     self.coeffs[I] = c
 

@@ -235,13 +235,22 @@ def det_mod(M, p: int) -> int:
 
 
 def rank_exact(M) -> int:
-    """Exact rank over Q.  A full GF(p) rank r = min(rows, cols) of the
-    primitive integer rows is the Q rank: an r x r minor nonzero mod p is a
-    nonzero integer, and no rank exceeds r.  Every other case runs the exact
-    echelon over Q, cross-checked against that mod-p lower bound; the rows
-    are cleared of denominators, so none can vanish mod p.
+    """Exact rank over Q: the sum of the ranks of the direct summands that
+    ``linalg.components`` reads off the nonzero pattern, one matrix being
+    one summand.  A full GF(p) rank r = min(rows, cols) of a summand's
+    primitive integer rows is its Q rank: an r x r minor nonzero mod p is a
+    nonzero integer, and no rank exceeds r.  Every other summand runs the
+    exact echelon over Q, cross-checked against that mod-p lower bound; the
+    rows are cleared of denominators, so none can vanish mod p.
     """
     rows = _rows_of(M)
+    parts = linalg.components(rows)
+    if len(parts) == 1:
+        return _rank_summand(rows)
+    return sum(_rank_summand([[rows[i][j] for j in cols] for i in rs]) for rs, cols in parts if rs and cols)
+
+
+def _rank_summand(rows: list[list]) -> int:
     rp = linalg.rank_mod(linalg.primitive_rows(rows), WORD_PRIMES[0])
     if rp == min(len(rows), len(rows[0]) if rows else 0):
         return rp

@@ -1,9 +1,14 @@
 """Exact linear algebra kernels, one per domain and job.
 
 Matrices are plain lists of lists of ints, Fractions or MultiPolys, and
-every routine here is exact.  Determinants over Z and Q run integer Bareiss
-on rows cleared of denominators; ``det_bareiss`` takes only matrices with a
-MultiPoly entry and eliminates on packed monomials (see :mod:`.ring`).
+every routine here is exact.  ``components`` splits a matrix of ints and
+Fractions into the direct summands that its nonzero pattern shows, the
+connected components of its bipartite row-column graph.  Determinants over
+Z and Q run integer Bareiss on rows cleared of denominators, one summand at
+a time, skipping the cross product on a row whose pivot-column entry is
+zero; ``det_bareiss`` takes only matrices with a MultiPoly entry and
+eliminates on packed monomials (see :mod:`.ring`).  ``hessian.rank_exact``
+adds the ranks of the summands.
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a byte-rounded slot of e + bitlen(2**e // p) bits
@@ -84,12 +89,63 @@ def det_bareiss(m: Sequence[Sequence]):
     return out
 
 
-def _det_integer(m: Sequence[Sequence[Scalar]]):
-    """Bareiss with exact ``//`` on rows cleared of denominators, divided back."""
-    if not m:
-        return 1
-    dens = [lcm(*[e.denominator for e in row]) for row in m]
-    a = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
+def components(m: Sequence[Sequence[Scalar]]) -> list[tuple[list[int], list[int]]]:
+    """The connected components of ``m``'s bipartite nonzero graph, which
+    joins row i to column j where m[i][j] is nonzero, as (rows, columns)
+    pairs of sorted indices.
+
+    Components with a row come first, by their first row; a zero column
+    follows as a component with no row, and a zero row is one with no
+    column.  Listing the rows and the columns component by component makes
+    ``m`` block diagonal (Pothen and Fan, ACM TOMS 16, 1990), so ranks add
+    and the determinant is a signed product.  One component is the whole
+    matrix.  Each row's pattern is one integer with a byte per column, so a
+    row joins every component it meets in one big-integer AND per component.
+    """
+    ncols = len(m[0]) if m else 0
+    # [column mask, rows], in order of first row: a merge keeps the place of
+    # the earliest group it joins
+    groups: list[list] = []
+    for i, row in enumerate(m):
+        mask = int.from_bytes(bytes(map(bool, row)), "little")
+        hit = [g for g in groups if g[0] & mask]
+        if not hit:
+            groups.append([mask, [i]])
+            continue
+        g = hit[0]
+        for h in hit[1:]:
+            g[0] |= h[0]
+            g[1] += h[1]
+        if len(hit) > 1:
+            groups = [h for h in groups if h is g or not h[0] & mask]
+        g[0] |= mask
+        g[1].append(i)
+    out, seen = [], 0
+    for mask, rows in groups:
+        seen |= mask
+        out.append((sorted(rows), [j for j, b in enumerate(mask.to_bytes(ncols, "little")) if b]))
+    zero = int.from_bytes(b"\1" * ncols, "little") ^ seen
+    return out + [([], [j]) for j, b in enumerate(zero.to_bytes(ncols, "little")) if b]
+
+
+def _parity(order: list[int]) -> int:
+    """The sign of the permutation i -> order[i]: (-1)^(n - number of cycles)."""
+    seen = [False] * len(order)
+    swaps = len(order)
+    for i in range(len(order)):
+        if not seen[i]:
+            swaps -= 1
+            while not seen[i]:
+                seen[i] = True
+                i = order[i]
+    return -1 if swaps % 2 else 1
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination,
+    each step dividing exactly by the previous pivot.  A row whose entry in
+    the pivot column is zero is only scaled by pivot / previous pivot, and
+    kept as it is when the two are equal."""
     sign, prev = 1, 1
     while len(a) > 1:
         i = next((i for i, row in enumerate(a) if row[0]), None)
@@ -99,9 +155,41 @@ def _det_integer(m: Sequence[Sequence[Scalar]]):
             a[0], a[i] = a[i], a[0]
             sign = -sign
         p, top = a[0][0], a[0][1:]
-        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
-        prev = p
-    q = Fraction(sign * a[0][0], prod(dens))
+        nxt = []
+        for row in a[1:]:
+            c = row[0]
+            if c:
+                nxt.append([(p * x - c * y) // prev for x, y in zip(row[1:], top)])
+            elif p == prev:
+                nxt.append(row[1:])
+            else:
+                nxt.append([p * x // prev for x in row[1:]])
+        a, prev = nxt, p
+    return sign * a[0][0]
+
+
+def _det_integer(m: Sequence[Sequence[Scalar]]):
+    """Bareiss with exact ``//`` on rows cleared of denominators, divided back.
+
+    A matrix of several ``components`` is eliminated block by block: its
+    determinant is the parity of the row order times that of the column
+    order times the product of the block determinants, and 0 when a block
+    is not square.
+    """
+    if not m:
+        return 1
+    dens = [lcm(*[e.denominator for e in row]) for row in m]
+    a = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
+    parts = components(a)
+    if len(parts) == 1:
+        det = _bareiss(a)
+    elif any(len(rows) != len(cols) for rows, cols in parts):
+        return 0
+    else:
+        det = _parity([i for rows, _ in parts for i in rows]) * _parity([j for _, cols in parts for j in cols])
+        for rows, cols in parts:
+            det *= _bareiss([[a[i][j] for j in cols] for i in rows])
+    q = Fraction(det, prod(dens))
     return q.numerator if q.denominator == 1 else q
 
 
@@ -202,8 +290,15 @@ def _primitive(row: Row) -> dict:
 
 
 def primitive_rows(m: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Each row of ``m`` as coprime integers: the rows the Q kernel eliminates."""
-    return [[r.get(j, 0) for j in range(len(row))] for row, r in zip(m, map(_primitive, m))]
+    """Each dense row of ``m`` as coprime integers, still dense: the rows the
+    Q kernel eliminates, scaled as ``_primitive`` scales them."""
+    out = []
+    for row in m:
+        den = lcm(*[e.denominator for e in row])
+        r = [e.numerator * (den // e.denominator) for e in row]
+        g = gcd(*r)
+        out.append([v // g for v in r] if g > 1 else r)
+    return out
 
 
 def _eliminate(row: dict, piv: dict, c) -> dict:

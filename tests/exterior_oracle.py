@@ -37,12 +37,15 @@ from ring_oracle import evaluate, partial
 
 def checked_coeffs(k, N, coeffs):
     """The nonzero entries of ``coeffs`` on plain-tuple keys, checked one key
-    at a time; the first key that is not a sorted multiindex raises."""
+    at a time; the first key that is not a sorted multiindex, or that holds
+    a bool, raises."""
     out = {}
     for I, c in coeffs.items():
         I = tuple(I)
         if not is_valid_index(I, k, N):
             raise ValueError(f"key {I} is not a sorted multiindex for (k,N)=({k},{N})")
+        if any(isinstance(v, bool) for v in I):
+            raise ValueError(f"key {I} holds a bool entry")
         if c != 0:
             out[I] = c
     return out

@@ -3,8 +3,8 @@
 Gaussian elimination on ``Fraction`` entries is the oracle that the integer
 echelon kernel in ``blockhess.linalg`` is compared against, dense
 elimination over full rows the oracle for its GF(p) kernel, and cofactor
-expansion the oracle for its determinants; they are slow and simple on
-purpose.  The dense helpers at the end build test matrices.
+expansion and Fraction elimination the oracles for its determinants; they
+are slow and simple on purpose.  The dense helpers at the end build test matrices.
 """
 
 from fractions import Fraction
@@ -30,6 +30,49 @@ def det_cofactor(m):
         term = a * det_cofactor(minor)
         total = total - term if j % 2 else total + term
     return total
+
+
+def det_fraction(m):
+    """Determinant by Gaussian elimination on Fractions with row swaps."""
+    a = [[Fraction(e) for e in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def components(m):
+    """Connected components of the bipartite row-column nonzero graph by
+    depth-first search from each row, then each column, not yet reached."""
+    nr, nc = len(m), len(m[0]) if m else 0
+    reached, out = set(), []
+    for start in [("r", i) for i in range(nr)] + [("c", j) for j in range(nc)]:
+        if start in reached:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            side, x = v = stack.pop()
+            if v in reached:
+                continue
+            reached.add(v)
+            comp.add(v)
+            if side == "r":
+                stack += [("c", j) for j in range(nc) if m[x][j] != 0]
+            else:
+                stack += [("r", i) for i in range(nr) if m[i][x] != 0]
+        out.append((sorted(x for s, x in comp if s == "r"), sorted(x for s, x in comp if s == "c")))
+    return out
 
 
 def rank_fraction(m):

@@ -10,6 +10,7 @@ sparse arrays wide enough that most columns hold no key.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exterior_oracle
+from blockhess import exterior
 from blockhess.exterior import ChartPoint, ExteriorArray, act_translation, gradient, is_critical
 from blockhess.hessian import assemble, assemble_dual
 from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index, star
@@ -108,12 +110,39 @@ def test_array_construction_matches_key_by_key_check(data):
         with pytest.raises(type(exc)) as got:
             ExteriorArray(k, N, coeffs)
         assert str(got.value) == str(exc)
-        assert not all(isinstance(I, tuple) and is_valid_index(tuple(I), k, N) for I in coeffs)
+        assert not all(
+            isinstance(I, tuple) and is_valid_index(tuple(I), k, N) and bool not in map(type, I) for I in coeffs
+        )
         return
     assert all(is_valid_index(tuple(I), k, N) for I in coeffs)
     A = ExteriorArray(k, N, coeffs)
     assert list(A.coeffs.items()) == list(expected.items())
     assert all(type(I) is tuple for I in A.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{(True, 2): 1}, {(1, 3): 1, (True, 4): 0, (True, 2): 5}, {(2, 3): 1, (True, 3): 1}],
+    ids=["alone", "third", "second"],
+)
+def test_bool_index_entry_is_rejected_on_the_all_keys_path(monkeypatch, coeffs):
+    # every key passes the all-keys check, so no key-by-key check runs
+    monkeypatch.setattr(exterior, "is_valid_index", None)
+    first = next(I for I in coeffs if I[0] is True)
+    with pytest.raises(ValueError, match=re.escape(f"key {first} holds a bool entry")):
+        ExteriorArray(2, 4, coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{KeyTuple((1, 3)): 1, (True, 2): 1}, {(True, 3): 1, (2.5, 4): 1}, {(True, 3): 1, (1, 2, 3): 0}],
+    ids=["subclass", "float", "length"],
+)
+def test_bool_index_entry_is_rejected_on_the_key_by_key_path(coeffs):
+    assert not exterior._all_valid_tuples(coeffs.keys(), 2, 4)
+    first = next(I for I in coeffs if I[0] is True)
+    with pytest.raises(ValueError, match=re.escape(f"key {first} holds a bool entry")):
+        ExteriorArray(2, 4, coeffs)
 
 
 @pytest.mark.parametrize("k,N", [(2, 5), (3, 6), (3, 7), (4, 7)])

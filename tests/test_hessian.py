@@ -306,8 +306,12 @@ def test_rank_helpers_and_adjugate_check():
 def test_rank_cross_check_survives_denominators_divisible_by_p(monkeypatch):
     # 1/p has no residue mod p; the check must still run, on cleared rows.
     # The rank is not full, so the GF(p) rank certifies nothing and the Q
-    # route, with its cross-check, runs.
-    M = [[Fraction(1, WORD_PRIMES[0]), 0, 0], [0, 1, 0], [0, 0, 0]]
+    # route, with its cross-check, runs.  The 1/p sits in the one summand,
+    # whose third row is the sum of the first two: a matrix that split into
+    # full-rank summands would take the GF(p) rank and never cross-check.
+    p = WORD_PRIMES[0]
+    M = [[Fraction(1, p), 1, 0], [0, 1, 1], [Fraction(1, p), 2, 1]]
+    assert len(linalg.components(M)) == 1
     assert rank_exact(M) == 2
     monkeypatch.setattr(linalg, "rank_fraction", lambda rows: 1)
     with pytest.raises(AssertionError, match="mod-p rank 2 exceeds exact rank 1"):
@@ -337,8 +341,34 @@ def test_full_mod_p_rank_needs_no_q_elimination(monkeypatch):
     ]
     for M, r in cases:
         assert rank_exact(M) == r
+    # the zero matrix is all zero rows and columns, no summand to eliminate;
+    # this one is a single summand of rank 1
+    deficient = [[1, 2, 3], [2, 4, 6]]
     with pytest.raises(AssertionError, match="the Q echelon ran"):
-        rank_exact(zero)  # not full rank: the Q route
+        rank_exact(deficient)  # not full rank: the Q route
+
+
+def test_q_echelon_sees_only_the_deficient_summand(monkeypatch):
+    # H (rank 12 of 12) (+) a 3 x 3 block of rank 2, rows and columns
+    # shuffled: the GF(p) rank settles H, and the Q echelon runs on the
+    # 3 x 3 block alone, read off the pattern in sorted row and column order.
+    H = assemble(rand_array(random.Random(41), 3, 7)).rows
+    D = [[Fraction(1, WORD_PRIMES[0]), 1, 0], [0, 1, 1], [Fraction(1, WORD_PRIMES[0]), 2, 1]]
+    S = [row + [0] * 3 for row in H] + [[0] * 12 + row for row in D]
+    rng = random.Random(26)
+    rs, cs = rng.sample(range(15), 15), rng.sample(range(15), 15)
+    M = [[S[i][j] for j in cs] for i in rs]
+    seen = []
+
+    def recording(rows):
+        seen.append([list(r) for r in rows])
+        return linalg_oracle.rank_fraction(rows)
+
+    monkeypatch.setattr(linalg, "rank_fraction", recording)
+    assert rank_exact(M) == 14
+    rows = sorted(rs.index(12 + i) for i in range(3))
+    cols = sorted(cs.index(12 + j) for j in range(3))
+    assert seen == [[[M[i][j] for j in cols] for i in rows]]
 
 
 # Factor entries: one draw in four an exact zero; Fractions include 1/p.

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockhess import certificates
 from blockhess.exterior import ExteriorArray
-from blockhess.hessian import assemble, det_exact
+from blockhess.hessian import assemble, det_exact, rank_exact
 from blockhess.linalg import (
+    components,
     det_bareiss,
     det_exact_generic,
     det_mod,
@@ -186,6 +188,102 @@ def test_det_rejects_non_square(rows, cols):
         det_exact_generic(M)
     with pytest.raises(ValueError):
         det_exact(M)
+
+
+def shuffled_sum(rng, blocks, zero_rows=0, zero_cols=0):
+    """The direct sum of ``blocks`` (lists of rows, any shapes) plus zero rows
+    and columns, its rows and columns shuffled; also the planted components,
+    as (rows, columns) index sets of the result."""
+    nr = sum(len(b) for b in blocks) + zero_rows
+    nc = sum(len(b[0]) for b in blocks) + zero_cols
+    rs, cs = rng.sample(range(nr), nr), rng.sample(range(nc), nc)
+    M = [[0] * nc for _ in range(nr)]
+    planted, r0, c0 = [], 0, 0
+    for b in blocks:
+        rows, cols = rs[r0 : r0 + len(b)], cs[c0 : c0 + len(b[0])]
+        for i, row in zip(rows, b):
+            for j, e in zip(cols, row):
+                M[i][j] = e
+        planted.append((sorted(rows), sorted(cols)))
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    planted += [([i], []) for i in rs[r0:]] + [([], [j]) for j in cs[c0:]]
+    return M, planted
+
+
+def rand_block(rng, rows, cols, entry, dense):
+    """A random block; ``dense`` blocks have no zero entry, so each is one component."""
+    while True:
+        b = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+        if not dense or all(all(row) for row in b):
+            return b
+
+
+SPLIT_ENTRIES = {
+    "int": lambda rng: rng.choice([0, 0, 1, -1, 2, -3, 5]),
+    "fraction": lambda rng: Fraction(rng.choice([0, 0, 1, -1, 2, -3, 5]), rng.randint(1, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_ENTRIES))
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize(
+    "sides, zero_rows, zero_cols",
+    [
+        ([(1, 1), (1, 1), (2, 2)], 0, 0),  # 1 x 1 blocks
+        ([(3, 3), (1, 1), (2, 2)], 0, 0),
+        ([(2, 2), (3, 3)], 1, 1),  # a zero row and a zero column
+        ([(2, 3), (2, 1), (1, 1)], 0, 0),  # square in all, not in its blocks
+        ([(1, 2), (3, 2)], 0, 0),
+        ([(2, 2), (2, 2)], 0, 1),  # wide: one zero column
+        ([(1, 1), (3, 3)], 2, 0),  # tall: two zero rows
+    ],
+)
+def test_direct_sums_match_the_oracles(kind, dense, sides, zero_rows, zero_cols):
+    # det over components (parity of both orders times the block dets, 0 for
+    # a block that is not square) and rank summed over components, against
+    # cofactor expansion and Fraction elimination of the whole matrix
+    rng = random.Random(f"split/{kind}/{dense}/{sides}/{zero_rows}/{zero_cols}")
+    entry = SPLIT_ENTRIES[kind]
+    for _ in range(12):
+        blocks = [rand_block(rng, r, c, entry, dense) for r, c in sides]
+        M, planted = shuffled_sum(rng, blocks, zero_rows, zero_cols)
+        parts = components(M)
+        assert len(parts) >= len(planted)
+        if dense:
+            assert sorted(parts) == sorted(planted)
+        assert rank_exact(M) == oracle.rank_fraction(M)
+        if len(M) == len(M[0]):
+            assert det_exact_generic(M) == det_cofactor(M)
+
+
+def test_components_match_graph_search_oracle():
+    rng = random.Random(2026)
+    for _ in range(400):
+        r, c = rng.randint(1, 8), rng.randint(0, 8)
+        M = [[rng.choice([0, 0, 0, 1, Fraction(-1, 2)]) for _ in range(c)] for _ in range(r)]
+        assert components(M) == oracle.components(M)
+
+
+def test_components_of_empty_and_zero_matrices():
+    assert components([]) == []
+    assert components([[]]) == [([0], [])]
+    assert components([[0, 0]]) == [([0], []), ([], [0]), ([], [1])]
+    assert components([[0, 3], [0, 0], [Fraction(1, 2), 0]]) == [([0], [1]), ([1], []), ([2], [0])]
+    assert det_exact_generic([[0]]) == 0 and rank_exact([[0]]) == 0
+
+
+def test_sparse_certificate_takes_the_zero_entry_bareiss_step():
+    # one component whose first pivot column has zeros below the pivot, so
+    # Bareiss scales those rows (or keeps them, pivot = previous pivot)
+    # instead of forming cross products
+    H = certificates.to_hessian(certificates.load("invertible-4-8")).rows
+    assert len(components(H)) == 1
+    assert sum(row[0] == 0 for row in H) > len(H) // 2
+    d = det_exact_generic(H)
+    assert d != 0 and d == oracle.det_fraction(H)
+    M, _ = shuffled_sum(random.Random(26), [H, [[3]], [[1, 2], [3, 4]]])
+    assert det_exact_generic(M) == oracle.det_fraction(M)
+    assert abs(det_exact_generic(M)) == abs(d * 3 * -2)
 
 
 # One draw in three is an exact zero, so pivots are often missing and rows swap.
