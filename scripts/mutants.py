@@ -5,22 +5,25 @@ and paired with the test modules that must catch it.  For each mutant the
 script copies ``src/`` and ``tests/`` into a fresh temporary directory,
 replaces the one occurrence of ``old`` by ``new`` there, and runs the
 modules' tests on the copy with a fixed Hypothesis seed.  A mutant is
-killed when the tests fail (or run past the time limit); it survives when
-they pass.  The checkout itself is never written.
+killed when a test fails (pytest exit code 1) or the run passes the time
+limit; it survives when the tests pass.  Any other exit code (an interrupted
+run, a usage error, no tests collected) is an error, not a kill.  Before the
+mutants, the same tests run once on an unmutated copy, which must pass: a
+copy that cannot import the package or its tests, or a missing pytest or
+hypothesis, fails there instead of killing every mutant.  The checkout
+itself is never written.
 
 Run from the root of a checkout (needs pytest and hypothesis)::
 
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py --list     # names only
-    python scripts/mutants.py parity-sign zero-entry-scale
+    python scripts/mutants.py
 
-Prints one line per mutant and exits 1 if any mutant survives, or if an
-``old`` line no longer occurs exactly once in its file.
+Prints one line per mutant and exits 1 if the unmutated copy fails, if any
+mutant survives or ends in an error, or if an ``old`` line no longer occurs
+exactly once in its file.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -91,12 +94,6 @@ MUTANTS = (
         "                nxt.append(row[1:])",
         LINALG_TESTS,
     ),
-    (
-        "zero-entry-keep", LINALG,
-        "            elif p == prev:",
-        "            elif p != prev:",
-        LINALG_TESTS,
-    ),
 )
 
 
@@ -111,47 +108,44 @@ def apply(tree: Path, path: str, old: str, new: str) -> None:
     target.write_text("\n".join(lines))
 
 
-def run(name: str, path: str, old: str, new: str, tests: tuple[str, ...]) -> str:
-    """'killed', 'killed (timeout)' or 'SURVIVED' for one mutant."""
+def run(name: str, tests: tuple[str, ...], edit: tuple[str, str, str] | None = None) -> str:
+    """Run ``tests`` on a temporary copy, with ``edit`` applied if given:
+    'passed', 'failed', 'timeout' or 'ERROR (exit code n)'."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
-        apply(tree, path, old, new)
+        if edit:
+            apply(tree, *edit)
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
         try:
             done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "killed (timeout)"
-        return "SURVIVED" if done.returncode == 0 else "killed"
+            return "timeout"
+        return {0: "passed", 1: "failed"}.get(done.returncode, f"ERROR (exit code {done.returncode})")
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = ap.parse_args(argv)
-    known = [m[0] for m in MUTANTS]
-    if args.list:
-        print("\n".join(known))
-        return 0
-    unknown = sorted(set(args.names) - set(known))
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(unknown)}")
-    survivors = []
-    for name, path, old, new, tests in MUTANTS:
-        if args.names and name not in args.names:
-            continue
+def main() -> int:
+    tests = tuple(sorted({t for *_, ts in MUTANTS for t in ts}))
+    baseline = run("unmutated", tests)
+    print(f"unmutated: {baseline}", flush=True)
+    if baseline != "passed":
+        print("the tests do not pass on the unmutated copy; no mutant was run")
+        return 1
+    bad = []
+    for name, path, old, new, ts in MUTANTS:
         try:
-            verdict = run(name, path, old, new, tests)
+            outcome = run(name, ts, (path, old, new))
         except ValueError as exc:
-            verdict = f"STALE: {exc}"
+            outcome = f"STALE: {exc}"
+        killed = outcome in ("failed", "timeout")
+        verdict = f"killed ({outcome})" if killed else "SURVIVED" if outcome == "passed" else outcome
         print(f"{name}: {verdict}", flush=True)
-        if not verdict.startswith("killed"):
-            survivors.append(name)
-    print(f"{len(survivors)} mutant(s) not killed" + (f": {', '.join(survivors)}" if survivors else ""))
-    return 1 if survivors else 0
+        if not killed:
+            bad.append(name)
+    print(f"{len(bad)} mutant(s) not killed" + (f": {', '.join(bad)}" if bad else ""))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

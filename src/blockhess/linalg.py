@@ -101,8 +101,11 @@ def components(m: Sequence[Sequence[Scalar]]) -> list[tuple[list[int], list[int]
     and the determinant is a signed product.  One component is the whole
     matrix.  Each row's pattern is one integer with a byte per column, so a
     row joins every component it meets in one big-integer AND per component.
+    Rows of unequal length raise ValueError.
     """
     ncols = len(m[0]) if m else 0
+    if len(set(map(len, m))) > 1:
+        raise ValueError("matrix rows of unequal length")
     # [column mask, rows], in order of first row: a merge keeps the place of
     # the earliest group it joins
     groups: list[list] = []
@@ -144,8 +147,7 @@ def _parity(order: list[int]) -> int:
 def _bareiss(a: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination,
     each step dividing exactly by the previous pivot.  A row whose entry in
-    the pivot column is zero is only scaled by pivot / previous pivot, and
-    kept as it is when the two are equal."""
+    the pivot column is zero is only scaled by pivot / previous pivot."""
     sign, prev = 1, 1
     while len(a) > 1:
         i = next((i for i, row in enumerate(a) if row[0]), None)
@@ -160,8 +162,6 @@ def _bareiss(a: list[list[int]]) -> int:
             c = row[0]
             if c:
                 nxt.append([(p * x - c * y) // prev for x, y in zip(row[1:], top)])
-            elif p == prev:
-                nxt.append(row[1:])
             else:
                 nxt.append([p * x // prev for x in row[1:]])
         a, prev = nxt, p

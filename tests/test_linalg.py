@@ -270,12 +270,19 @@ def test_components_of_empty_and_zero_matrices():
     assert components([[0, 0]]) == [([0], []), ([], [0]), ([], [1])]
     assert components([[0, 3], [0, 0], [Fraction(1, 2), 0]]) == [([0], [1]), ([1], []), ([2], [0])]
     assert det_exact_generic([[0]]) == 0 and rank_exact([[0]]) == 0
+    # the pattern is read before any kernel checks the rows: unchecked,
+    # rank_exact split the first into two summands of rank 1, and the second
+    # overflowed a column mask
+    for ragged in ([[0, 1], [1]], [[1], [0, 1]]):
+        with pytest.raises(ValueError, match="unequal length"):
+            components(ragged)
+        with pytest.raises(ValueError, match="unequal length"):
+            rank_exact(ragged)
 
 
 def test_sparse_certificate_takes_the_zero_entry_bareiss_step():
     # one component whose first pivot column has zeros below the pivot, so
-    # Bareiss scales those rows (or keeps them, pivot = previous pivot)
-    # instead of forming cross products
+    # Bareiss scales those rows instead of forming cross products
     H = certificates.to_hessian(certificates.load("invertible-4-8")).rows
     assert len(components(H)) == 1
     assert sum(row[0] == 0 for row in H) > len(H) // 2
