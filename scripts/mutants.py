@@ -1,10 +1,10 @@
-"""Mutation check of the exact elimination kernels.
+"""Mutation check of the exact kernels.
 
 Each mutant is a one-line edit ``(file, old, new)`` to a kernel line, named
 and paired with the test modules that must catch it.  For each mutant the
-script copies ``src/`` and ``tests/`` into a fresh temporary directory,
-replaces the one occurrence of ``old`` by ``new`` there, and runs the
-modules' tests on the copy with a fixed Hypothesis seed.  A mutant is
+script copies ``src/``, ``scripts/`` and ``tests/`` into a fresh temporary
+directory, replaces the one occurrence of ``old`` by ``new`` there, and runs
+the modules' tests on the copy with a fixed Hypothesis seed.  A mutant is
 killed when a test fails (pytest exit code 1) or the run passes the time
 limit; it survives when the tests pass.  Any other exit code (an interrupted
 run, a usage error, no tests collected) is an error, not a kill.  Before the
@@ -36,7 +36,10 @@ TIMEOUT_S = 600
 
 LINALG = "src/blockhess/linalg.py"
 HESSIAN = "src/blockhess/hessian.py"
+RING = "src/blockhess/ring.py"
+EXTERIOR = "src/blockhess/exterior.py"
 LINALG_TESTS = ("tests/test_linalg.py",)
+GOLDEN = "tests/test_cli_golden.py"  # for a line that a pinned CLI output runs
 
 # (name, file, old line, new line, test modules)
 MUTANTS = (
@@ -94,6 +97,42 @@ MUTANTS = (
         "                nxt.append(row[1:])",
         LINALG_TESTS,
     ),
+    (
+        "heap-guard-inverted", RING,
+        "        if q & guard != guard:",
+        "        if q & guard == guard:",
+        ("tests/test_ring.py", GOLDEN),
+    ),
+    (
+        "translation-scale-by-rows", EXTERIOR,
+        "    scales = [D * L**r for r in range(k + 1)]  # by the number of rows",
+        "    scales = [D * L for r in range(k + 1)]  # by the number of rows",
+        ("tests/test_exterior.py", GOLDEN),
+    ),
+    (
+        "translation-between-includes-t", EXTERIOR,
+        "            between = tbit - (2 << p)  # the bits strictly between p and t",
+        "            between = (tbit << 1) - (2 << p)  # the bits strictly between p and t",
+        ("tests/test_exterior.py", GOLDEN),
+    ),
+    (
+        "verdict-union", "src/blockhess/irreducibility.py",
+        "    cand = {c for c in set.intersection(*sets) if all(d % step == 0 for d in c)}",
+        "    cand = {c for c in set.union(*sets) if all(d % step == 0 for d in c)}",
+        ("tests/test_irreducibility.py", GOLDEN),
+    ),
+    (
+        "plan-sign", HESSIAN,
+        "            odd = (2 * k - p - pp - 1) % 2",
+        "            odd = (2 * k - p - pp) % 2",
+        ("tests/test_hessian.py", GOLDEN),
+    ),
+    (
+        "root-structure-unchecked", RING,
+        "    return g if [c * cs[-1] % p for c in _uni_pow_mod(g, r, p)] == cs else None",
+        "    return g",
+        ("tests/test_ring.py", GOLDEN),
+    ),
 )
 
 
@@ -113,7 +152,7 @@ def run(name: str, tests: tuple[str, ...], edit: tuple[str, str, str] | None = N
     'passed', 'failed', 'timeout' or 'ERROR (exit code n)'."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         tree = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "scripts", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         if edit:
             apply(tree, *edit)

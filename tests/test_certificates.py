@@ -1,10 +1,12 @@
 """Embedded records: payloads, checksums, verification verdicts, and the
 composition rules that manufacture new corank-one witnesses."""
 
+import hashlib
 import json
 
 import pytest
 
+import cli_golden
 import hessian_oracle
 from blockhess.certificates import (
     CERTIFICATE_IDS,
@@ -114,6 +116,19 @@ def test_export_import_round_trip_is_byte_stable(tmp_path):
     path2 = tmp_path / "cert2.json"
     export_certificate(back, path2)
     assert path2.read_text(encoding="utf-8") == text
+
+
+def test_built_exports_are_the_golden_manifest_inputs(tmp_path):
+    # the verify-certificates --input entries of cli_golden.json check what
+    # the builder writes; the (7,16) bytes as recorded before ranks and
+    # determinants split a matrix into the components of its nonzero pattern
+    files = {name: text for e in cli_golden.load() for name, text in e["files"].items()}
+    for (k, N), name in (((3, 12), "exported.json"), ((7, 16), "exported-7-16.json")):
+        export_certificate(build_corank1(k, N, 7), tmp_path / name)
+        assert (tmp_path / name).read_text(encoding="ascii") == files[name]
+    assert hashlib.sha256((tmp_path / "exported-7-16.json").read_bytes()).hexdigest() == (
+        "0045b0f11e8facdc74fcbf94037338e96f8ba75d04f5bb32512f992872593d52"
+    )
 
 
 def test_corrupted_payload_is_located():

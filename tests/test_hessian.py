@@ -6,9 +6,14 @@ manipulation in ``tests/exterior_oracle.py`` — a route sharing no code
 with the assembler.
 """
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -437,3 +442,18 @@ def test_det_mod_agrees_with_exact():
     for _ in range(5):
         H = assemble(rand_array(rng, 3, 6))
         assert det_mod(H, p) == det_exact(H) % p
+
+
+def test_factor_structure_script_output_is_pinned():
+    # the library's own line pipeline (det_on_line_mod: ExteriorArray,
+    # assemble, det_mod), byte for byte as recorded before assemble read its
+    # layout from a per-shape plan
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "factor_structure.py"), "--trials", "2"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "71616f935f891c93d8ce544b7fb320f7d9cc0205ea24fa38cd66015bf9b64a33"
+    )

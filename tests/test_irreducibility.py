@@ -129,6 +129,13 @@ def test_verdict_without_patterns_is_the_partitions_into_feasible_degrees():
             assert v["irreducible"] is (want == [(k * (N - k),)])
 
 
+def test_verdict_keeps_the_coarsenings_common_to_all_patterns():
+    # (3, 6): 3+6 coarsens to 3+6 and 9, and 3+3+3 also to itself, so only
+    # 9 and 3+6 are common; a union would keep 3+3+3
+    v = irreducible_verdict(3, 6, [pattern(3, 6), pattern(3, 3, 3)])
+    assert v["candidates"] == [[9], [3, 6]]
+
+
 def test_ensure_keeps_no_memory_between_calls():
     # a process-wide cache of coarsenings once kept 7 MB after this call and
     # took irreducible --k 8 --N 1000 to 586 MB
