@@ -38,6 +38,7 @@ LINALG = "src/blockhess/linalg.py"
 HESSIAN = "src/blockhess/hessian.py"
 RING = "src/blockhess/ring.py"
 EXTERIOR = "src/blockhess/exterior.py"
+IRREDUCIBILITY = "src/blockhess/irreducibility.py"
 LINALG_TESTS = ("tests/test_linalg.py",)
 GOLDEN = "tests/test_cli_golden.py"  # for a line that a pinned CLI output runs
 
@@ -68,15 +69,15 @@ MUTANTS = (
         LINALG_TESTS,
     ),
     (
-        "full-rank-shortcut-widened", HESSIAN,
-        "    if rp == min(len(rows), len(rows[0]) if rows else 0):",
-        "    if rp >= min(len(rows), len(rows[0]) if rows else 0) - 1:",
+        "full-rank-shortcut-widened", LINALG,
+        "        r = rp if rp == min(len(s), len(s[0])) else rank_fraction(s)",
+        "        r = rp if rp >= min(len(s), len(s[0])) - 1 else rank_fraction(s)",
         ("tests/test_hessian.py",),
     ),
     (
-        "full-rank-shortcut-dropped", HESSIAN,
-        "    if rp == min(len(rows), len(rows[0]) if rows else 0):",
-        "    if False:",
+        "full-rank-shortcut-dropped", LINALG,
+        "        r = rp if rp == min(len(s), len(s[0])) else rank_fraction(s)",
+        "        r = rank_fraction(s)",
         ("tests/test_hessian.py",),
     ),
     (
@@ -116,10 +117,22 @@ MUTANTS = (
         ("tests/test_exterior.py", GOLDEN),
     ),
     (
-        "verdict-union", "src/blockhess/irreducibility.py",
+        "verdict-union", IRREDUCIBILITY,
         "    cand = {c for c in set.intersection(*sets) if all(d % step == 0 for d in c)}",
         "    cand = {c for c in set.union(*sets) if all(d % step == 0 for d in c)}",
         ("tests/test_irreducibility.py", GOLDEN),
+    ),
+    (
+        "coarsening-opens-no-group", IRREDUCIBILITY,
+        "            for i in range(len(g) + 1)",
+        "            for i in range(max(len(g), 1))",
+        ("tests/test_irreducibility.py",),
+    ),
+    (
+        "coarsening-drops-tail", IRREDUCIBILITY,
+        "            tuple(sorted(g[:i] + (g[i] + d,) + g[i + 1 :] if i < len(g) else g + (d,)))",
+        "            tuple(sorted(g[:i] + (g[i] + d,) if i < len(g) else g + (d,)))",
+        ("tests/test_irreducibility.py",),
     ),
     (
         "plan-sign", HESSIAN,

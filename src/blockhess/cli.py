@@ -65,7 +65,7 @@ def _load_json(path: str, parse, what: str):
             doc = json.load(f)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(doc)
@@ -151,6 +151,8 @@ def _cmd_hessian(args) -> Handled:
     from .ring import MultiPoly
 
     if args.input:
+        if args.k is not None or args.N is not None:
+            raise ValueError("--input and --k/--N are mutually exclusive")
         A = _load_array(args.input)
         names = None
     elif args.k is not None:
@@ -206,6 +208,8 @@ def _cmd_irreducible(args) -> Handled:
     if args.k is None:
         raise ValueError("--k is required here")
     if args.N_max is not None:
+        if args.N is not None:
+            raise ValueError("--N and --N-max are mutually exclusive")
         records = run_schedule(args.k, args.N_max)
     else:
         records = [ensure(seeded_table(), *_need_kN(args))]
@@ -274,8 +278,9 @@ def _cmd_node(args) -> Handled:
     k, N = _need_kN(args)
     if args.J is None:
         raise ValueError("--J is required (comma-separated index set)")
-    if args.symbolic and args.T is not None:
-        raise ValueError("--symbolic and --T are mutually exclusive")
+    for flag in ("symbolic", "limits"):
+        if getattr(args, flag) and args.T is not None:
+            raise ValueError(f"--{flag} and --T are mutually exclusive")
     node = NodeIndexSet(k, N, _parse_J(args.J))
     if args.T is not None:
         frame = build_x_J_T(NodePointSpec(node, _parse_T(args.T)))
@@ -313,6 +318,8 @@ def _cmd_verify_certificates(args) -> Handled:
     from .certificates import verify as verify_certificate
 
     if args.input:
+        if args.id:
+            raise ValueError("--id and --input are mutually exclusive")
         certs = [_load_json(args.input, certificate_from_json_dict, "a certificate")]
     else:
         certs = [load(cid) for cid in ([args.id] if args.id else CERTIFICATE_IDS)]
@@ -342,6 +349,7 @@ def _cmd_identity_h36(args) -> Handled:
 
 def _cmd_critical(args) -> Handled:
     from .exterior import ChartPoint, act_translation, gradient, is_critical
+    from .hessian import _assembly_plan
     from .node_cusp import cusp_membership
 
     A = B = _load_array(args.input)
@@ -354,6 +362,8 @@ def _cmd_critical(args) -> Handled:
         )
         at_zero = all(e == 0 for row in X.X for e in row)
         B = act_translation(A, X)
+    if at_zero:  # cusp_membership assembles H: past the side cap, fail before the star and gradient
+        _assembly_plan(A.k, A.N)
     rec = {"k": A.k, "N": A.N, "critical": is_critical(B), "gradient": gradient(B)}
     if at_zero:
         rec["cusp_membership"] = cusp_membership(A)

@@ -107,10 +107,12 @@ class ExteriorArray:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExteriorArray":
         """Read ``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``; k, N
-        and each index entry must be JSON integers, never floats or bools."""
+        and each index entry must be JSON integers, never floats or bools; 1 <= k < N."""
         k, N = data["k"], data["N"]
         if type(k) is not int or type(N) is not int:
             raise ValueError(f"k and N must be JSON integers, got k={k!r}, N={N!r}")
+        if not 1 <= k < N:
+            raise ValueError(f"need 1 <= k < N, got k={k}, N={N}")
         coeffs: dict[MultiIndex, Scalar] = {}
         for ent in data.get("entries", ()):
             I = tuple(ent["I"])

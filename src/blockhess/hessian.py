@@ -25,13 +25,7 @@ from operator import neg
 from . import linalg
 from .exterior import ExteriorArray
 from .multiindex import MultiIndex, enumerate_indices
-from .ring import (
-    WORD_PRIMES,
-    MultiPoly,
-    lagrange_interpolate_mod,
-    prime_for_trial,
-    uni_root_structure_mod,
-)
+from .ring import MultiPoly, lagrange_interpolate_mod, prime_for_trial, uni_root_structure_mod
 
 
 class HessianMatrix:
@@ -235,29 +229,8 @@ def det_mod(M, p: int) -> int:
 
 
 def rank_exact(M) -> int:
-    """Exact rank over Q: the sum of the ranks of the direct summands that
-    ``linalg.components`` reads off the nonzero pattern, one matrix being
-    one summand.  A full GF(p) rank r = min(rows, cols) of a summand's
-    primitive integer rows is its Q rank: an r x r minor nonzero mod p is a
-    nonzero integer, and no rank exceeds r.  Every other summand runs the
-    exact echelon over Q, cross-checked against that mod-p lower bound; the
-    rows are cleared of denominators, so none can vanish mod p.
-    """
-    rows = _rows_of(M)
-    parts = linalg.components(rows)
-    if len(parts) == 1:
-        return _rank_summand(rows)
-    return sum(_rank_summand([[rows[i][j] for j in cols] for i in rs]) for rs, cols in parts if rs and cols)
-
-
-def _rank_summand(rows: list[list]) -> int:
-    rp = linalg.rank_mod(linalg.primitive_rows(rows), WORD_PRIMES[0])
-    if rp == min(len(rows), len(rows[0]) if rows else 0):
-        return rp
-    r = linalg.rank_fraction(rows)
-    if rp > r:
-        raise AssertionError(f"mod-p rank {rp} exceeds exact rank {r}")
-    return r
+    """Exact rank over Q (see ``linalg.rank_exact``)."""
+    return linalg.rank_exact(_rows_of(M))
 
 
 def block_row_rank(H: HessianMatrix, i: int) -> int:

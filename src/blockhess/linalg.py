@@ -7,8 +7,8 @@ connected components of its bipartite row-column graph.  Determinants over
 Z and Q run integer Bareiss on rows cleared of denominators, one summand at
 a time, skipping the cross product on a row whose pivot-column entry is
 zero; ``det_bareiss`` takes only matrices with a MultiPoly entry and
-eliminates on packed monomials (see :mod:`.ring`).  ``hessian.rank_exact``
-adds the ranks of the summands.
+eliminates on packed monomials (see :mod:`.ring`).  ``rank_exact`` adds
+the summands' ranks, each first taken mod p on rows cleared of denominators.
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a byte-rounded slot of e + bitlen(2**e // p) bits
@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .ring import (
+    WORD_PRIMES,
     MultiPoly,
     Scalar,
     _degree,
@@ -168,18 +169,21 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[0][0]
 
 
+def _cleared(m: Sequence[Sequence[Scalar]]) -> tuple[list[int], list[list[int]]]:
+    """Each row's lcm of denominators, and the row times it: integers with ``m``'s pattern and row space."""
+    dens = [lcm(*[e.denominator for e in row]) for row in m]
+    return dens, [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
+
+
 def _det_integer(m: Sequence[Sequence[Scalar]]):
     """Bareiss with exact ``//`` on rows cleared of denominators, divided back.
 
     A matrix of several ``components`` is eliminated block by block: its
     determinant is the parity of the row order times that of the column
     order times the product of the block determinants, and 0 when a block
-    is not square.
+    is not square.  The empty matrix has no component and determinant 1.
     """
-    if not m:
-        return 1
-    dens = [lcm(*[e.denominator for e in row]) for row in m]
-    a = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(m, dens)]
+    dens, a = _cleared(m)
     parts = components(a)
     if len(parts) == 1:
         det = _bareiss(a)
@@ -289,18 +293,6 @@ def _primitive(row: Row) -> dict:
     return _content_free({j: e.numerator * (den // e.denominator) for j, e in nonzero})
 
 
-def primitive_rows(m: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Each dense row of ``m`` as coprime integers, still dense: the rows the
-    Q kernel eliminates, scaled as ``_primitive`` scales them."""
-    out = []
-    for row in m:
-        den = lcm(*[e.denominator for e in row])
-        r = [e.numerator * (den // e.denominator) for e in row]
-        g = gcd(*r)
-        out.append([v // g for v in r] if g > 1 else r)
-    return out
-
-
 def _eliminate(row: dict, piv: dict, c) -> dict:
     """Primitive integer multiple of ``row`` minus ``piv`` with column c cleared."""
     g = gcd(row[c], piv[c])
@@ -341,6 +333,30 @@ def _echelon(m: Sequence[Row]) -> dict:
 def rank_fraction(m: Sequence[Row]) -> int:
     """Exact rank over Q: the size of the integer echelon basis."""
     return len(_echelon(m))
+
+
+def rank_exact(m: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank over Q: the sum of the ranks of the direct summands that
+    ``components`` reads off the nonzero pattern, one matrix being one
+    summand.  A full GF(p) rank r = min(rows, cols) of a summand's rows
+    cleared of denominators is its Q rank: an r x r minor nonzero mod p is
+    a nonzero integer, and no rank exceeds r.  Every other summand runs the
+    exact echelon, cross-checked against that mod-p lower bound; cleared
+    rows have no denominator to vanish mod p.  Rows of unequal length raise
+    ValueError.
+    """
+    parts = components(m)
+    summands = [m] if len(parts) == 1 else (
+        [[m[i][j] for j in cols] for i in rows] for rows, cols in parts if rows and cols
+    )
+    rank = 0
+    for s in summands:
+        rp = rank_mod(_cleared(s)[1], WORD_PRIMES[0])
+        r = rp if rp == min(len(s), len(s[0])) else rank_fraction(s)
+        if rp > r:
+            raise AssertionError(f"mod-p rank {rp} exceeds exact rank {r}")
+        rank += r
+    return rank
 
 
 def span_equal(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> bool:

@@ -297,9 +297,7 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
             values[j - 1] = pairing[j]
             values[t - 1] = alpha
             I, s = sort_with_sign(values, N)
-            form[I] = form.get(I, Fraction(0)) + s
-            if not form[I]:
-                del form[I]
+            form[I] = Fraction(s)  # distinct j leave distinct keys, and no sign vanishes
         out.append(form)
     return tuple(out)  # type: ignore[return-value]
 
@@ -307,7 +305,7 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
 def forms_span_equal(forms_a: list[RationalForm], forms_b: list[RationalForm], k: int, N: int) -> bool:
     """Exact row-reduction comparison of two spans of coefficient forms on
     the C(N, k) multiindices, each form a sparse row.  A full GF(p) rank
-    certifies only a rank (``hessian.rank_exact``), so each family is
+    certifies only a rank (``linalg.rank_exact``), so each family is
     echeloned exactly over Q, once, and b's basis reduced against a's."""
     return span_equal(forms_a, forms_b)
 

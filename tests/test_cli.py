@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blockhess import __version__
-from blockhess import hessian
+from blockhess import exterior, hessian
 from blockhess.cli import main, split_rng
 from blockhess.exterior import ExteriorArray
 from blockhess.hessian import identity_h36
@@ -49,6 +49,37 @@ def test_missing_input_exits_2_with_error_object(capsys):
     assert "error" in json.loads(err.splitlines()[0])
 
 
+@pytest.mark.parametrize("command", ["det", "rank", "hessian", "critical"])
+def test_array_with_k_equal_to_N_exits_2(capsys, tmp_path, command):
+    # k = N passed the JSON boundary: (3, 3) printed an empty Hessian, and
+    # (10^6, 10^6), side 0 and so under the side cap, looped over 5 * 10^11
+    # block pairs while laying out the Hessian
+    for k in (3, 10**6):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"k": k, "N": k, "entries": []}), encoding="utf-8")
+        code, out, err = invoke(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].endswith(f"need 1 <= k < N, got k={k}, N={k}")
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path):
+    # json.load raised RecursionError, which escaped as a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = invoke(capsys, "det", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"{path} is not valid JSON: ")
+
+
+# a flag that the command would otherwise ignore, with the one it yields to
+IGNORED_FLAG_PAIRS = [
+    ("irreducible", "--k", "4", "--N", "8", "--N-max", "12"),
+    ("verify-certificates", "--id", "corank-3-9", "--input", "exported.json"),
+    ("hessian", "--input", "a.json", "--k", "4", "--N", "9"),
+    ("node", "--k", "3", "--N", "7", "--J", "5,6,7", "--T", "1/2", "--limits"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -66,6 +97,7 @@ def test_missing_input_exits_2_with_error_object(capsys):
         ("hessian", "--k", "0", "--N", "3"),
         ("duality", "--k", "3", "--N", "2"),
         ("verify-certificates", "--input", "/no/such/file"),
+        *IGNORED_FLAG_PAIRS,
     ],
 )
 def test_bad_invocations_exit_2(capsys, argv):
@@ -74,6 +106,15 @@ def test_bad_invocations_exit_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", IGNORED_FLAG_PAIRS, ids=lambda argv: argv[0])
+def test_ignored_flag_pairs_are_rejected_before_any_input_is_read(capsys, tmp_path, monkeypatch, argv):
+    # the named files do not exist: the pair is refused before they are opened
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].endswith("are mutually exclusive")
 
 
 @pytest.mark.parametrize(
@@ -108,11 +149,14 @@ def test_symbolic_shapes_over_the_variable_cap_exit_2_before_allocating(capsys, 
     ids=lambda argv: argv[0],
 )
 def test_array_past_the_assembly_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch, argv):
-    # 37 bytes of JSON asked for a 299,991^2 Hessian and ended in a MemoryError
+    # 37 bytes of JSON asked for a 299,991^2 Hessian and ended in a MemoryError;
+    # critical first enumerated the k(N-k)-element star of If, which ran out
+    # of memory at k = 10^6, N = 2^64
     def refuse(*args):
-        raise AssertionError("a plan was sized past the cap")
+        raise AssertionError("work was started past the cap")
 
     monkeypatch.setattr(hessian, "comb", refuse)
+    monkeypatch.setattr(exterior, "star", refuse)
     (tmp_path / "huge.json").write_text('{"k": 3, "N": 100000, "entries": []}', encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, *argv)
@@ -488,7 +532,7 @@ def test_irreducible_single_and_schedule(capsys):
     rec = json.loads(out.splitlines()[1])
     assert rec["status"] == "base"
 
-    code, out, _ = invoke(capsys, "irreducible", "--k", "4", "--N", "8", "--N-max", "12")
+    code, out, _ = invoke(capsys, "irreducible", "--k", "4", "--N-max", "12")
     assert code == 0
     recs = [json.loads(l) for l in out.splitlines()[1:]]
     assert all(r["status"] != "undecided" for r in recs)
