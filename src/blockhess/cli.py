@@ -349,10 +349,14 @@ def _cmd_identity_h36(args) -> Handled:
 
 def _cmd_critical(args) -> Handled:
     from .exterior import ChartPoint, act_translation, gradient, is_critical
-    from .hessian import _assembly_plan
+    from .hessian import ASSEMBLY_SIDE_CAP
     from .node_cusp import cusp_membership
 
     A = B = _load_array(args.input)
+    # bound the k(N-k) entries of the star and gradient by the most cells a plan holds
+    partials = A.k * (A.N - A.k)
+    if partials > ASSEMBLY_SIDE_CAP**2:
+        raise ValueError(f"({A.k},{A.N}) chart has {partials} first partials, over the cap of {ASSEMBLY_SIDE_CAP**2}")
     at_zero = True
     if args.point:
         X = _load_json(
@@ -362,8 +366,6 @@ def _cmd_critical(args) -> Handled:
         )
         at_zero = all(e == 0 for row in X.X for e in row)
         B = act_translation(A, X)
-    if at_zero:  # cusp_membership assembles H: past the side cap, fail before the star and gradient
-        _assembly_plan(A.k, A.N)
     rec = {"k": A.k, "N": A.N, "critical": is_critical(B), "gradient": gradient(B)}
     if at_zero:
         rec["cusp_membership"] = cusp_membership(A)

@@ -109,7 +109,7 @@ def _assembly_plan(
     keys: list[MultiIndex] = []
     signs: list[int] = []
     rows = [[2 * n] * (k * w) for _ in range(k * w)]
-    for p in range(1, k + 1):
+    for p in range(1, k + 1) if n else ():  # n = 0 at w < 2: no cell to fill, however large k is
         for pp in range(p + 1, k + 1):
             rest = tuple([i for i in range(1, k + 1) if i != p and i != pp])
             odd = (2 * k - p - pp - 1) % 2

@@ -346,11 +346,9 @@ def rank_exact(m: Sequence[Sequence[Scalar]]) -> int:
     ValueError.
     """
     parts = components(m)
-    summands = [m] if len(parts) == 1 else (
-        [[m[i][j] for j in cols] for i in rows] for rows, cols in parts if rows and cols
-    )
+    split = ([[m[i][j] for j in cols] for i in rows] for rows, cols in parts if rows and cols)
     rank = 0
-    for s in summands:
+    for s in [m] if len(parts) == 1 else split:
         rp = rank_mod(_cleared(s)[1], WORD_PRIMES[0])
         r = rp if rp == min(len(s), len(s[0])) else rank_fraction(s)
         if rp > r:

@@ -97,7 +97,6 @@ IGNORED_FLAG_PAIRS = [
         ("hessian", "--k", "0", "--N", "3"),
         ("duality", "--k", "3", "--N", "2"),
         ("verify-certificates", "--input", "/no/such/file"),
-        *IGNORED_FLAG_PAIRS,
     ],
 )
 def test_bad_invocations_exit_2(capsys, argv):
@@ -149,19 +148,55 @@ def test_symbolic_shapes_over_the_variable_cap_exit_2_before_allocating(capsys, 
     ids=lambda argv: argv[0],
 )
 def test_array_past_the_assembly_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch, argv):
-    # 37 bytes of JSON asked for a 299,991^2 Hessian and ended in a MemoryError;
-    # critical first enumerated the k(N-k)-element star of If, which ran out
-    # of memory at k = 10^6, N = 2^64
+    # 37 bytes of JSON asked for a 299,991^2 Hessian and ended in a MemoryError
     def refuse(*args):
-        raise AssertionError("work was started past the cap")
+        raise AssertionError("a plan was sized past the cap")
 
     monkeypatch.setattr(hessian, "comb", refuse)
-    monkeypatch.setattr(exterior, "star", refuse)
     (tmp_path / "huge.json").write_text('{"k": 3, "N": 100000, "entries": []}', encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err.splitlines()[0]) == {"error": "(3,100000) Hessian has side 299991, over the cap of 1024"}
+
+
+def test_critical_past_the_partials_cap_exits_2_before_enumerating_the_star(capsys, tmp_path, monkeypatch):
+    # at the origin, critical enumerated the k(N-k)-element star of If and
+    # the gradient: k = 10^6, N = 2^64 ran out of memory
+    def refuse(*args):
+        raise AssertionError("the star was enumerated past the cap")
+
+    monkeypatch.setattr(exterior, "star", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 10**6, "N": 2**64, "entries": []}), encoding="utf-8")
+    code, out, err = invoke(capsys, "critical", "--input", str(path))
+    assert (code, out) == (2, "")
+    partials = 10**6 * (2**64 - 10**6)
+    assert json.loads(err) == {"error": f"(1000000,{2**64}) chart has {partials} first partials, over the cap of 1048576"}
+
+
+def test_plan_with_fewer_than_two_columns_walks_no_block_pair(monkeypatch):
+    # N - k < 2 leaves no cell to fill, yet the plan walked all C(k, 2) pairs
+    # of row blocks: about 5 * 10^8 steps at (1024, 1025) and 5 * 10^11 at
+    # k = N = 10^6, whose side 0 is under the cap
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 3:
+            raise AssertionError("the plan walked row-block pairs with no cell to fill")
+        return range(*args)
+
+    monkeypatch.setattr(hessian, "range", counted, raising=False)
+    try:
+        for k, N in [(1024, 1025), (10**6, 10**6)]:
+            calls.clear()
+            hessian._assembly_plan.cache_clear()
+            keys, signs, plan = hessian._assembly_plan(k, N)
+            assert (keys, signs, len(plan)) == ((), (), k * (N - k))
+            assert all(cell == 0 for row in plan for cell in row)
+    finally:
+        hessian._assembly_plan.cache_clear()  # a side-1024 plan holds a million cells
 
 
 @pytest.mark.parametrize("flag", ["--N", "--N-max"])
