@@ -117,6 +117,12 @@ MUTANTS = (
         ("tests/test_exterior.py", GOLDEN),
     ),
     (
+        "star-needs-all-entries", EXTERIOR,
+        "    return not any(len(members.intersection(I)) >= A.k - 1 for I in A.coeffs)",
+        "    return not any(len(members.intersection(I)) >= A.k for I in A.coeffs)",
+        ("tests/test_exterior.py",),
+    ),
+    (
         "verdict-union", IRREDUCIBILITY,
         "    cand = {c for c in set.intersection(*sets) if all(d % step == 0 for d in c)}",
         "    cand = {c for c in set.union(*sets) if all(d % step == 0 for d in c)}",

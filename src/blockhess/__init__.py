@@ -21,8 +21,8 @@ linalg          one integer echelon kernel on sparse primitive rows (rank
 exterior        coefficient arrays, chart points, translation by the
                 k(N-k) commuting transvections of the point, and the
                 gradient and criticality read off the translated array
-hessian         block matrix assembly, duality relabeling, embeddings,
-                det restricted to a line mod p, the (3,6) cube identity
+hessian         block matrix assembly, duality relabeling and trials,
+                embeddings, det on a line mod p, the (3,6) cube identity
 degree          admissible factor degrees
 irreducibility  factor-pattern bookkeeping and verdict derivations
 node_cusp       degenerating frames, defining forms and their limits,

@@ -3,8 +3,8 @@
 Conventions, fixed across every subcommand:
 
 * all configuration arrives via flags (no environment variables); the seed
-  defaults to 0 and every random draw flows from it through per-task
-  derived generators, so identical invocations produce byte-identical
+  defaults to 0 and the library derives every random draw from it, one
+  generator per trial, so identical invocations produce byte-identical
   reports;
 * stdout carries the report as JSON lines — a meta line (command, version,
   config, checksums of any embedded records used) followed by one line per
@@ -41,17 +41,6 @@ from . import __version__
 
 # Each command imports the library modules it runs inside its handler, so
 # a command loads only what it needs and ``import blockhess.cli`` loads none.
-
-
-# ---------------------------------------------------------------------------
-# deterministic seeding
-
-
-def split_rng(seed: int, label: str):
-    """An independent ``random.Random`` derived from the single CLI seed."""
-    import random
-
-    return random.Random(f"{seed}/{label}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +106,6 @@ def _parse_T(text: str):
         return _point_entry(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse T value {text!r}: {exc}") from exc
-
-
-def _random_array(k: int, N: int, rng, lo: int = -4, hi: int = 4):
-    from .exterior import ExteriorArray
-    from .multiindex import enumerate_indices
-
-    return ExteriorArray(k, N, {I: rng.randint(lo, hi) for I in enumerate_indices(k, N)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,31 +221,15 @@ def _cmd_specialize(args) -> Handled:
 
 
 def _cmd_duality(args) -> Handled:
-    from math import comb
-
-    from .hessian import ASSEMBLY_SIDE_CAP, _assembly_plan, assemble, assemble_symbolic, det_exact, dualize_layout
+    from .hessian import assemble_symbolic, duality_trials, dualize_layout
 
     k, N = _need_kN(args)
     records: list[dict] = []
-    passed = True
-    if args.symbolic:
+    if args.symbolic:  # first, so the symbolic-variable cap fires before the side cap
         ok = dualize_layout(assemble_symbolic(k, N)).is_structurally_valid()
         records.append({"mode": "symbolic", "relabeled_as": [N - k, N], "structure_ok": ok})
-        passed &= ok
-    # each trial draws all C(N, k) coefficients: bound the side as det does,
-    # and the draw by the most cells any assembly plan holds, before drawing
-    _assembly_plan(k, N)
-    if comb(N, k) > ASSEMBLY_SIDE_CAP**2:
-        raise ValueError(f"({k},{N}) array has {comb(N, k)} coefficients, over the cap of {ASSEMBLY_SIDE_CAP**2}")
-    for i in range(args.trials):
-        rng = split_rng(args.seed, f"duality:{k}:{N}:{i}")
-        H = assemble(_random_array(k, N, rng))
-        Hd = dualize_layout(H)
-        d, dd = det_exact(H), det_exact(Hd)
-        ok = Hd.is_structurally_valid()
-        records.append({"mode": "numeric", "trial": i, "structure_ok": ok, "det": d, "det_relabeled": dd, "equal": d == dd})
-        passed &= ok and d == dd
-    return records, passed
+    records += duality_trials(k, N, args.trials, args.seed)
+    return records, all(r["structure_ok"] and r.get("equal", True) for r in records)
 
 
 def _render_form(form, render) -> dict[str, str]:
@@ -353,7 +319,7 @@ def _cmd_critical(args) -> Handled:
     from .node_cusp import cusp_membership
 
     A = B = _load_array(args.input)
-    # bound the k(N-k) entries of the star and gradient by the most cells a plan holds
+    # bound the k(N-k) entries of the gradient by the most cells a plan holds
     partials = A.k * (A.N - A.k)
     if partials > ASSEMBLY_SIDE_CAP**2:
         raise ValueError(f"({A.k},{A.N}) chart has {partials} first partials, over the cap of {ASSEMBLY_SIDE_CAP**2}")

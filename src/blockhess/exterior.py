@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import lt
 
-from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign, star
+from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign
 from .ring import Scalar, scalar_from_string
 
 
@@ -146,8 +146,10 @@ class ChartPoint:
 
 
 def _star_vanishes(A: ExteriorArray, J: MultiIndex) -> bool:
-    """True iff a_I = 0 for every I in the star of J."""
-    return not any(A.coeffs.get(I) for I in star(J, A.N))
+    """True iff a_I = 0 for every I in the star of J, the I sharing at least
+    k - 1 entries with J.  Every key counts: the constructor keeps no zero."""
+    members = set(J)
+    return not any(len(members.intersection(I)) >= A.k - 1 for I in A.coeffs)
 
 
 def gradient(B: ExteriorArray) -> list[list]:

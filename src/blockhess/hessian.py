@@ -9,8 +9,8 @@ facts are checked, never assumed, in the tests.
 
 Also here: exact determinant/rank front ends, the determinant restricted
 to a line over GF(p) and the (3,6) cube identity checked with it, the
-row/column reordering that exchanges the (k, N) and (N-k, N) block layouts,
-and the direct-sum embedding of two Hessians into a larger one.
+(k, N) <-> (N-k, N) block-layout reordering with its random trials, and
+the direct-sum embedding of two Hessians into a larger one.
 """
 
 from __future__ import annotations
@@ -338,6 +338,29 @@ def dualize_layout(H: HessianMatrix) -> HessianMatrix:
     k, w = H.k, H.N - H.k
     order = [p * w + t for t in range(w) for p in range(k)]
     return HessianMatrix(w, H.N, [[H.rows[i][j] for j in order] for i in order])
+
+
+def duality_trials(k: int, N: int, trials: int, seed: int = 0) -> list[dict]:
+    """Trial i draws a (k, N) array from ``randint(-4, 4)`` of
+    ``random.Random(f"{seed}/duality:{k}:{N}:{i}")`` and checks that
+    ``dualize_layout`` of its Hessian is a valid (N-k, N) one with the same
+    determinant.  ValueError if ``trials`` < 1, and before any draw if the
+    side is over ``ASSEMBLY_SIDE_CAP`` or the C(N, k) coefficients are over
+    its square, the most cells any assembly plan holds."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _assembly_plan(k, N)
+    if comb(N, k) > ASSEMBLY_SIDE_CAP**2:
+        raise ValueError(f"({k},{N}) array has {comb(N, k)} coefficients, over the cap of {ASSEMBLY_SIDE_CAP**2}")
+    records = []
+    for i in range(trials):
+        rng = random.Random(f"{seed}/duality:{k}:{N}:{i}")
+        H = assemble(ExteriorArray(k, N, {I: rng.randint(-4, 4) for I in enumerate_indices(k, N)}))
+        Hd = dualize_layout(H)
+        d, dd = det_exact(H), det_exact(Hd)
+        ok = Hd.is_structurally_valid()
+        records.append({"mode": "numeric", "trial": i, "structure_ok": ok, "det": d, "det_relabeled": dd, "equal": d == dd})
+    return records
 
 
 # ---------------------------------------------------------------------------

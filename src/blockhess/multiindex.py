@@ -80,26 +80,6 @@ def is_valid_index(I: MultiIndex, k: int, N: int) -> bool:
     )
 
 
-def star(J: MultiIndex, N: int) -> set[MultiIndex]:
-    """All multiindices differing from J in at most one position.
-
-    Includes J itself; the count is 1 + k(N-k).
-
-    >>> sorted(star((1, 2), 4))
-    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
-    """
-    k = len(J)
-    if not is_valid_index(J, k, N):
-        raise ValueError(f"invalid multiindex {J} for N={N}")
-    out = {J}
-    members = set(J)
-    for j in J:
-        for m in range(1, N + 1):
-            if m not in members:
-                out.add(tuple(sorted((set(J) - {j}) | {m})))
-    return out
-
-
 class NodeIndexSet:
     """A k-subset J of If ∪ Il.
 

@@ -21,6 +21,10 @@ it pushes a_I to each J at once, times the minor det X[S, T] by
 Cauchy-Binet, on Fraction arithmetic with no common scale.  It is the
 reference for the exact value and the exact type of every coefficient.
 
+``star`` lists the multiindices that differ from J in at most one
+position, one replacement at a time; the library's criticality test asks
+instead which keys share at least k - 1 entries with J.
+
 ``array_to_json_dict`` writes the array-file document that
 ``ExteriorArray.from_json_dict`` reads.
 """
@@ -262,3 +266,20 @@ def chart_minors_fraction(X: ChartPoint):
 def array_to_json_dict(A: ExteriorArray) -> dict:
     """``{"k", "N", "entries": [{"I": [...], "c": "..."}]}``, entries in key order."""
     return {"k": A.k, "N": A.N, "entries": [{"I": list(I), "c": str(c)} for I, c in sorted(A.coeffs.items())]}
+
+
+def star(J: MultiIndex, N: int) -> set[MultiIndex]:
+    """All multiindices differing from J in at most one position.
+
+    Includes J itself; the count is 1 + k(N-k).
+    """
+    k = len(J)
+    if not is_valid_index(J, k, N):
+        raise ValueError(f"invalid multiindex {J} for N={N}")
+    out = {J}
+    members = set(J)
+    for j in J:
+        for m in range(1, N + 1):
+            if m not in members:
+                out.add(tuple(sorted((set(J) - {j}) | {m})))
+    return out

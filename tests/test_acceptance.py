@@ -32,7 +32,6 @@ from blockhess.multiindex import (
     enumerate_indices,
     first_index,
     last_index,
-    star,
 )
 from blockhess.node_cusp import (
     NodePointSpec,
@@ -47,6 +46,7 @@ from blockhess.ring import (
     prime_for_trial,
     uni_root_structure_mod,
 )
+from exterior_oracle import star
 
 
 def rand_array(rng, k, N, lo=-4, hi=4):

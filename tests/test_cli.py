@@ -8,7 +8,7 @@ import pytest
 
 from blockhess import __version__
 from blockhess import exterior, hessian
-from blockhess.cli import main, split_rng
+from blockhess.cli import main
 from blockhess.exterior import ExteriorArray
 from blockhess.hessian import identity_h36
 from blockhess.multiindex import enumerate_indices
@@ -162,11 +162,12 @@ def test_array_past_the_assembly_cap_exits_2_before_allocating(capsys, tmp_path,
 
 def test_critical_past_the_partials_cap_exits_2_before_enumerating_the_star(capsys, tmp_path, monkeypatch):
     # at the origin, critical enumerated the k(N-k)-element star of If and
-    # the gradient: k = 10^6, N = 2^64 ran out of memory
+    # the gradient: k = 10^6, N = 2^64 ran out of memory.  The star test
+    # reads only the array's keys, so the cap bounds the gradient
     def refuse(*args):
-        raise AssertionError("the star was enumerated past the cap")
+        raise AssertionError("the gradient was enumerated past the cap")
 
-    monkeypatch.setattr(exterior, "star", refuse)
+    monkeypatch.setattr(exterior, "gradient", refuse)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"k": 10**6, "N": 2**64, "entries": []}), encoding="utf-8")
     code, out, err = invoke(capsys, "critical", "--input", str(path))
@@ -224,12 +225,10 @@ def test_irreducible_past_the_N_cap_exits_2_before_deriving(capsys, monkeypatch,
 def test_duality_past_the_assembly_caps_exits_2_before_drawing(capsys, monkeypatch, k, N, error):
     # each trial draws all C(N, k) coefficients; (3, 3000) once drew about
     # 4.5 billion and ended in a MemoryError
-    from blockhess import cli
-
     def refuse(*args):
         raise AssertionError("coefficients were drawn past the cap")
 
-    monkeypatch.setattr(cli, "_random_array", refuse)
+    monkeypatch.setattr(hessian, "enumerate_indices", refuse)
     code, out, err = invoke(capsys, "duality", "--k", str(k), "--N", str(N), "--trials", "1")
     assert (code, out) == (2, "")
     assert json.loads(err.splitlines()[0]) == {"error": error}
@@ -478,6 +477,45 @@ def test_verify_certificates_corrupted_exits_1(capsys, tmp_path):
     assert "FAIL" in err
 
 
+def test_verify_certificates_node_condition_failure_exits_1(capsys, tmp_path):
+    from blockhess.certificates import load, to_json_dict
+
+    # A23 entry (4, 5) is the coefficient of (1, 7, 8), in the star of Il = (7, 8, 9);
+    # a new id skips the comparison with the embedded copy
+    doc = to_json_dict(load("node-3-9"))
+    doc["id"] = "node-3-9-edited"
+    doc["blocks"]["A23"][3][4], doc["blocks"]["A23"][4][3] = 1, -1
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, "verify-certificates", "--input", str(path))
+    assert code == 1
+    rec = json.loads(out.splitlines()[1])
+    assert rec["pass"] is False and "node" not in rec
+    assert rec["error"].startswith("condition (i):")
+    assert "FAIL" in err
+
+
+def test_verify_certificates_known_id_with_another_kind_reports_the_header(capsys, tmp_path):
+    from blockhess.certificates import load, to_json_dict
+
+    doc = to_json_dict(load("corank-3-9"))
+    doc["kind"] = "invertible"
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = invoke(capsys, "verify-certificates", "--input", str(path))
+    assert code == 1
+    rec = json.loads(out.splitlines()[1])
+    assert rec["pass"] is False
+    assert rec["discrepancy"] == {"field": "header", "got": ["invertible", 3, 9], "expected": ["corank1", 3, 9]}
+
+
+def test_output_to_a_directory_exits_2_with_one_error_line(capsys, tmp_path):
+    code, out, err = invoke(capsys, "degrees", "--k", "3", "--N", "6", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(f"cannot write {tmp_path}: ")
+
+
 def test_verify_node_subcommand(capsys):
     code, out, _ = invoke(capsys, "verify-node", "--id", "node-3-11")
     assert code == 0
@@ -669,14 +707,3 @@ def test_run_config_validation(capsys):
         "format": "json",
     }
     assert config == expected and list(config) == list(expected)
-
-
-def test_split_rng_labels_are_independent():
-    a = split_rng(0, "x")
-    b = split_rng(0, "y")
-    c = split_rng(0, "x")
-    sa = [a.randint(0, 10**9) for _ in range(4)]
-    sb = [b.randint(0, 10**9) for _ in range(4)]
-    sc = [c.randint(0, 10**9) for _ in range(4)]
-    assert sa == sc
-    assert sa != sb

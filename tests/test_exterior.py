@@ -21,8 +21,9 @@ import exterior_oracle
 from blockhess import exterior
 from blockhess.exterior import ChartPoint, ExteriorArray, act_translation, gradient, is_critical
 from blockhess.hessian import assemble, assemble_dual
-from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index, star
+from blockhess.multiindex import enumerate_indices, first_index, is_valid_index, last_index
 from blockhess.ring import MultiPoly
+from exterior_oracle import star
 from ring_oracle import evaluate
 
 
@@ -98,7 +99,7 @@ array_coeffs = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_array_construction_matches_key_by_key_check(data):
     k = data.draw(st.integers(1, 4))

@@ -71,8 +71,10 @@ ARRAY_COMMANDS = [
     ["det", "--input", "a.json"],
     ["det", "--input", "a.json", "--mod", "7"],
     ["rank", "--input", "a.json"],
+    ["det", "--input", "a.json", "--dual"],
     ["rank", "--input", "a.json", "--dual"],
     ["hessian", "--input", "a.json"],
+    ["hessian", "--input", "a.json", "--dual"],
     ["critical", "--input", "a.json"],
     ["specialize", "a.json", "a.json"],
 ]

@@ -12,8 +12,8 @@ from blockhess.multiindex import (
     last_index,
     replacement_pairing,
     sort_with_sign,
-    star,
 )
+from exterior_oracle import star
 
 
 def bubble_parity(seq):

@@ -20,7 +20,6 @@ from blockhess.multiindex import (
     last_index,
     replacement_pairing,
     sort_with_sign,
-    star,
 )
 from blockhess.node_cusp import (
     NodeConditionError,
@@ -35,6 +34,7 @@ from blockhess.node_cusp import (
     render_monomial,
     verify_node_pair_k3,
 )
+from exterior_oracle import star
 
 
 def _monomial_at(m, t):
