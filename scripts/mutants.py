@@ -57,6 +57,24 @@ MUTANTS = (
         LINALG_TESTS,
     ),
     (
+        "pack-sign-fix-dropped", LINALG,
+        "        a.append(r - ((r >> 63) & ones) * lift)",
+        "        a.append(r)",
+        LINALG_TESTS,
+    ),
+    (
+        "pack-no-centring", LINALG,
+        "            packed = row_struct.pack(*[v - p if v >> 63 else v for v in residues])",
+        "            packed = row_struct.pack(*residues)",
+        LINALG_TESTS,
+    ),
+    (
+        "pack-start-bound", LINALG,
+        "    ebits = ((1 << 63) + p + ncols * (p - 1) ** 2).bit_length()",
+        "    ebits = ((p - 1) + ncols * (p - 1) ** 2).bit_length()",
+        LINALG_TESTS,
+    ),
+    (
         "span-insert", LINALG,
         "    return len(a) == len(b) and not any(_insert(a, r) for r in b.values())",
         "    return len(a) == len(b) and not any(_insert(b, r) for r in b.values())",
@@ -120,6 +138,18 @@ MUTANTS = (
         "star-needs-all-entries", EXTERIOR,
         "    return not any(len(members.intersection(I)) >= A.k - 1 for I in A.coeffs)",
         "    return not any(len(members.intersection(I)) >= A.k for I in A.coeffs)",
+        ("tests/test_exterior.py",),
+    ),
+    (
+        "key-memo-ignores-shape", EXTERIOR,
+        "    if (last_k, last_N) == (k, N) and len(keys) == len(last) and all(map(is_, keys, last)):",
+        "    if len(keys) == len(last) and all(map(is_, keys, last)):",
+        ("tests/test_exterior.py",),
+    ),
+    (
+        "key-memo-by-equality", EXTERIOR,
+        "    if (last_k, last_N) == (k, N) and len(keys) == len(last) and all(map(is_, keys, last)):",
+        "    if (last_k, last_N) == (k, N) and tuple(keys) == last:",
         ("tests/test_exterior.py",),
     ),
     (

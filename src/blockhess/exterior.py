@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import lt
+from operator import is_, lt
 
 from .multiindex import MultiIndex, first_index, is_valid_index, sort_with_sign
 from .ring import Scalar, scalar_from_string
@@ -52,6 +52,27 @@ def _all_valid_tuples(keys, k: int, N: int) -> bool:
     return valid
 
 
+# (k, N, key objects) of the last key set that passed ``_all_valid_tuples``
+_last_valid: tuple = (0, 0, ())
+
+
+def _valid_keys(keys, k: int, N: int) -> bool:
+    """``_all_valid_tuples``, skipped for the very key objects, in the same
+    order, of the last set that passed at the same (k, N).  Only exact tuples
+    of ints pass, and those cannot change, so identity is enough; equality
+    is not, as (1, 2, 3) == (1.0, 2.0, 3.0).  A set that passes replaces the
+    memo, which holds that one set by strong reference, so no object it
+    compares against can die and hand its id to another."""
+    global _last_valid
+    last_k, last_N, last = _last_valid
+    if (last_k, last_N) == (k, N) and len(keys) == len(last) and all(map(is_, keys, last)):
+        return True
+    if not _all_valid_tuples(keys, k, N):
+        return False
+    _last_valid = (k, N, tuple(keys))
+    return True
+
+
 def _bool_key(I: tuple) -> str:
     return f"key {I} holds a bool entry"
 
@@ -72,7 +93,7 @@ class ExteriorArray:
         self.k = k
         self.N = N
         self.coeffs: dict[MultiIndex, Scalar] = {}
-        if coeffs and _all_valid_tuples(coeffs.keys(), k, N):
+        if coeffs and _valid_keys(coeffs.keys(), k, N):
             self.coeffs = dict(coeffs) if 0 not in coeffs.values() else {I: c for I, c in coeffs.items() if c != 0}
         elif coeffs:
             for I, c in coeffs.items():

@@ -12,13 +12,17 @@ the summands' ranks, each first taken mod p on rows cleared of denominators.
 Rank and span over Q share one echelon routine on sparse integer rows;
 rank and determinant over GF(p) share one elimination on rows packed into
 single integers, each column a byte-rounded slot of e + bitlen(2**e // p) bits
-with 2**e > (p-1) + ncols*(p-1)**2, so that row operations and the Barrett
-reduction of each pivot row run in C and no slot carries into the next.
+with 2**e > 2**63 + p + ncols*(p-1)**2, so that row operations and the
+Barrett reduction of each pivot row run in C and no slot carries into the
+next.  Each row is packed by one precompiled ``struct.Struct`` call, its
+entries as signed 64-bit fields; a row holding a Fraction or an int past 64
+bits is first reduced mod p entry by entry.
 The typed, contract-carrying wrappers live in :mod:`blockhess.hessian`.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -209,34 +213,50 @@ def det_exact_generic(m: Sequence[Sequence]):
 
 
 def _echelon_mod(m: Sequence[Sequence[Scalar]], p: int) -> tuple[int, int]:
-    """(rank, signed product of the pivots) of ``m`` over GF(p).
+    """(rank, signed product of the pivots) of ``m`` over GF(p), p < 2**64.
 
-    Entries other than plain ints are reduced by ``scalar_mod``, so a
-    Fraction whose denominator vanishes mod p raises ZeroDivisionError.
-    Each row is one integer, column j in its ``bits``-wide slot j.  Each step
+    Each row is one integer, column j in its ``bits``-wide slot j, packed by
+    one ``Struct`` call as signed 64-bit fields.  A negative field v reads
+    v + 2**64; one step per row lifts each slot with bit 63 set by
+    p*ceil(2**63 / p) - 2**64, to a value congruent to v in [0, 2**63 + p).
+    A row the ``Struct`` rejects (a Fraction, or an int outside [-2**63,
+    2**63)) is first reduced entry by entry, by ``scalar_mod`` for a
+    non-int, so a Fraction whose denominator vanishes mod p raises
+    ZeroDivisionError; a residue v >= 2**63 is packed as v - p.  Each step
     pivots on the first row nonzero mod p in the leading slot and adds a
     multiple of it to every other row in one big-integer operation; a column
     with no pivot is dropped on its own.  Slots are reduced only when read,
-    so each holds at most (p-1) + ncols*(p-1)**2 < 2**ebits.  The rest X of the
-    pivot row is reduced whole (Barrett, mu = 2**ebits // p): a slot holds
-    ebits + bitlen(mu) bits, so each x*mu fits, and q = x*mu >> ebits, masked
-    to its slot, lies in [x//p - 1, x//p]; bit c = bitlen(2p) of x - p*q +
-    2**c - p marks where one more p comes off.  Every row then gains
-    f * x < p**2 per slot, so no carry crosses into the next.  The signed
-    product is the determinant when the rank is full.  Rows of unequal
-    length raise ValueError.
+    so each holds less than 2**63 + p + ncols*(p-1)**2 < 2**ebits.  The rest
+    X of the pivot row is reduced whole (Barrett, mu = 2**ebits // p): a slot
+    holds ebits + bitlen(mu) bits, so each x*mu fits, and q = x*mu >> ebits,
+    masked to its slot, lies in [x//p - 1, x//p]; bit c = bitlen(2p) of
+    x - p*q + 2**c - p marks where one more p comes off.  Every row then
+    gains f * x < p**2 per slot, so no carry crosses into the next.  The
+    signed product is the determinant when the rank is full.  Rows of
+    unequal length, or p >= 2**64, raise ValueError.
     """
     ncols = len(m[0]) if m else 0
     if len(set(map(len, m))) > 1:
         raise ValueError("matrix rows of unequal length")
-    ebits = ((p - 1) + ncols * (p - 1) ** 2).bit_length()
+    if p >> 64:
+        raise ValueError(f"modulus {p} is not below 2**64")
+    ebits = ((1 << 63) + p + ncols * (p - 1) ** 2).bit_length()
     mu, c = (1 << ebits) // p, (2 * p).bit_length()
     nbytes = (ebits + mu.bit_length() + 7) // 8
-    bits, mask, size = 8 * nbytes, (1 << 8 * nbytes) - 1, ncols * nbytes
+    bits, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
     ones = ((1 << bits * ncols) - 1) // mask  # 1 in every slot
     qmask, K = ones * ((1 << bits - ebits) - 1), ones * ((1 << c) - p)
-    buf = b"".join([(e % p if type(e) is int else scalar_mod(e, p)).to_bytes(nbytes, "little") for row in m for e in row])
-    a = [int.from_bytes(buf[i * size : (i + 1) * size], "little") for i in range(len(m))]
+    row_struct = struct.Struct("<" + f"q{nbytes - 8}x" * ncols)
+    lift = (1 << 64) - p * -(-(1 << 63) // p)  # v + 2**64 -> v + p*ceil(2**63 / p)
+    a = []
+    for row in m:
+        try:
+            packed = row_struct.pack(*row)
+        except struct.error:
+            residues = [e % p if type(e) is int else scalar_mod(e, p) for e in row]
+            packed = row_struct.pack(*[v - p if v >> 63 else v for v in residues])
+        r = int.from_bytes(packed, "little")
+        a.append(r - ((r >> 63) & ones) * lift)
     rank, det = 0, 1
     for _ in range(ncols):
         i = next((i for i, r in enumerate(a) if (r & mask) % p), None)

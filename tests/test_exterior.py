@@ -12,6 +12,7 @@ sparse arrays wide enough that most columns hold no key.
 import random
 import re
 from fractions import Fraction
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,63 @@ def test_bool_index_entry_is_rejected_on_the_key_by_key_path(coeffs):
     first = next(I for I in coeffs if I[0] is True)
     with pytest.raises(ValueError, match=re.escape(f"key {first} holds a bool entry")):
         ExteriorArray(2, 4, coeffs)
+
+
+def holds_memo(keys, k, N):
+    """Is the constructor's key memo exactly the key objects ``keys`` at (k, N)?"""
+    memo_k, memo_N, memo = exterior._last_valid
+    return (memo_k, memo_N) == (k, N) and len(memo) == len(keys) and all(map(is_, memo, keys))
+
+
+@pytest.mark.parametrize("k, N", [(3, 5), (2, 6)])
+def test_key_memo_rechecks_the_same_keys_at_another_shape(k, N):
+    keys = [(1, 2, 3), (1, 2, 6)]
+    ExteriorArray(3, 6, dict.fromkeys(keys, 1))
+    assert holds_memo(keys, 3, 6)
+    bad = keys[1] if k == 3 else keys[0]
+    with pytest.raises(ValueError, match=re.escape(f"key {bad} is not a sorted multiindex for (k,N)=({k},{N})")):
+        ExteriorArray(k, N, dict.fromkeys(keys, 1))
+
+
+def test_key_memo_compares_key_objects_not_values():
+    ints = [(1, 2, 3), (1, 2, 4), (2, 3, 4)]
+    ExteriorArray(3, 4, dict.fromkeys(ints, 1))
+    floats = {tuple(map(float, I)): 1 for I in ints}
+    assert floats == dict.fromkeys(ints, 1)  # (1, 2, 3) == (1.0, 2.0, 3.0), with equal hashes
+    with pytest.raises(ValueError, match="is not a sorted multiindex"):
+        ExteriorArray(3, 4, floats)
+
+
+def test_key_memo_keeps_the_last_set_that_passed():
+    good = [(1, 2), (1, 4), (3, 4)]
+    ExteriorArray(2, 4, dict.fromkeys(good, 1))
+    A = ExteriorArray(2, 4, {KeyTuple((1, 2)): 1, (2, 3): 1})  # accepted key by key
+    assert list(A.coeffs) == [(1, 2), (2, 3)]
+    with pytest.raises(ValueError):
+        ExteriorArray(2, 4, {(1, 2): 1, (2, 1): 1})
+    assert holds_memo(good, 2, 4)
+
+
+def test_key_memo_hit_copies_and_drops_zero_coefficients(monkeypatch):
+    keys = list(enumerate_indices(2, 5))
+    ExteriorArray(2, 5, dict.fromkeys(keys, 1))
+    monkeypatch.setattr(exterior, "_all_valid_tuples", None)  # a hit never calls the check
+    coeffs = {I: i % 3 for i, I in enumerate(keys)}
+    A = ExteriorArray(2, 5, coeffs)
+    assert A.coeffs == {I: c for I, c in coeffs.items() if c} and 0 not in A.coeffs.values()
+    coeffs[keys[1]] = 5
+    assert A.coeffs[keys[1]] == 1
+    B = ExteriorArray(2, 5, dict.fromkeys(keys, 2))
+    assert B.coeffs == dict.fromkeys(keys, 2) and B.coeffs is not A.coeffs
+
+
+def test_key_memo_holds_only_the_last_key_set():
+    big = list(enumerate_indices(4, 9))
+    ExteriorArray(4, 9, dict.fromkeys(big, 1))
+    assert holds_memo(big, 4, 9)
+    small = [(1, 2), (2, 3)]
+    ExteriorArray(2, 3, dict.fromkeys(small, 1))
+    assert exterior._last_valid == (2, 3, tuple(small)) and holds_memo(small, 2, 3)
 
 
 @pytest.mark.parametrize("k,N", [(2, 5), (3, 6), (3, 7), (4, 7)])

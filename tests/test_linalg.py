@@ -445,11 +445,42 @@ def test_mod_p_kernel_carry_bound_on_wide_matrices(rows, cols, p):
     there every remaining row has leading entry p - 1 and the pivot row is
     all p - 1, so every multiplier and every entry of the reduced pivot row
     is p - 1, and each step adds the largest product (p-1)**2 to every slot
-    that the packed kernel leaves unreduced."""
-    M = [[(-1 - min(i, j)) % p for j in range(cols)] for i in range(rows)]
-    assert rank_mod(M, p) == oracle.rank_mod(M, p) == min(rows, cols)
-    if rows == cols:
-        assert det_mod(M, p) == oracle.det_mod(M, p) == (-1) ** rows % p
+    that the packed kernel leaves unreduced.  Left unreduced, each entry
+    v = -1 - min(i, j) starts its slot at v + p*ceil(2**63 / p), just under
+    the 2**63 + p that the slot bound allows for a packed entry."""
+    for M in (
+        [[(-1 - min(i, j)) % p for j in range(cols)] for i in range(rows)],
+        [[-1 - min(i, j) for j in range(cols)] for i in range(rows)],
+    ):
+        assert rank_mod(M, p) == oracle.rank_mod(M, p) == min(rows, cols)
+        if rows == cols:
+            assert det_mod(M, p) == oracle.det_mod(M, p) == (-1) ** rows % p
+
+
+# signed 64-bit edges, ints past them, and a Fraction, so that some rows
+# pack directly and others are reduced entry by entry
+PACK_EDGES = (
+    -(1 << 63), (1 << 63) - 1, (1 << 63) + 1, -(1 << 63) - 1, 1 << 80, -(1 << 80), Fraction(-7, 5), -1, 0, 1,
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, WORD_PRIMES[0], 2**61 - 1, P64])
+def test_mod_p_kernel_packs_64_bit_edges_and_rows_reduced_entry_by_entry(p):
+    rng = random.Random(f"pack-{p}")
+    in_range = [v for v in PACK_EDGES if type(v) is int and -(1 << 63) <= v < 1 << 63]
+    for n in (1, 2, 5, 8):
+        for _ in range(6):
+            M = [[rng.choice(PACK_EDGES) for _ in range(n)] for _ in range(n)]
+            M[0] = [rng.choice(in_range) for _ in range(n)]  # one row that packs directly
+            assert det_mod(M, p) == oracle.det_mod(M, p) == scalar_mod(det_exact_generic(M), p)
+            assert rank_mod(M, p) == oracle.rank_mod(M, p)
+            wide = M + [[rng.choice(in_range) for _ in range(n)]]
+            assert rank_mod(wide, p) == oracle.rank_mod(wide, p)
+
+
+def test_mod_p_kernel_rejects_a_modulus_past_64_bits():
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        det_mod([[1]], (1 << 64) + 13)
 
 
 def undershooting_matrix(p, n):
@@ -460,7 +491,7 @@ def undershooting_matrix(p, n):
     x - p * (x * mu >> e), which lies in [p, 2p) when the quotient falls one
     short.  Kept unreduced, such remainders grow the slots until x * mu
     carries into the next slot."""
-    e = ((p - 1) + n * (p - 1) ** 2).bit_length()
+    e = ((1 << 63) + p + n * (p - 1) ** 2).bit_length()
     mu = (1 << e) // p
     cols = []
     for j in range(n):
