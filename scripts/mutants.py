@@ -39,6 +39,7 @@ HESSIAN = "src/blockhess/hessian.py"
 RING = "src/blockhess/ring.py"
 EXTERIOR = "src/blockhess/exterior.py"
 IRREDUCIBILITY = "src/blockhess/irreducibility.py"
+MULTIINDEX = "src/blockhess/multiindex.py"
 LINALG_TESTS = ("tests/test_linalg.py",)
 GOLDEN = "tests/test_cli_golden.py"  # for a line that a pinned CLI output runs
 
@@ -175,6 +176,18 @@ MUTANTS = (
         "            odd = (2 * k - p - pp - 1) % 2",
         "            odd = (2 * k - p - pp) % 2",
         ("tests/test_hessian.py", GOLDEN),
+    ),
+    (
+        "pairing-groups-swapped", MULTIINDEX,
+        "        pairing = dict(zip(self.in_first + self.out_first, columns))",
+        "        pairing = dict(zip(self.out_first + self.in_first, columns))",
+        ("tests/test_multiindex.py", "tests/test_node_cusp.py", GOLDEN),
+    ),
+    (
+        "pairing-sorted-by-column", MULTIINDEX,
+        "        self.pairing = {r: pairing[r] for r in If}",
+        "        self.pairing = dict(sorted(pairing.items(), key=lambda rs: rs[1]))",
+        ("tests/test_multiindex.py", "tests/test_node_cusp.py"),
     ),
     (
         "root-structure-unchecked", RING,

@@ -534,7 +534,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     if kind not in KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     k, N = doc["k"], doc["N"]
-    if not (isinstance(k, int) and isinstance(N, int) and 0 < k < N):
+    if not (type(k) is int and type(N) is int and 0 < k < N):
         raise ValueError(f"bad shape parameters k={k!r}, N={N!r}")
     m = N - k
     raw_blocks = doc["blocks"]

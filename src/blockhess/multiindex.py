@@ -81,55 +81,36 @@ def is_valid_index(I: MultiIndex, k: int, N: int) -> bool:
 
 
 class NodeIndexSet:
-    """A k-subset J of If ∪ Il.
+    """A k-subset J of If ∪ Il, with its halves and its replacement pairing.
 
-    Carries (k, N) context so that the replacement pairing between the
-    first-block and last-block halves is well defined.  Requires N >= 2k
-    so that If and Il are disjoint.
+    ``in_first`` is J ∩ If and ``out_first`` is If \\ J, both sorted.
+    ``pairing`` maps each r in If, keys in the order 1..k, to the last-block
+    column of its frame row: If ∩ J pairs with Il \\ J and If \\ J with
+    Il ∩ J, each in order.  J has k entries in If ∪ Il, so
+    |If ∩ J| = |Il \\ J| and the groups always match.  Requires N >= 2k so
+    that If and Il are disjoint.
+
+    >>> NodeIndexSet(4, 10, (2, 3, 8, 9)).pairing
+    {1: 8, 2: 7, 3: 10, 4: 9}
     """
 
-    __slots__ = ("k", "N", "J")
+    __slots__ = ("k", "N", "J", "in_first", "out_first", "pairing")
 
     def __init__(self, k: int, N: int, J: MultiIndex):
-        If = set(first_index(k, N))
-        Il = set(last_index(k, N))
-        if If & Il:
+        If = first_index(k, N)
+        Il = last_index(k, N)
+        if set(If) & set(Il):
             raise ValueError(f"need N >= 2k for disjoint end blocks, got k={k}, N={N}")
         if not is_valid_index(J, k, N):
             raise ValueError(f"invalid multiindex {J}")
-        if not set(J) <= (If | Il):
-            raise ValueError(f"J={J} not contained in {sorted(If | Il)}")
+        Jset = set(J)
+        if not Jset <= set(If + Il):
+            raise ValueError(f"J={J} not contained in {sorted(If + Il)}")
         self.k = k
         self.N = N
         self.J = J
-
-    @property
-    def in_first(self) -> tuple[int, ...]:
-        """J ∩ If, sorted."""
-        return tuple(v for v in self.J if v <= self.k)
-
-
-def replacement_pairing(node: NodeIndexSet) -> dict[int, int]:
-    """The pairing r -> s between If and the last block, determined by J.
-
-    Elements of If ∩ J pair with elements of Il \\ J (these rows carry T in
-    the node frame); elements of If \\ J pair with elements of Il ∩ J (the
-    T^-1 rows).  Within each group the pairing preserves order.
-
-    >>> replacement_pairing(NodeIndexSet(4, 10, (2, 3, 8, 9)))
-    {1: 8, 2: 7, 3: 10, 4: 9}
-    """
-    k, N = node.k, node.N
-    If = first_index(k, N)
-    Il = set(last_index(k, N))
-    f_in = [v for v in If if v in set(node.J)]
-    f_out = [v for v in If if v not in set(node.J)]
-    l_in = sorted(set(node.J) & Il)
-    l_out = sorted(Il - set(node.J))
-    if len(f_in) != len(l_out) or len(f_out) != len(l_in):
-        raise AssertionError(f"group sizes disagree for J={node.J}")
-    pairing: dict[int, int] = {}
-    pairing.update(zip(f_in, l_out))
-    pairing.update(zip(f_out, l_in))
-    return {r: pairing[r] for r in If}
-
+        self.in_first = tuple(v for v in If if v in Jset)
+        self.out_first = tuple(v for v in If if v not in Jset)
+        columns = [v for v in Il if v not in Jset] + [v for v in Il if v in Jset]
+        pairing = dict(zip(self.in_first + self.out_first, columns))
+        self.pairing = {r: pairing[r] for r in If}

@@ -41,14 +41,7 @@ from fractions import Fraction
 from .exterior import ExteriorArray, _star_vanishes, is_critical
 from .hessian import assemble, assemble_dual, det_exact
 from .linalg import rank_fraction, span_equal
-from .multiindex import (
-    MultiIndex,
-    NodeIndexSet,
-    first_index,
-    last_index,
-    replacement_pairing,
-    sort_with_sign,
-)
+from .multiindex import MultiIndex, NodeIndexSet, first_index, last_index, sort_with_sign
 from .ring import Scalar
 
 Monomial = tuple[int, int]
@@ -130,9 +123,7 @@ def _pair_rows(spec: NodePointSpec) -> list[list[tuple[int, int]]]:
     in column pairing(p), each entry a (column, T-exponent) pair of a unit
     monomial.  Columns are 1-based."""
     node = spec.J
-    pairing = replacement_pairing(node)
-    in_first = set(node.in_first)
-    return [[(p, 0), (pairing[p], 1 if p in in_first else -1)] for p in range(1, node.k + 1)]
+    return [[(p, 0), (s, 1 if p in node.in_first else -1)] for p, s in node.pairing.items()]
 
 
 def build_x_J_T(spec: NodePointSpec) -> tuple[tuple[object, ...], ...]:
@@ -201,10 +192,8 @@ def _base_forms(k: int, N: int) -> list[LinearForm]:
 def _moving_selection(node: NodeIndexSet) -> list[tuple[int, int]]:
     """The k(N-k) partial-derivative slots (p, t): chart columns except the
     T^-1 positions, plus the frame diagonal at each row p of If \\ J."""
-    k, N = node.k, node.N
-    pairing = replacement_pairing(node)
-    f_out = [p for p in range(1, k + 1) if p not in node.in_first]
-    slots = [(p, t) for p in range(1, k + 1) for t in range(k + 1, N + 1) if p not in f_out or pairing[p] != t]
+    k, N, f_out = node.k, node.N, node.out_first
+    slots = [(p, t) for p in range(1, k + 1) for t in range(k + 1, N + 1) if p not in f_out or node.pairing[p] != t]
     return slots + [(p, p) for p in f_out]
 
 
@@ -234,9 +223,8 @@ def defining_forms_at(spec: NodePointSpec) -> dict:
     rows = _pair_rows(spec)
     special: set[tuple[int, int]] = set()
     if meet == k - 2:
-        pairing = replacement_pairing(node)
-        t1, t2 = (p for p in range(1, k + 1) if p not in node.in_first)
-        special = {(t1, pairing[t2]), (t2, pairing[t1]), (t1, t1), (t2, t2)}
+        t1, t2 = node.out_first
+        special = {(t1, node.pairing[t2]), (t2, node.pairing[t1]), (t1, t1), (t2, t2)}
 
     moving = [{"label": "F", "replaced": False, "form": _normalized(_form_for_rows(rows))}]
     for p, t in _moving_selection(node):
@@ -274,7 +262,7 @@ def limit_T0(forms: dict) -> list[RationalForm]:
     return limits
 
 
-def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, RationalForm, RationalForm]:
+def extra_equations(node: NodeIndexSet) -> tuple[RationalForm, RationalForm, RationalForm, RationalForm]:
     """The four additional equations of the |If ∩ J| = k-2 case.
 
     With J \\ If = {alpha, alpha'} and If \\ J = {t, t'}, these are the four
@@ -282,19 +270,17 @@ def extra_equations(J: NodeIndexSet) -> tuple[RationalForm, RationalForm, Ration
     (j, t') holding values (r(j), alpha) resp. (r(j), alpha'), returned in
     the order (alpha,t), (alpha',t), (alpha,t'), (alpha',t').
     """
-    k, N = J.k, J.N
-    if len(J.in_first) != k - 2:
-        raise ValueError(f"|If ∩ J| = {len(J.in_first)}, need exactly k-2 = {k - 2}")
-    pairing = replacement_pairing(J)
-    t1, t2 = (p for p in range(1, k + 1) if p not in set(J.in_first))
-    alphas = sorted(v for v in J.J if v > k)
-    a1, a2 = alphas
+    k, N = node.k, node.N
+    if len(node.in_first) != k - 2:
+        raise ValueError(f"|If ∩ J| = {len(node.in_first)}, need exactly k-2 = {k - 2}")
+    t1, t2 = node.out_first
+    a1, a2 = node.J[k - 2 :]
     out = []
     for t, alpha in ((t1, a1), (t1, a2), (t2, a1), (t2, a2)):
         form: RationalForm = {}
-        for j in J.in_first:
+        for j in node.in_first:
             values = list(first_index(k, N))
-            values[j - 1] = pairing[j]
+            values[j - 1] = node.pairing[j]
             values[t - 1] = alpha
             I, s = sort_with_sign(values, N)
             form[I] = Fraction(s)  # distinct j leave distinct keys, and no sign vanishes

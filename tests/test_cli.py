@@ -333,9 +333,10 @@ def _certificate_with(**fields):
         _certificate_with(catalog=0).replace(b'"catalog": 0', b'"catalog": 1e999'),
         _certificate_with(catalog="1"),
         _certificate_with(catalog=True),
+        _certificate_with(k=True, N=3, blocks={}),
     ],
     ids=["not-utf8", "not-json", "missing-keys", "list-catalog", "zero-k", "float-catalog", "huge-catalog",
-         "string-catalog", "bool-catalog"],
+         "string-catalog", "bool-catalog", "bool-k"],
 )
 def test_malformed_certificate_files_exit_2(capsys, tmp_path, content):
     path = tmp_path / "cert.json"

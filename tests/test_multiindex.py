@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import node_cusp_oracle
 from blockhess.multiindex import (
     NodeIndexSet,
     enumerate_indices,
     first_index,
     is_valid_index,
     last_index,
-    replacement_pairing,
     sort_with_sign,
 )
 from exterior_oracle import star
@@ -110,7 +111,7 @@ def test_is_valid_index():
 
 def test_node_index_set_accepts_only_two_block_patterns():
     node = NodeIndexSet(3, 7, (2, 3, 6))
-    assert node.in_first == (2, 3)
+    assert (node.in_first, node.out_first, node.pairing) == ((2, 3), (1,), {1: 6, 2: 5, 3: 7})
     # J must sit inside first-block union last-block
     with pytest.raises(ValueError):
         NodeIndexSet(3, 7, (2, 4, 6))
@@ -132,7 +133,7 @@ def test_node_index_set_accepts_only_two_block_patterns():
 )
 def test_replacement_pairing_is_an_exchange(k, N, J):
     node = NodeIndexSet(k, N, J)
-    pairing = replacement_pairing(node)
+    pairing = node.pairing
     If = set(first_index(k, N))
     Il = set(last_index(k, N))
     assert set(pairing) == If
@@ -146,3 +147,14 @@ def test_replacement_pairing_is_an_exchange(k, N, J):
     for group in (sorted(kept), sorted(If - kept)):
         images = [pairing[p] for p in group]
         assert images == sorted(images)
+
+
+@pytest.mark.parametrize("k,N", [(3, 7), (4, 9), (5, 11)])
+def test_node_index_set_matches_the_oracle_halves_and_pairing(k, N):
+    # every J in If u Il, the admissible ones (|If n J| <= k-2) among them;
+    # the pairing's keys run 1..k, the order of the frame rows
+    for J in itertools.combinations(first_index(k, N) + last_index(k, N), k):
+        node = NodeIndexSet(k, N, J)
+        f_in, f_out, _, _ = node_cusp_oracle.halves(node)
+        assert (node.in_first, node.out_first) == (f_in, f_out), J
+        assert list(node.pairing.items()) == list(node_cusp_oracle.pairing(node).items()), J

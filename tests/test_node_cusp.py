@@ -18,7 +18,6 @@ from blockhess.multiindex import (
     enumerate_indices,
     first_index,
     last_index,
-    replacement_pairing,
     sort_with_sign,
 )
 from blockhess.node_cusp import (
@@ -62,6 +61,23 @@ def admissible_node_sets(k, N):
     return [node for node in nodes if len(node.in_first) <= k - 2]
 
 
+#: Shapes whose every admissible J the limit claim is checked at
+NODE_SHAPES = ((3, 6), (3, 7), (3, 8), (3, 9), (4, 8), (4, 9), (4, 10), (5, 10), (5, 11))
+
+
+def node_cases(pinned, at_k_minus_2):
+    """The (k, N, J) cases ``pinned``, then every other admissible J over
+    NODE_SHAPES with |If n J| = k-2, or <= k-3 when not ``at_k_minus_2``.
+    The pinned cases come first so that their test ids stay."""
+    swept = [
+        (k, N, node.J)
+        for k, N in NODE_SHAPES
+        for node in admissible_node_sets(k, N)
+        if (len(node.in_first) == k - 2) == at_k_minus_2
+    ]
+    return pinned + [case for case in swept if case not in pinned]
+
+
 def star_forms(k, N, Js):
     members = sorted(set().union(*(star(J, N) for J in Js)))
     return [{I: Fraction(1)} for I in members]
@@ -92,7 +108,7 @@ def test_render_monomial():
 def test_replace_swaps_paired_rows_with_sign():
     node = NodeIndexSet(4, 10, (2, 3, 8, 9))
     # pairing here is {1: 8, 2: 7, 3: 10, 4: 9}
-    assert replacement_pairing(node) == {1: 8, 2: 7, 3: 10, 4: 9}
+    assert node.pairing == node_cusp_oracle.pairing(node) == {1: 8, 2: 7, 3: 10, 4: 9}
     idx, sign = node_cusp_oracle.replace({1}, node)
     assert (idx, sign) == ((2, 3, 4, 8), -1)
     idx, sign = node_cusp_oracle.replace(set(), node)
@@ -211,14 +227,17 @@ def test_sparse_minor_raises_on_a_second_term():
 
 @pytest.mark.parametrize(
     "k,N,J",
-    [
-        (3, 7, (5, 6, 7)),
-        (4, 8, (5, 6, 7, 8)),
-        (4, 8, (1, 6, 7, 8)),
-        (4, 9, (6, 7, 8, 9)),
-        (4, 9, (1, 7, 8, 9)),
-        (4, 9, (4, 6, 7, 8)),
-    ],
+    node_cases(
+        [
+            (3, 7, (5, 6, 7)),
+            (4, 8, (5, 6, 7, 8)),
+            (4, 8, (1, 6, 7, 8)),
+            (4, 9, (6, 7, 8, 9)),
+            (4, 9, (1, 7, 8, 9)),
+            (4, 9, (4, 6, 7, 8)),
+        ],
+        at_k_minus_2=False,
+    ),
 )
 def test_limits_span_both_stars_when_meet_is_small(k, N, J):
     node = NodeIndexSet(k, N, J)
@@ -232,18 +251,20 @@ def test_limits_span_both_stars_when_meet_is_small(k, N, J):
     assert forms_span_equal(lims, star_forms(k, N, [first_index(k, N), J]), k, N)
 
 
-def test_limits_span_with_extras_at_meet_k_minus_2():
-    node = NodeIndexSet(4, 8, (1, 2, 7, 8))
-    extras = extra_equations(node)
+@pytest.mark.parametrize("k,N,J", node_cases([(4, 8, (1, 2, 7, 8))], at_k_minus_2=True))
+def test_limits_span_with_extras_at_meet_k_minus_2(k, N, J):
+    node = NodeIndexSet(k, N, J)
+    extras = node_cusp_oracle.extra_equations(node)
     assert len(extras) == 4
-    assert all(len(f) == 2 for f in extras)  # two-term sums
+    assert all(len(f) == k - 2 for f in extras)  # one term per j in If n J
+    assert list(extra_equations(node)) == extras
     forms = defining_forms_at(NodePointSpec(node, None))
     assert sum(m["replaced"] for m in forms["moving_forms"]) == 4
     lims = limit_T0(forms)
     # the limits are Fractions, as the benchmark digests record them
     assert all(type(c) is Fraction for f in lims for c in f.values())
-    target = star_forms(4, 8, [first_index(4, 8), node.J]) + list(extras)
-    assert forms_span_equal(lims, target, 4, 8)
+    target = star_forms(k, N, [first_index(k, N), J]) + extras
+    assert forms_span_equal(lims, target, k, N)
 
 
 def test_defining_forms_reject_a_negative_power():
